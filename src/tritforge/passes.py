@@ -97,23 +97,6 @@ class PassReport:
 # -- helpers ---------------------------------------------------------------
 
 
-def _channel_component(n: Netlist, start: str, stop: set):
-    """Nets reachable from start over source/drain edges, not crossing stop
-    nets (rails, inputs); returns (nets, devices touching them)."""
-    nets = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for d in n.devices:
-            if cur in (d.source, d.drain):
-                other = d.drain if d.source == cur else d.source
-                if other not in nets and other not in stop:
-                    nets.add(other)
-                    frontier.append(other)
-    devs = [d for d in n.devices if d.source in nets or d.drain in nets]
-    return nets, devs
-
-
 def _merge_nets(n: Netlist, unions: list, removed_ids: set, vt_map: dict) -> Netlist:
     """Apply wire merges / opens / remaps and rebuild the netlist."""
     parent: dict[str, str] = {}
@@ -172,8 +155,9 @@ def _tracked_complements(n: Netlist, a: AssumptionDomain) -> dict[str, frozenset
         d.gate for d in n.devices if d.gate not in stop and d.gate != a.net
     }
     tracked = {}
+    cn = compiled(n)
     for y in sorted(candidate_gates):
-        nets, devs = _channel_component(n, y, stop)
+        nets, devs = cn.channel_component(y)
         if not devs:
             continue
         if any(d.gate not in RAILS and d.gate != a.net for d in devs):
@@ -319,8 +303,8 @@ def rebind_carry(n: Netlist, carry_net: str):
     if carry_net not in n.nets():
         raise UnknownNetError(f"no net named {carry_net!r}")
 
-    stop = set(RAILS) | set(n.input_names)
-    comp_nets, comp_devs = _channel_component(n, carry_net, stop)
+    cn = compiled(n)
+    comp_nets, comp_devs = cn.channel_component(carry_net)
     dividers = [d for d in comp_devs if TAG_DIVIDER in d.tags]
     if not dividers:
         dividers = [d for d in comp_devs if _always_on(d)]
@@ -331,7 +315,6 @@ def rebind_carry(n: Netlist, carry_net: str):
     # re-solve with every candidate divider deleted: with the divided path
     # cut, each former terminal carries at most one rail in its drive mask,
     # which names the side the divider bridged.
-    cn = compiled(n)
     points = input_space(n)
     _, _, masks0, _ = _sweep(n, points)
     div_any = (masks0 & (_BIT_G | _BIT_V)) == (_BIT_G | _BIT_V)
@@ -426,10 +409,11 @@ def _swap_carry_stis(n: Netlist):
     stop = set(RAILS) | set(n.input_names)
     devices = list(n.devices)
     changed = 0
+    cn = compiled(n)
     for x in sorted(binary_inputs):
         outs = {d.gate for d in devices if d.gate not in stop}
         for y in sorted(outs):
-            nets, devs = _channel_component(n, y, stop)
+            nets, devs = cn.channel_component(y)
             if len(devs) != 6 or any(d.gate not in RAILS and d.gate != x for d in devs):
                 continue
             shape = set()

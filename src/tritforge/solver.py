@@ -7,9 +7,17 @@ A net with paths to both rails settles at the half level and is recorded as
 a voltage-division event; a net with no path floats (holds charge during
 transition simulation).
 
-The core is batched: a whole sweep of input states is solved in one numpy
-pass, which keeps exhaustive truth tables and multi-thousand-state ripple
-carry sweeps cheap.
+The core is batched and works per channel-connected component (CCC): a
+maximal group of non-driver nets joined by device channels, where the rails
+and the inputs are the drivers (Bryant, IEEE Trans. Computers 1984).  A
+CCC's drive masks depend only on the levels of its gate nets and of the
+driver nets its channels touch, so each round solves every CCC once per
+distinct row of those levels among the states of a sweep, then scatters
+the masks back to every state (compiled per-component evaluation in the
+spirit of COSMOS, DAC 1987).  States that reach a fixed point or a
+period-2 cycle leave the active set, and large sweeps are solved in chunks
+of states, so exhaustive truth tables and multi-thousand-state ripple
+carry sweeps stay cheap in time and memory.
 """
 
 from __future__ import annotations
@@ -38,6 +46,28 @@ _BIT_G, _BIT_H, _BIT_V = 1, 2, 4
 _MASK_TO_CODE = np.array(
     [CODE_Z, CODE_G, CODE_H, CODE_H, CODE_V, CODE_H, CODE_H, CODE_H], dtype=np.int8
 )
+
+# Drive mask of a driver net for each level code.
+_BIT_OF_CODE = np.array([_BIT_G, _BIT_H, _BIT_V, 0, 0], dtype=np.uint8)
+
+# States solved together; bounds the working arrays of a large sweep.
+_CHUNK = 2048
+
+# Below this many active states each state keeps its own CCC rows: finding
+# shared rows would cost more than it saves.
+_SHARE_MIN = 16
+
+
+# Levels per word when a CCC's level vector is packed for comparison:
+# 3 bits a level code, 21 codes to an int64.
+_SLOTS = 21
+_SLOT_WEIGHT = 8 ** np.arange(_SLOTS, dtype=np.int64)
+
+
+def _take(table, rows, ccc, col):
+    """(states, len(col)) entries of a (column, row) table: entry j of a
+    state reads column col[j] in that state's row of CCC ccc[j]."""
+    return table[col, rows[:, ccc]]
 
 
 def conduction(polarity: Polarity, vt, gate: Level, vdd: float = 0.9) -> bool:
@@ -107,6 +137,7 @@ class CompiledNetlist:
             driver[self.index[rail]] = True
         driver[self.input_idx] = True
         self.is_driver = driver
+        self.driver_idx = np.flatnonzero(driver)
         self.nondriver_idx = np.flatnonzero(~driver)
         self.gnd_idx = self.index["GND"]
         self.vdd_idx = self.index["VDD"]
@@ -116,24 +147,140 @@ class CompiledNetlist:
         self.dev_gate = np.array([self.index[d.gate] for d in devs], dtype=np.intp)
         self.dev_a = np.array([self.index[d.source] for d in devs], dtype=np.intp)
         self.dev_b = np.array([self.index[d.drain] for d in devs], dtype=np.intp)
+        self.dev_is_n = np.array([d.polarity is Polarity.N for d in devs], dtype=bool)
+        rows = {}
+        for d in devs:
+            if (d.polarity, d.vt) not in rows:
+                rows[d.polarity, d.vt] = [
+                    conduction(d.polarity, d.vt, lv, n.vdd) for lv in _LEVEL_OF_CODE
+                ]
         lut = np.zeros((max(self.n_devices, 1), 5), dtype=bool)
-        for i, d in enumerate(devs):
-            for code, lv in enumerate(_LEVEL_OF_CODE):
-                lut[i, code] = conduction(d.polarity, d.vt, lv, n.vdd)
+        if devs:
+            lut[: self.n_devices] = [rows[d.polarity, d.vt] for d in devs]
         self.dev_lut = lut
+        self._partition()
 
-        # Per-direction device groupings for duplicate-free scatter of
-        # drive-mask contributions (bitwise_or.reduceat over sorted targets).
+    def _partition(self):
+        """Split the non-driver nets into CCCs and lay the CCCs out locally.
+
+        ``net_ccc`` labels every non-driver net with its CCC (drivers get -1).
+        The kernel numbers the CCCs that have devices and gives each one
+        local columns: its own nets plus a private copy of each driver net
+        its channels touch, so one closure over the local columns solves all
+        CCCs side by side.  A CCC's row key packs the level codes of its key
+        nets (the gate nets and driver terminals of its devices, rails
+        aside) in mixed radix 5.
+        """
+        N = self.n_nets
+        nd = ~self.is_driver
+        nd_idx = self.nondriver_idx
+        a, b = self.dev_a, self.dev_b
+
+        # min-label propagation with pointer jumping over channels between
+        # non-driver nets; each net ends labelled by one net of its CCC
+        label = np.arange(N)
+        both = nd[a] & nd[b]
+        ea, eb = a[both], b[both]
+        while True:
+            new = label.copy()
+            lo = np.minimum(label[ea], label[eb])
+            np.minimum.at(new, ea, lo)
+            np.minimum.at(new, eb, lo)
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        self.net_ccc = np.full(N, -1, dtype=np.intp)
+        self.net_ccc[nd] = np.unique(label[nd], return_inverse=True)[1]
+
+        # devices with a non-driver terminal, numbered by CCC among those;
+        # a net that no channel touches joins CCC 0 in a column of its own,
+        # which no device drives, so it always reads mask 0
+        live = np.flatnonzero(nd[a] | nd[b])
+        anchor = np.where(nd[a[live]], a[live], b[live])
+        ccc_ids, dev_k = np.unique(self.net_ccc[anchor], return_inverse=True)
+        nd_ccc = self.net_ccc[nd_idx]
+        net_k = np.where(
+            np.isin(nd_ccc, ccc_ids), np.searchsorted(ccc_ids, nd_ccc), 0
+        )
+        C = self._n_ccc = max(ccc_ids.size, 1)
+        L = live.size
+        gate = self.dev_gate[live]
+
+        # local columns: one per (CCC, net) pair
+        cols, inv = np.unique(
+            np.r_[dev_k * N + a[live], dev_k * N + b[live], net_k * N + nd_idx],
+            return_inverse=True,
+        )
+        col_ccc, col_net = np.divmod(cols, N)
+        col_drv = self.is_driver[col_net]
+        # one spare column past the end: no device touches it, so its level
+        # is Z in every row, a constant filler for level words
+        self._n_cols = cols.size + 1
+        loc_a, loc_b, out_col = inv[:L], inv[L : 2 * L], inv[2 * L :]
+        self._out_ccc, self._out_col = net_k, out_col
+        # position of each column's net among the non-driver nets; driver
+        # columns and the spare point one past the end, at a pad that never
+        # holds charge
+        self._col_nd = np.r_[
+            np.where(col_drv, nd_idx.size, np.searchsorted(nd_idx, col_net)), nd_idx.size
+        ]
+        # per-direction groupings for duplicate-free scatter of drive-mask
+        # contributions (bitwise_or.reduceat over sorted targets)
         self._dir = []
-        for tgt, src in ((self.dev_a, self.dev_b), (self.dev_b, self.dev_a)):
-            keep = np.flatnonzero(~driver[tgt]) if self.n_devices else np.array([], dtype=np.intp)
+        for tgt, src in ((loc_a, loc_b), (loc_b, loc_a)):
+            keep = np.flatnonzero(~col_drv[tgt])
             order = keep[np.argsort(tgt[keep], kind="stable")]
             tgt_sorted = tgt[order]
-            starts = np.flatnonzero(
-                np.r_[True, tgt_sorted[1:] != tgt_sorted[:-1]]
-            ) if order.size else np.array([], dtype=np.intp)
-            group_net = tgt_sorted[starts] if order.size else np.array([], dtype=np.intp)
-            self._dir.append((order, src[order], starts, group_net))
+            starts = np.flatnonzero(np.r_[True, tgt_sorted[1:] != tgt_sorted[:-1]])
+            if order.size:
+                self._dir.append((order, src[order], starts, tgt_sorted[starts]))
+
+        # key levels: each state carries the levels of the nets that gate a
+        # device or drive a channel; the non-driver ones change every round
+        knet, kcol = np.unique(np.r_[gate, col_net[col_drv]], return_inverse=True)
+        self._knet = knet
+        self._knd = np.flatnonzero(nd[knet])
+        pos = np.searchsorted(nd_idx, knet[self._knd])
+        self._knd_ccc, self._knd_col = net_k[pos], out_col[pos]
+        self._dev_k = dev_k
+        self._dev_kcol = kcol[:L]
+        self._dev_lut = self.dev_lut[live]
+        self._dev_range = np.arange(L)[:, None]
+        self._drv_cols = np.flatnonzero(col_drv)
+        self._drv_ccc = col_ccc[col_drv]
+        self._drv_kcol = kcol[L:]
+
+        # row keys: one radix-5 digit per non-rail key net of each CCC
+        # (return_index keeps np.unique on its sorting path; the hash path
+        # loads numpy.ma, a megabyte of resident memory)
+        digits = np.unique(np.r_[dev_k * N + gate, cols[col_drv]], return_index=True)[0]
+        key_ccc, key_net = np.divmod(digits, N)
+        keep = ~np.isin(key_net, (self.gnd_idx, self.vdd_idx))
+        key_ccc, key_net = key_ccc[keep], key_net[keep]
+        bounds = np.searchsorted(key_ccc, np.arange(C + 1))
+        width = np.diff(bounds)
+        rank = np.arange(key_ccc.size) - bounds[key_ccc]
+        # a CCC too wide to pack is keyed by state instead (no sharing)
+        cap = (1 << 62) // C
+        keyed = np.array([5 ** int(w) <= cap for w in width], dtype=bool)
+        span = [5 ** int(w) if k else _CHUNK for w, k in zip(width, keyed)]
+        self._key_col = np.searchsorted(knet, key_net)
+        self._key_weight = np.where(keyed[key_ccc], 5 ** np.minimum(rank, 26), 0)
+        self._key_bounds = bounds
+        self._key_offset = np.cumsum([0] + span[:-1], dtype=np.int64)
+        self._unkeyed = np.flatnonzero(~keyed)
+
+        # level words: a CCC's non-driver levels, _SLOTS to a word in radix
+        # 8, so comparing words compares level vectors exactly
+        order = np.argsort(net_k, kind="stable")
+        k_sorted = net_k[order]
+        rank = np.arange(order.size) - np.searchsorted(k_sorted, k_sorted)
+        words, word = np.unique(k_sorted * N + rank // _SLOTS, return_inverse=True)
+        self._word_ccc = words // N
+        self._word_range = np.arange(words.size)
+        self._word_col = np.full((_SLOTS, words.size), cols.size, dtype=np.intp)
+        self._word_col[rank % _SLOTS, word] = out_col[order]
 
     # -- batched fixed-point solve ------------------------------------
 
@@ -144,79 +291,170 @@ class CompiledNetlist:
         prev:        optional (S, n_nets) seed levels for transition solves.
 
         Returns (levels, masks, rounds, stable) arrays; ``stable`` is False
-        for states that failed to reach a fixed point within the budget.
+        for states that failed to reach a fixed point within the budget of
+        4·n_nets rounds, or that fell into a period-2 cycle (those stop
+        early, with the levels and masks of their last round).
         """
         S = input_codes.shape[0]
         N = self.n_nets
+        nd = self.nondriver_idx
         lv = np.full((S, N), CODE_X, dtype=np.int8)
         lv[:, self.gnd_idx] = CODE_G
         lv[:, self.vdd_idx] = CODE_V
         if self.input_idx.size:
             lv[:, self.input_idx] = input_codes
-        hold = None
         if prev is not None:
-            nd = self.nondriver_idx
             lv[:, nd] = prev[:, nd]
-            hold = prev
-
-        rounds = np.zeros(S, dtype=np.int64)
-        budget = max(4 * N, 8)
         masks = np.zeros((S, N), dtype=np.uint8)
+        masks[:, self.driver_idx] = _BIT_OF_CODE[lv[:, self.driver_idx]]
+        rounds = np.zeros(S, dtype=np.int64)
         stable = np.zeros(S, dtype=bool)
-
-        for _ in range(budget):
-            masks = self._propagate(lv)
-            newlv = self._levels_from_masks(masks, hold)
-            changed = (newlv[:, self.nondriver_idx] != lv[:, self.nondriver_idx]).any(axis=1)
-            lv[:, self.nondriver_idx] = newlv[:, self.nondriver_idx]
-            rounds += changed
-            if not changed.any():
-                stable[:] = True
-                break
-        else:
-            # one more recompute to identify which states are still moving
-            masks = self._propagate(lv)
-            newlv = self._levels_from_masks(masks, hold)
-            stable = ~(
-                (newlv[:, self.nondriver_idx] != lv[:, self.nondriver_idx]).any(axis=1)
+        for lo in range(0, S, _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            self._solve_chunk(
+                lv[part], masks[part], rounds[part], stable[part],
+                None if prev is None else prev[part][:, nd],
             )
         return lv, masks, rounds, stable
 
-    def _propagate(self, lv: np.ndarray) -> np.ndarray:
-        """Inner fixed point: push driver levels along conducting channels."""
-        S, N = lv.shape
-        masks = np.zeros((S, N), dtype=np.uint8)
-        drv = np.flatnonzero(self.is_driver)
-        code = lv[:, drv]
-        m = np.zeros_like(code, dtype=np.uint8)
-        for c, bit in ((CODE_G, _BIT_G), (CODE_H, _BIT_H), (CODE_V, _BIT_V)):
-            m |= np.uint8(bit) * (code == c).astype(np.uint8)
-        masks[:, drv] = m
-        if not self.n_devices:
-            return masks
+    def _solve_chunk(self, lv, masks, rounds, stable, hold):
+        """Jacobi rounds over one chunk of states, filling the outputs in place.
 
-        gate_codes = lv[:, self.dev_gate]
-        on = self.dev_lut[np.arange(self.n_devices)[None, :], gate_codes]
+        A state leaves the active set when a round leaves it unchanged (a
+        fixed point, which it keeps forever) or, from the third round on,
+        when its levels repeat those of two rounds back while differing from
+        the last (a period-2 cycle, which the deterministic round map never
+        leaves).
+        """
+        nd = self.nondriver_idx
+        out = (self._out_ccc, self._out_col)
+        act = np.arange(lv.shape[0])
+        kl = lv[:, self._knet]
+        share = hold is None and act.size >= _SHARE_MIN
+        if hold is not None:
+            # held charge per local column; seeded states never share rows
+            pad = np.full((act.size, 1), CODE_Z, dtype=np.int8)
+            hold = np.concatenate([hold, pad], axis=1)[:, self._col_nd].T
+        last = back = None
+        for _ in range(max(4 * self.n_nets, 8)):
+            rows, table, levels = self._round(kl, share, hold)
+            new = self._level_words(rows, levels)
+            if last is None:
+                # the starting levels may hold any code: compare them in full
+                changed = (_take(levels, rows, *out) != lv[:, nd]).any(axis=1)
+            else:
+                changed = (new != last).any(axis=1)
+            rounds[act] += changed
+            done = ~changed
+            if back is not None:
+                done |= (new == back).all(axis=1)
+            if done.any():
+                idx = act[done]
+                lv[idx[:, None], nd] = _take(levels, rows[done], *out)
+                masks[idx[:, None], nd] = _take(table, rows[done], *out)
+                stable[idx] = ~changed[done]
+                keep = ~done
+                act, rows, new, kl = act[keep], rows[keep], new[keep], kl[keep]
+                if hold is not None:
+                    hold = hold[:, keep]
+                if last is not None:
+                    last = last[keep]
+                if back is not None:
+                    back = back[keep]
+                if not act.size:
+                    return
+            back, last = last, new
+            settled = rows, levels
+            kl[:, self._knd] = _take(levels, rows, self._knd_ccc, self._knd_col)
+        # one more recompute to identify which states are still moving
+        rows, table, levels = self._round(kl, share, hold)
+        lv[act[:, None], nd] = _take(settled[1], settled[0], *out)
+        masks[act[:, None], nd] = _take(table, rows, *out)
+        stable[act] = ~(self._level_words(rows, levels) != last).any(axis=1)
 
+    def _round(self, kl, share, hold):
+        """One Jacobi round over the states whose key levels are ``kl``.
+
+        Returns each state's row in every CCC, and the (local column, row)
+        tables of drive masks and resulting levels.  Unless ``share`` is set,
+        every state keeps rows of its own.
+        """
+        A, C = kl.shape[0], self._n_ccc
+        if not share:
+            rows = np.broadcast_to(np.arange(A)[:, None], (A, C))
+            drv, gate = kl[:, self._drv_kcol], kl[:, self._dev_kcol]
+        else:
+            # each CCC's digits sum to its key: cumulative sums differenced
+            # at the CCC bounds, offset so keys of different CCCs never meet
+            digits = kl[:, self._key_col] * self._key_weight
+            sums = np.zeros((A, digits.shape[1] + 1), dtype=np.int64)
+            np.cumsum(digits, axis=1, out=sums[:, 1:])
+            bounds = self._key_bounds
+            keys = self._key_offset + sums[:, bounds[1:]] - sums[:, bounds[:-1]]
+            if self._unkeyed.size:
+                keys[:, self._unkeyed] += np.arange(A)[:, None]
+            # sorting groups the keys by CCC; each distinct key becomes the
+            # next row of its CCC, solved on one representative state
+            flat = keys.ravel()
+            order = np.argsort(flat)
+            sorted_keys = flat[order]
+            first = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+            rep = order[first]
+            ccc = rep % C
+            row = np.arange(rep.size) - np.searchsorted(ccc, np.arange(C))[ccc]
+            rep_state = np.zeros((row.max() + 1, C), dtype=np.intp)
+            rep_state[row, ccc] = rep // C
+            rows = np.empty(flat.size, dtype=np.intp)
+            rows[order] = row[np.cumsum(first) - 1]
+            rows = rows.reshape(A, C)
+            drv = kl[rep_state[:, self._drv_ccc], self._drv_kcol]
+            gate = kl[rep_state[:, self._dev_k], self._dev_kcol]
+        table = self._closure(drv, gate)
+        levels = _MASK_TO_CODE[table]
+        if hold is not None:
+            levels = np.where((table == 0) & (hold <= CODE_V), hold, levels)
+        return rows, table, levels
+
+    def _level_words(self, rows, levels):
+        """Each state's non-driver levels packed into words: (states, words)."""
+        words = np.einsum(
+            "swr,s->wr", levels[self._word_col], _SLOT_WEIGHT, dtype=np.int64
+        )
+        return _take(words, rows, self._word_ccc, self._word_range)
+
+    def _closure(self, drv_codes, gate_codes):
+        """Inner fixed point on the local columns: push driver levels along
+        conducting channels.  Returns (local column, row) drive masks."""
+        masks = np.zeros((self._n_cols, drv_codes.shape[0]), dtype=np.uint8)
+        masks[self._drv_cols] = _BIT_OF_CODE[drv_codes.T]
+        on = self._dev_lut[self._dev_range, gate_codes.T]
+        steps = [(src, on[order], starts, group) for order, src, starts, group in self._dir]
         while True:
             before = masks.copy()
-            for order, src, starts, group_net in self._dir:
-                if not order.size:
-                    continue
-                contrib = masks[:, src] * on[:, order]
-                reduced = np.bitwise_or.reduceat(contrib, starts, axis=1)
-                masks[:, group_net] |= reduced
+            for src, on_src, starts, group in steps:
+                masks[group] |= np.bitwise_or.reduceat(masks[src] * on_src, starts, axis=0)
             if np.array_equal(masks, before):
                 return masks
 
-    def _levels_from_masks(self, masks, hold):
-        newlv = _MASK_TO_CODE[masks]
-        if hold is not None:
-            held = (masks == 0) & (hold <= CODE_V)
-            newlv = np.where(held, hold, newlv)
-        return newlv
-
     # -- helpers --------------------------------------------------------
+
+    def channel_component(self, start: str):
+        """Nets joined to ``start`` by channels, not crossing driver nets,
+        and the devices touching them, in netlist order.
+
+        A driver ``start`` yields itself plus every CCC its channels reach.
+        """
+        i = self.index[start]
+        ccc = self.net_ccc[i : i + 1]
+        if self.is_driver[i]:
+            touch = (self.dev_a == i) | (self.dev_b == i)
+            ccc = self.net_ccc[np.r_[self.dev_a[touch], self.dev_b[touch]]]
+        inside = np.isin(self.net_ccc, ccc[ccc >= 0])
+        inside[i] = True
+        nets = {self.nets[j] for j in np.flatnonzero(inside).tolist()}
+        devs = self.netlist.devices
+        picked = np.flatnonzero(inside[self.dev_a] | inside[self.dev_b]).tolist()
+        return nets, [devs[k] for k in picked]
 
     def codes_for_inputs(self, assignment: dict[str, Level]) -> np.ndarray:
         row = np.empty(len(self.netlist.inputs), dtype=np.int8)
@@ -510,31 +748,36 @@ def full_swing_lint(n: Netlist) -> list[SwingWarning]:
     points = input_space(n)
     cn, lv, masks, _ = _sweep(n, points)
     worst: dict[tuple[str, Polarity], float] = {}
+    ends = list(zip(cn.dev_a.tolist(), cn.dev_b.tolist()))
+    is_n = cn.dev_is_n.tolist()
+    of_polarity = {Polarity.N: is_n, Polarity.P: [not k for k in is_n]}
 
     for s, pt in enumerate(points):
         state = lv[s]
         gate_codes = state[cn.dev_gate]
         on = cn.dev_lut[np.arange(cn.n_devices), gate_codes] if cn.n_devices else np.array([], bool)
+        # conducting devices by terminal net, shared by every search below
+        adj: dict[int, list[int]] = {}
+        for i in np.flatnonzero(on).tolist():
+            for t in ends[i]:
+                adj.setdefault(t, []).append(i)
 
         for target_code, good_pol, bad_pol in (
             (CODE_V, Polarity.P, Polarity.N),
             (CODE_G, Polarity.N, Polarity.P),
         ):
-            drivers = [
-                i
-                for i in range(cn.n_nets)
-                if cn.is_driver[i] and state[i] == target_code
-            ]
+            at_target = state == target_code
+            drivers = np.flatnonzero(cn.is_driver & at_target).tolist()
             if not drivers:
                 continue
-            clean = _reach(cn, n, on, drivers, allow_pol=good_pol)
+            clean = _reach(cn, adj, ends, of_polarity[good_pol], drivers)
             suspects = [
                 i
-                for i in np.flatnonzero(~cn.is_driver)
-                if state[i] == target_code and i not in clean
+                for i in np.flatnonzero(~cn.is_driver & at_target).tolist()
+                if i not in clean
             ]
             for net_i in suspects:
-                head = _best_headroom(cn, n, state, on, drivers, net_i, bad_pol)
+                head = _best_headroom(cn, n, state, adj, ends, drivers, net_i, bad_pol)
                 if head is None:
                     continue
                 key = (cn.nets[net_i], bad_pol)
@@ -545,41 +788,32 @@ def full_swing_lint(n: Netlist) -> list[SwingWarning]:
     )]
 
 
-def _reach(cn, n, on, start, allow_pol):
+def _reach(cn, adj, ends, allowed, start):
+    """Nets reachable from the start drivers over conducting devices of the
+    allowed polarity, expanding through non-driver nets only."""
     seen = set(start)
     frontier = list(start)
-    devs = n.devices
     while frontier:
         cur = frontier.pop()
-        for i in range(cn.n_devices):
-            if not on[i] or devs[i].polarity is not allow_pol:
+        for i in adj.get(cur, ()):
+            if not allowed[i]:
                 continue
-            a, b = cn.dev_a[i], cn.dev_b[i]
-            nxt = None
-            if a == cur and b not in seen:
-                nxt = b
-            elif b == cur and a not in seen:
-                nxt = a
-            if nxt is not None and not cn.is_driver[nxt]:
+            a, b = ends[i]
+            nxt = b if a == cur else a
+            if nxt not in seen:
                 seen.add(nxt)
-                frontier.append(nxt)
-            elif nxt is not None:
-                seen.add(nxt)
+                if not cn.is_driver[nxt]:
+                    frontier.append(nxt)
     return seen
 
 
-def _best_headroom(cn, n, state, on, drivers, target, bad_pol):
+def _best_headroom(cn, n, state, adj, ends, drivers, target, bad_pol):
     """Max-bottleneck headroom from any driver to the target net."""
     volts = {CODE_G: 0.0, CODE_H: n.vdd / 2, CODE_V: n.vdd}
     INF = float("inf")
     best = {d: INF for d in drivers}
     heap = [(-INF, d) for d in drivers]
     devs = n.devices
-    adj: dict[int, list[int]] = {}
-    for i in range(cn.n_devices):
-        if on[i]:
-            adj.setdefault(cn.dev_a[i], []).append(i)
-            adj.setdefault(cn.dev_b[i], []).append(i)
     while heap:
         neg, cur = heapq.heappop(heap)
         width = -neg
@@ -588,7 +822,8 @@ def _best_headroom(cn, n, state, on, drivers, target, bad_pol):
         if cur == target:
             return None if width == INF else width
         for i in adj.get(cur, []):
-            nxt = cn.dev_b[i] if cn.dev_a[i] == cur else cn.dev_a[i]
+            a, b = ends[i]
+            nxt = b if a == cur else a
             if cn.is_driver[nxt] and nxt != target:
                 continue
             d = devs[i]

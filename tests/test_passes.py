@@ -22,6 +22,7 @@ from tritforge.netlist import (
     Device,
     Netlist,
     Polarity,
+    RAILS,
     ThresholdClass,
     parse,
 )
@@ -34,6 +35,7 @@ from tritforge.passes import (
     simplify_pipeline,
 )
 from tritforge.solver import (
+    compiled,
     division_counts,
     truth_table,
 )
@@ -288,3 +290,29 @@ def test_simplification_soundness_randomized():
         assert _tables_agree(n, out, {target: levels}), (n, a)
         checked += 1
     assert checked == 1000
+
+
+def _walk_component(n, start):
+    """Reference channel walk: nets reachable from start over source/drain
+    edges without crossing a rail or an input, and the devices touching them."""
+    stop = set(RAILS) | set(n.input_names)
+    nets = {start}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        for d in n.devices:
+            if cur in (d.source, d.drain):
+                other = d.drain if d.source == cur else d.source
+                if other not in nets and other not in stop:
+                    nets.add(other)
+                    frontier.append(other)
+    return nets, [d for d in n.devices if d.source in nets or d.drain in nets]
+
+
+def test_channel_component_matches_walk():
+    rng = random.Random(SEED)
+    cells = [gen_tfa(StyleSpec(style, Completeness.COMPLETE)) for style in Style]
+    for n in cells + [_random_netlist(rng) for _ in range(200)]:
+        cn = compiled(n)
+        for net in n.nets():  # drivers included
+            assert cn.channel_component(net) == _walk_component(n, net), net

@@ -1,15 +1,26 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
+
+import tritforge.solver as solver_mod
 
 from tritforge.errors import (
     DomainError,
     OscillationError,
     UnresolvableError,
 )
+from tritforge.generate import Completeness, Style, StyleSpec, gen_rca, gen_tfa
 from tritforge.netlist import Device, Netlist, Polarity, ThresholdClass, parse
 from tritforge.solver import (
+    CODE_G,
+    CODE_H,
+    CODE_V,
+    CODE_X,
+    _CODE_OF_LEVEL,
+    _MASK_TO_CODE,
+    compiled,
     conduction,
     decoded_truth,
     division_counts,
@@ -20,7 +31,7 @@ from tritforge.solver import (
     trace_csv,
     truth_table,
 )
-from tritforge.trits import Level
+from tritforge.trits import Encoding, Level
 
 STI = parse("""\
 .input a ternary
@@ -113,6 +124,12 @@ def test_self_gated_contention_oscillates():
     )
     with pytest.raises(OscillationError):
         solve_state(n, {})
+    # the levels repeat with period 2, so the solve stops well before the
+    # 4·N-round budget
+    cn = compiled(n)
+    lv, masks, rounds, stable = cn.solve_batch(np.zeros((1, 0), dtype=np.int8))
+    assert not stable[0]
+    assert rounds[0] < max(4 * cn.n_nets, 8)
 
 
 def test_simulate_pattern_and_trace():
@@ -222,3 +239,201 @@ def test_solver_matches_connectivity_oracle():
             got = cn.result_from_state(lv[0], masks[0], rounds[0],
                                        from_scratch=False)
             assert got.levels == _oracle_levels(n, assignment)
+
+
+# -- oracle: the dense whole-netlist kernel ----------------------------------
+
+
+def _dense_propagate(cn, lv, dirs):
+    """Inner fixed point over every net of every state."""
+    S, N = lv.shape
+    masks = np.zeros((S, N), dtype=np.uint8)
+    drv = np.flatnonzero(cn.is_driver)
+    code = lv[:, drv]
+    m = np.zeros_like(code, dtype=np.uint8)
+    for c, bit in ((CODE_G, 1), (CODE_H, 2), (CODE_V, 4)):
+        m |= np.uint8(bit) * (code == c).astype(np.uint8)
+    masks[:, drv] = m
+    if not cn.n_devices:
+        return masks
+    gate_codes = lv[:, cn.dev_gate]
+    on = cn.dev_lut[np.arange(cn.n_devices)[None, :], gate_codes]
+    while True:
+        before = masks.copy()
+        for order, src, starts, group_net in dirs:
+            if not order.size:
+                continue
+            contrib = masks[:, src] * on[:, order]
+            reduced = np.bitwise_or.reduceat(contrib, starts, axis=1)
+            masks[:, group_net] |= reduced
+        if np.array_equal(masks, before):
+            return masks
+
+
+def _dense_solve_batch(cn, input_codes, prev=None):
+    """The solver kernel before CCC sharing: every round re-solves every net
+    of every state until no state changes or the budget runs out."""
+    dirs = []
+    for tgt, src in ((cn.dev_a, cn.dev_b), (cn.dev_b, cn.dev_a)):
+        keep = np.flatnonzero(~cn.is_driver[tgt])
+        order = keep[np.argsort(tgt[keep], kind="stable")]
+        tgt_sorted = tgt[order]
+        starts = np.flatnonzero(
+            np.r_[True, tgt_sorted[1:] != tgt_sorted[:-1]]
+        ) if order.size else np.array([], dtype=np.intp)
+        group_net = tgt_sorted[starts] if order.size else np.array([], dtype=np.intp)
+        dirs.append((order, src[order], starts, group_net))
+
+    def levels_from_masks(masks, hold):
+        newlv = _MASK_TO_CODE[masks]
+        if hold is not None:
+            held = (masks == 0) & (hold <= CODE_V)
+            newlv = np.where(held, hold, newlv)
+        return newlv
+
+    S, N = input_codes.shape[0], cn.n_nets
+    nd = cn.nondriver_idx
+    lv = np.full((S, N), CODE_X, dtype=np.int8)
+    lv[:, cn.gnd_idx] = CODE_G
+    lv[:, cn.vdd_idx] = CODE_V
+    if cn.input_idx.size:
+        lv[:, cn.input_idx] = input_codes
+    hold = None
+    if prev is not None:
+        lv[:, nd] = prev[:, nd]
+        hold = prev
+    rounds = np.zeros(S, dtype=np.int64)
+    masks = np.zeros((S, N), dtype=np.uint8)
+    stable = np.zeros(S, dtype=bool)
+    for _ in range(max(4 * N, 8)):
+        masks = _dense_propagate(cn, lv, dirs)
+        newlv = levels_from_masks(masks, hold)
+        changed = (newlv[:, nd] != lv[:, nd]).any(axis=1)
+        lv[:, nd] = newlv[:, nd]
+        rounds += changed
+        if not changed.any():
+            stable[:] = True
+            break
+    else:
+        masks = _dense_propagate(cn, lv, dirs)
+        newlv = levels_from_masks(masks, hold)
+        stable = ~((newlv[:, nd] != lv[:, nd]).any(axis=1))
+    return lv, masks, rounds, stable
+
+
+def _assert_matches_oracle(cn, codes, prev=None):
+    """All four arrays agree bit for bit on stable states; ``stable`` agrees
+    everywhere.  Returns the oracle's ``stable``."""
+    got = cn.solve_batch(codes, prev)
+    want = _dense_solve_batch(cn, codes, prev)
+    assert np.array_equal(got[3], want[3])
+    ok = want[3]
+    for g, w in zip(got[:3], want[:3]):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g[ok], w[ok])
+    return ok
+
+
+def _sweep_codes(n):
+    points = input_space(n)
+    return np.array(
+        [[_CODE_OF_LEVEL[lv] for lv in pt] for pt in points], dtype=np.int8
+    ).reshape(len(points), len(n.inputs))
+
+
+def _random_feedback_netlist(rng):
+    """Any net may gate any device, so states can oscillate."""
+    inputs = [("a", frozenset({Level.GND, Level.HALF, Level.VDD})),
+              ("b", frozenset({Level.GND, Level.VDD}))][: rng.randint(0, 2)]
+    internal = [f"n{i}" for i in range(rng.randint(1, 7))]
+    nets = ["VDD", "GND"] + [name for name, _ in inputs] + internal
+    devices = []
+    for i in range(rng.randint(1, 20)):
+        s, d = rng.sample(nets, 2)
+        devices.append(Device(
+            f"m{i}", rng.choice(list(Polarity)), rng.choice(list(ThresholdClass)),
+            rng.choice(nets), s, d,
+        ))
+    return Netlist(inputs=tuple(inputs), devices=tuple(devices),
+                   extra_nets=frozenset(internal))
+
+
+@pytest.mark.parametrize("share_min,chunk", [(16, 2048), (1, 2048), (1, 5)])
+def test_ccc_kernel_matches_dense_oracle_on_random_netlists(monkeypatch, share_min, chunk):
+    # share_min 1 sends even tiny sweeps through the shared-row path; chunk 5
+    # cuts every sweep into several chunks
+    from test_passes import _random_netlist
+
+    monkeypatch.setattr(solver_mod, "_SHARE_MIN", share_min)
+    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    rng = random.Random(2024 + share_min + chunk)
+    gen = np.random.default_rng(share_min + chunk)
+    unstable = 0
+    for i in range(600):
+        make = (_random_netlist, _random_static_netlist, _random_feedback_netlist)[i % 3]
+        n = make(rng)
+        cn = compiled(n)
+        codes = _sweep_codes(n)
+        ok = _assert_matches_oracle(cn, codes)
+        if make is not _random_feedback_netlist:
+            assert ok.all()
+        # seeded solves: random held charge, including X and Z codes
+        codes = np.repeat(codes, 2, axis=0)
+        prev = gen.integers(0, 5, size=(codes.shape[0], cn.n_nets)).astype(np.int8)
+        unstable += (~_assert_matches_oracle(cn, codes, prev)).sum()
+    assert unstable  # the feedback netlists do reach the early stop
+
+
+def test_ccc_kernel_matches_dense_oracle_on_rca3():
+    spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
+                     carry_encoding=Encoding.FULL_VDD_HIGH)
+    n = gen_rca(3, spec)
+    cn = compiled(n)
+    codes = _sweep_codes(n)
+    assert codes.shape[0] == 1458
+    assert _assert_matches_oracle(cn, codes).all()
+
+
+def test_ccc_kernel_matches_dense_oracle_across_chunks():
+    # more states than one chunk, and not a multiple of it
+    n = gen_tfa(StyleSpec(Style.DEC_ENC, Completeness.COMPLETE))
+    cn = compiled(n)
+    base = _sweep_codes(n)
+    size = solver_mod._CHUNK + 101
+    codes = np.resize(base, (size, base.shape[1]))
+    assert _assert_matches_oracle(cn, codes).all()
+    gen = np.random.default_rng(7)
+    prev = gen.integers(0, 5, size=(size, cn.n_nets)).astype(np.int8)
+    _assert_matches_oracle(cn, codes, prev)
+
+
+def test_ccc_kernel_without_channels():
+    # no devices at all, and devices whose channels touch only drivers
+    bare = Netlist(inputs=(("a", frozenset({Level.GND, Level.VDD})),),
+                   extra_nets=frozenset({"n0"}))
+    rails = parse(".input a binary\nm m0 n lvt g=a s=VDD d=a\n.end\n")
+    for n in (bare, rails):
+        cn = compiled(n)
+        codes = _sweep_codes(n)
+        assert _assert_matches_oracle(cn, codes).all()
+        prev = np.full((codes.shape[0], cn.n_nets), CODE_V, dtype=np.int8)
+        assert _assert_matches_oracle(cn, codes, prev).all()
+
+
+def test_ccc_kernel_with_a_ccc_too_wide_to_key(monkeypatch):
+    # a pass chain gated by 30 distinct nets: its row key would need 30+
+    # radix-5 digits, more than an int64 holds, so each state keys it alone
+    monkeypatch.setattr(solver_mod, "_SHARE_MIN", 1)
+    ternary = frozenset({Level.GND, Level.HALF, Level.VDD})
+    devices = []
+    for i in range(30):
+        src = "a" if i % 2 else "b"
+        devices.append(Device(f"p{i}", Polarity.P, ThresholdClass.MVT, src, "VDD", f"g{i}"))
+        devices.append(Device(f"n{i}", Polarity.N, ThresholdClass.MVT, src, f"g{i}", "GND"))
+        devices.append(Device(f"s{i}", Polarity.N, ThresholdClass.LVT, f"g{i}", f"c{i}", f"c{i + 1}"))
+    devices.append(Device("top", Polarity.P, ThresholdClass.LVT, "a", "VDD", "c0"))
+    n = Netlist(inputs=(("a", ternary), ("b", ternary)), devices=tuple(devices))
+    cn = compiled(n)
+    assert cn._unkeyed.size == 1
+    codes = _sweep_codes(n)
+    assert _assert_matches_oracle(cn, codes).all()
