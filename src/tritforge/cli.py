@@ -87,11 +87,24 @@ def _parse_assumption(flag: str) -> AssumptionDomain:
     if "=" not in flag:
         raise TritforgeError("--assume takes <net>=<ternary|binary|halfpair>")
     net, token = flag.split("=", 1)
-    return AssumptionDomain(net=net, levels=parse_domain(token))
+    try:
+        levels = parse_domain(token)
+    except ValueError as exc:
+        raise TritforgeError(f"--assume: {exc}") from None
+    return AssumptionDomain(net=net, levels=levels)
 
 
 def _input_domains(n):
     return [(name, dom) for name, dom in n.inputs]
+
+
+def _pattern_rows(n, pattern):
+    """Pattern rows re-mapped onto the declared input order."""
+    order = {sig: i for i, sig in enumerate(pattern.signals)}
+    missing = [name for name in n.input_names if name not in order]
+    if missing:
+        raise TritforgeError(f"pattern does not drive inputs {missing}")
+    return [tuple(row[order[name]] for name in n.input_names) for row in pattern.rows]
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -131,14 +144,7 @@ def _cmd_gen(args) -> int:
 def _cmd_sim(args) -> int:
     n = _read_netlist(args.netlist)
     pattern = pattern_from_text(Path(args.pattern).read_text(), _input_domains(n))
-    # pattern columns may be in any order; re-map onto the declared inputs
-    order = {sig: i for i, sig in enumerate(pattern.signals)}
-    missing = [name for name in n.input_names if name not in order]
-    if missing:
-        raise TritforgeError(f"pattern does not drive inputs {missing}")
-    rows = [tuple(row[order[name]] for name in n.input_names)
-            for row in pattern.rows]
-    trace, report = simulate_pattern(n, rows)
+    trace, report = simulate_pattern(n, _pattern_rows(n, pattern))
     _write(args.output, trace_csv(n, trace), args.force)
     if args.report:
         _write(args.report, report.to_json() + "\n", args.force)
@@ -225,10 +231,7 @@ def _cmd_metrics(args) -> int:
         pattern = pattern_from_text(Path(args.pattern).read_text(), domains)
     else:
         pattern = gen_pattern(domains, PatternKind.COMPLETE_TRANSITIONS)
-    order = {sig: i for i, sig in enumerate(pattern.signals)}
-    rows = [tuple(row[order[name]] for name in n.input_names)
-            for row in pattern.rows]
-    _, report = simulate_pattern(n, rows)
+    _, report = simulate_pattern(n, _pattern_rows(n, pattern))
     report.warnings = [
         [w.net, w.polarity.value, w.headroom] for w in full_swing_lint(n)
     ]

@@ -19,7 +19,7 @@ on first use unless strict mode is requested.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import NetlistSemanticError, NetlistSyntaxError
 from .trits import DEFAULT_VDD, Encoding, Level
@@ -181,9 +181,6 @@ class Netlist:
             seen.update(dev.terminals())
         seen.update(net for net, _ in self.loads)
         return tuple(sorted(seen))
-
-    def with_devices(self, devices) -> "Netlist":
-        return replace(self, devices=tuple(devices))
 
 
 @dataclass

@@ -12,9 +12,10 @@ All passes are pure: they return a new Netlist plus a PassReport.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -23,7 +24,6 @@ from .errors import (
     NoDividerFoundError,
     NonInputAssumptionError,
     OscillationError,
-    TritforgeError,
     UnknownNetError,
     UnresolvableError,
 )
@@ -35,17 +35,7 @@ from .netlist import (
     TAG_DIVIDER,
     ThresholdClass,
 )
-from .solver import (
-    compiled,
-    conduction,
-    division_counts,
-    input_space,
-    truth_signature,
-    truth_table,
-    _BIT_G,
-    _BIT_V,
-    _sweep,
-)
+from .solver import Sweep, compiled, conduction, truth_signature, truth_table
 from .trits import Encoding, Level, STABLE_LEVELS
 
 
@@ -73,25 +63,11 @@ class PassReport:
 
     def __add__(self, other: "PassReport") -> "PassReport":
         return PassReport(
-            self.wired + other.wired,
-            self.opened + other.opened,
-            self.remapped + other.remapped,
-            self.pruned + other.pruned,
-            self.factored + other.factored,
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "wired": self.wired,
-                "opened": self.opened,
-                "remapped": self.remapped,
-                "pruned": self.pruned,
-                "factored": self.factored,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 # -- helpers ---------------------------------------------------------------
@@ -315,18 +291,17 @@ def rebind_carry(n: Netlist, carry_net: str):
     # re-solve with every candidate divider deleted: with the divided path
     # cut, each former terminal carries at most one rail in its drive mask,
     # which names the side the divider bridged.
-    points = input_space(n)
-    _, _, masks0, _ = _sweep(n, points)
-    div_any = (masks0 & (_BIT_G | _BIT_V)) == (_BIT_G | _BIT_V)
+    swept = Sweep(n)
     comp_idx = [cn.index[x] for x in comp_nets if x in cn.index]
-    div_states = [s for s in range(len(points)) if div_any[s, comp_idx].any()]
+    div_states = np.flatnonzero(swept.division()[:, comp_idx].any(axis=1))
 
     divider_ids = {d.id for d in dividers}
-    stripped = replace(
-        n, devices=tuple(d for d in n.devices if d.id not in divider_ids)
+    stripped = Sweep(
+        replace(n, devices=tuple(d for d in n.devices if d.id not in divider_ids))
     )
-    scn = compiled(stripped)
-    _, _, masks, _ = _sweep(stripped, points)
+    gnd, vdd = stripped.rail_reach()
+    v_only = (vdd & ~gnd)[div_states]
+    g_only = (gnd & ~vdd)[div_states]
 
     unions, removed = [], set()
     report = PassReport()
@@ -337,22 +312,14 @@ def rebind_carry(n: Netlist, carry_net: str):
                 side = "vdd"
             elif t == "GND":
                 side = "gnd"
-        if side is None:
+        if side is None and div_states.size:
             # during a division event the terminal on the conditioned side
             # carries a single rail in its drive mask; that rail names the
             # side this divider bridges
-            v_side = g_side = False
-            for s in div_states:
-                for t in (d.source, d.drain):
-                    m = int(masks[s, scn.index[t]])
-                    if m & _BIT_V and not m & _BIT_G:
-                        v_side = True
-                    if m & _BIT_G and not m & _BIT_V:
-                        g_side = True
-            if v_side and not g_side:
-                side = "vdd"
-            elif g_side and not v_side:
-                side = "gnd"
+            ends = [stripped.cn.index[t] for t in (d.source, d.drain)]
+            v_side, g_side = v_only[:, ends].any(), g_only[:, ends].any()
+            if v_side != g_side:
+                side = "vdd" if v_side else "gnd"
         if side is None:
             # structural fallback: N dividers bridge from the pull-up side
             side = "vdd" if d.polarity is Polarity.N else "gnd"
@@ -363,7 +330,7 @@ def rebind_carry(n: Netlist, carry_net: str):
         else:
             report.opened += 1
 
-    before = truth_signature(n)
+    before = swept.truth_signature()
     out = _merge_nets(n, unions, removed, {})
     outputs = tuple(
         (name, Encoding.FULL_VDD_HIGH if name == carry_net else enc)
@@ -372,15 +339,17 @@ def rebind_carry(n: Netlist, carry_net: str):
     out = replace(out, outputs=outputs)
 
     swapped, extra = _swap_carry_stis(out)
-    if swapped is not None:
-        if truth_signature(swapped) == before:
-            out = swapped
-            report.pruned += extra
-        # on mismatch, silently keep the un-swapped result
-
-    if truth_signature(out) != before:
-        raise EquivalenceCheckFailedError("carry re-encoding changed decoded truth")
-    if carry_net in out.nets() and sum(division_counts(out, carry_net)) != 0:
+    after = Sweep(swapped) if swapped is not None else None
+    if after is not None and after.truth_signature() == before:
+        out = swapped
+        report.pruned += extra
+    else:
+        # a swap that changes decoded truth is dropped silently; the
+        # un-swapped result must still match
+        after = Sweep(out)
+        if after.truth_signature() != before:
+            raise EquivalenceCheckFailedError("carry re-encoding changed decoded truth")
+    if carry_net in out.nets() and sum(after.division_counts(carry_net)) != 0:
         raise EquivalenceCheckFailedError(
             f"division events remain on {carry_net!r} after re-encoding"
         )
@@ -470,28 +439,29 @@ def _rebind_candidates(n: Netlist) -> list[str]:
 def simplify_pipeline(
     n: Netlist, a: AssumptionDomain, rebind: bool = False, carry_net: str | None = None
 ):
-    """assumption → prune → factor → optional carry re-encoding → prune.
+    """assumption → prune → factor to a fixpoint, then optional carry
+    re-encoding and the same fixpoint again.
 
     Decoded-truth equivalence over the assumed domain is a hard
     postcondition; if it fails the original netlist is returned untouched.
     """
     before = truth_signature(n, overrides={a.net: frozenset(a.levels)})
-    try:
-        # complement tracking is one inverter deep, so eliminating a cell can
-        # expose the next one; iterate the cheap passes to their fixpoint
-        def loop(cur, report):
-            while True:
-                prev = cur
-                cur, r = apply_assumption(cur, a)
-                report = report + r
-                cur, r = prune_dead(cur)
-                report = report + r
-                cur, r = factor_parallel(cur)
-                report = report + r
-                if cur == prev:
-                    return cur, report
 
-        cur, report = loop(n, PassReport())
+    # complement tracking is one inverter deep, so eliminating a cell can
+    # expose the next one, and re-encoding merges nets, which can expose
+    # further rules: iterate the cheap passes to their fixpoint
+    def fixpoint(cur, report):
+        while True:
+            prev = cur
+            cur, r1 = apply_assumption(cur, a)
+            cur, r2 = prune_dead(cur)
+            cur, r3 = factor_parallel(cur)
+            report = report + r1 + r2 + r3
+            if cur == prev:
+                return cur, report
+
+    try:
+        cur, report = fixpoint(n, PassReport())
         if rebind:
             targets = [carry_net] if carry_net else _rebind_candidates(cur)
             # already at the full supply: nothing left to re-encode
@@ -503,18 +473,7 @@ def simplify_pipeline(
                 )
             if targets:
                 cur, r = rebind_carry(cur, targets[0])
-                report = report + r
-                # re-encoding merges nets, which can expose further rules
-                while True:
-                    prev = cur
-                    cur, r = apply_assumption(cur, a)
-                    report = report + r
-                    cur, r = factor_parallel(cur)
-                    report = report + r
-                    if cur == prev:
-                        break
-        cur, r = prune_dead(cur)
-        report = report + r
+                cur, report = fixpoint(cur, report + r)
     except (EquivalenceCheckFailedError, NetlistSemanticError):
         # refuse rather than emit a netlist that shorts the rails or
         # changes behaviour; the caller gets the input back untouched

@@ -18,14 +18,20 @@ spirit of COSMOS, DAC 1987).  States that reach a fixed point or a
 period-2 cycle leave the active set, and large sweeps are solved in chunks
 of states, so exhaustive truth tables and multi-thousand-state ripple
 carry sweeps stay cheap in time and memory.
+
+Every exhaustive view of a netlist (truth table, decoded truth, truth
+signature, division counts, full-swing lint) reads one :class:`Sweep`: the
+levels, drive masks and stable flags of a single batched solve over the
+input space.  The swing lint is array work too, a widest-path (max-min)
+relaxation over the sweep's levels in the kernel's scatter style.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +58,12 @@ _BIT_OF_CODE = np.array([_BIT_G, _BIT_H, _BIT_V, 0, 0], dtype=np.uint8)
 
 # States solved together; bounds the working arrays of a large sweep.
 _CHUNK = 2048
+
+# States per block of the swing lint.  Its (device, state) float64 arrays
+# dwarf the solver's int8 levels, and small blocks stay in cache: on the
+# 4-digit RCA, 128-state blocks peak near 10 MiB where _CHUNK blocks take
+# over 150 MiB, and they run about twice as fast.
+_LINT_BLOCK = 128
 
 # Below this many active states each state keeps its own CCC rows: finding
 # shared rows would cost more than it saves.
@@ -96,25 +108,12 @@ class SolveResult:
     swing_warnings: list = field(default_factory=list)
 
 
-class SwingWarning(tuple):
-    """(net, polarity, headroom_volts) for a degraded rail pass."""
+class SwingWarning(NamedTuple):
+    """A net that reaches a rail only through the wrong device polarity."""
 
-    __slots__ = ()
-
-    def __new__(cls, net, polarity, headroom):
-        return tuple.__new__(cls, (net, polarity, headroom))
-
-    @property
-    def net(self):
-        return self[0]
-
-    @property
-    def polarity(self):
-        return self[1]
-
-    @property
-    def headroom(self):
-        return self[2]
+    net: str
+    polarity: Polarity
+    headroom: float
 
 
 class CompiledNetlist:
@@ -539,16 +538,157 @@ def input_space(
     return [tuple(pt) for pt in itertools.product(*axes)]
 
 
-def _sweep(n: Netlist, points: list[tuple[Level, ...]]):
-    cn = compiled(n)
-    codes = np.array(
-        [[_CODE_OF_LEVEL[lv] for lv in pt] for pt in points], dtype=np.int8
-    ).reshape(len(points), len(n.inputs))
-    lv, masks, rounds, stable = cn.solve_batch(codes)
-    if not stable.all():
-        bad = int(np.flatnonzero(~stable)[0])
-        raise OscillationError(f"no fixed point at input point {points[bad]}")
-    return cn, lv, masks, rounds
+class Sweep:
+    """One batched solve of a netlist over its input space, and its views.
+
+    Holds the compiled netlist, the input points (lexicographic in declared
+    input order) and the levels, drive masks and ``stable`` flags that one
+    ``solve_batch`` call gives for them.  Every exhaustive view of a netlist
+    reads a sweep, so a caller that needs several views of one netlist
+    solves it once and keeps the value.  Views that need every state settled
+    raise :class:`OscillationError` naming the first point that is not.
+    """
+
+    def __init__(self, n: Netlist, overrides: dict[str, frozenset[Level]] | None = None):
+        self.cn = compiled(n)
+        self.points = input_space(n, overrides)
+        codes = np.array(
+            [[_CODE_OF_LEVEL[lv] for lv in pt] for pt in self.points], dtype=np.int8
+        ).reshape(len(self.points), len(n.inputs))
+        self.levels, self.masks, _, self.stable = self.cn.solve_batch(codes)
+
+    def _require_stable(self):
+        if not self.stable.all():
+            bad = int(np.flatnonzero(~self.stable)[0])
+            raise OscillationError(f"no fixed point at input point {self.points[bad]}")
+
+    def _output_codes(self) -> list[list[int]]:
+        return self.levels[:, self.cn.output_idx].tolist()
+
+    def truth_table(self) -> dict[tuple[Level, ...], tuple[Level, ...]]:
+        """Input level tuple -> output level tuple; see :func:`truth_table`."""
+        self._require_stable()
+        names = self.cn.netlist.output_names
+        out = {}
+        for pt, row in zip(self.points, self._output_codes()):
+            for name, code in zip(names, row):
+                if code in (CODE_X, CODE_Z):
+                    raise UnresolvableError(f"output {name!r} unresolved at input {pt}")
+            out[pt] = tuple(_LEVEL_OF_CODE[code] for code in row)
+        return out
+
+    def truth_signature(self) -> dict[tuple[Level, ...], tuple]:
+        """Outputs decoded to trits, with per-point failure sentinels.
+
+        A state without a fixed point reads ``("error", "OscillationError")``,
+        a state with an unresolved output ``("error", "UnresolvableError")``,
+        and an output level outside its encoding ``("level", code)``.
+        """
+        encs = [enc for _, enc in self.cn.netlist.outputs]
+        sig = {}
+        for pt, ok, row in zip(self.points, self.stable.tolist(), self._output_codes()):
+            if not ok:
+                sig[pt] = ("error", "OscillationError")
+            elif CODE_X in row or CODE_Z in row:
+                sig[pt] = ("error", "UnresolvableError")
+            else:
+                sig[pt] = tuple(_decode_code(code, enc) for code, enc in zip(row, encs))
+        return sig
+
+    def decoded_truth(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Truth table decoded to trits on both sides; see :func:`decoded_truth`."""
+        n = self.cn.netlist
+        in_encs = [domain_encoding(dom) for _, dom in n.inputs]
+        out_encs = [enc for _, enc in n.outputs]
+        return {
+            tuple(map(decode, pt, in_encs)): tuple(map(decode, levels, out_encs))
+            for pt, levels in self.truth_table().items()
+        }
+
+    def rail_reach(self) -> tuple[np.ndarray, np.ndarray]:
+        """(states, nets) flags: whether GND, and whether VDD, drives each net."""
+        self._require_stable()
+        return (self.masks & _BIT_G) != 0, (self.masks & _BIT_V) != 0
+
+    def division(self) -> np.ndarray:
+        """(states, nets) flags of voltage division: both rails drive the net."""
+        gnd, vdd = self.rail_reach()
+        return gnd & vdd
+
+    def division_counts(self, net: str | None = None) -> list[int]:
+        """Division events per state, of the whole netlist or of one net."""
+        div = self.division()
+        if net is not None:
+            return div[:, self.cn.index[net]].astype(int).tolist()
+        return div.sum(axis=1).tolist()
+
+    def full_swing_lint(self) -> list[SwingWarning]:
+        """Degraded rail passes; see :func:`full_swing_lint`.
+
+        A batched widest-path (max-min) relaxation per block of states, VDD
+        and GND targets side by side.  A path's width is the least cost of
+        its devices: the gate overdrive of a conducting wrong-polarity
+        device, ``inf`` for a conducting right-polarity one and ``-inf`` for
+        an off one.  Widths start at ``inf`` on the drivers at the target
+        level and ``-inf`` elsewhere, and no channel enters a driver net.  A
+        net at the target level is clean when its width is ``inf`` and a
+        suspect when it is finite; its headroom is the least width over the
+        states.
+        """
+        self._require_stable()
+        cn = self.cn
+        n = cn.netlist
+        # arcs: device k entered at one channel end and left at the other,
+        # k for source -> drain and k + n_devices for drain -> source; only
+        # arcs into non-driver nets count.  Layer r holds the r-th arc into
+        # each net, so no layer scatters twice onto one net.
+        far = np.r_[cn.dev_b, cn.dev_a]
+        near = np.r_[cn.dev_a, cn.dev_b]
+        arcs = np.flatnonzero(~cn.is_driver[far])
+        arcs = arcs[np.argsort(far[arcs], kind="stable")]
+        rank = np.arange(arcs.size) - np.searchsorted(far[arcs], far[arcs])
+        layers = [arcs[rank == r] for r in range(rank.max(initial=-1) + 1)]
+        vt = np.array([d.vt.vt_volts for d in n.devices], dtype=float)[:, None]
+        volts = np.array([0.0, n.vdd / 2, n.vdd, 0.0, 0.0])
+        is_n = cn.dev_is_n[:, None]
+        dev_range = np.arange(cn.n_devices)[:, None]
+        worst = np.full((2, cn.n_nets), np.inf)
+        for lo in range(0, len(self.points), _LINT_BLOCK):
+            # (net or device, state) arrays; the VDD target's states come
+            # first along axis 1, then the GND target's
+            lv = self.levels[lo : lo + _LINT_BLOCK].T
+            gate = lv[cn.dev_gate]
+            on = cn.dev_lut[dev_range, gate]
+            gv = volts[gate]
+            # the wrong polarity is N toward VDD and P toward GND
+            to_vdd = np.where(is_n, gv - vt, np.inf)
+            to_gnd = np.where(is_n, np.inf, (n.vdd - gv) - vt)
+            cost = np.where(np.tile(on, 2), np.concatenate([to_vdd, to_gnd], axis=1), -np.inf)
+            at = np.concatenate([lv == CODE_V, lv == CODE_G], axis=1)
+            width = np.where(cn.is_driver[:, None] & at, np.inf, -np.inf)
+            steps = [(far[k], near[k], cost[k % cn.n_devices]) for k in layers]
+            while True:
+                before = width.copy()
+                for dst, src, c in steps:
+                    width[dst] = np.maximum(width[dst], np.minimum(width[src], c))
+                if np.array_equal(width, before):
+                    break
+            head = np.where(at & np.isfinite(width), width, np.inf)
+            worst = np.minimum(worst, head.reshape(cn.n_nets, 2, -1).min(axis=2).T)
+        warnings = [
+            SwingWarning(cn.nets[i], pol, float(worst[k, i]))
+            for k, pol in enumerate((Polarity.N, Polarity.P))
+            for i in np.flatnonzero(np.isfinite(worst[k])).tolist()
+        ]
+        return sorted(warnings, key=lambda w: (w.net, w.polarity.value))
+
+
+def _decode_code(code: int, enc: Encoding):
+    """Trit of a stable level code under ``enc``, or ``("level", code)``."""
+    try:
+        return decode(_LEVEL_OF_CODE[code], enc)
+    except DomainError:
+        return ("level", code)
 
 
 def truth_table(
@@ -560,18 +700,7 @@ def truth_table(
     tuple.  A floating output makes the whole sweep fail, with the offending
     input point named.
     """
-    points = input_space(n, overrides)
-    cn, lv, masks, rounds = _sweep(n, points)
-    out = {}
-    for s, pt in enumerate(points):
-        row = []
-        for j, name in enumerate(n.output_names):
-            code = lv[s, cn.output_idx[j]]
-            if code in (CODE_X, CODE_Z):
-                raise UnresolvableError(f"output {name!r} unresolved at input {pt}")
-            row.append(_LEVEL_OF_CODE[code])
-        out[pt] = tuple(row)
-    return out
+    return Sweep(n, overrides).truth_table()
 
 
 def truth_signature(
@@ -582,43 +711,7 @@ def truth_signature(
     Solver failures become per-point sentinels instead of raising, so two
     netlists can be compared including their error behavior.
     """
-    points = input_space(n, overrides)
-    sig = {}
-    try:
-        cn, lv, masks, rounds = _sweep(n, points)
-    except OscillationError:
-        # fall back to per-point solving so good points still compare
-        for pt in points:
-            try:
-                res = solve_state(n, dict(zip(n.input_names, pt)))
-                sig[pt] = _decode_outputs(n, res)
-            except (OscillationError, UnresolvableError) as exc:
-                sig[pt] = ("error", type(exc).__name__)
-        return sig
-    for s, pt in enumerate(points):
-        row = []
-        bad = None
-        for j, name in enumerate(n.output_names):
-            code = lv[s, cn.output_idx[j]]
-            if code in (CODE_X, CODE_Z):
-                bad = ("error", "UnresolvableError")
-                break
-            try:
-                row.append(decode(_LEVEL_OF_CODE[code], n.output_encoding(name)))
-            except DomainError:
-                row.append(("level", int(code)))
-        sig[pt] = bad if bad else tuple(row)
-    return sig
-
-
-def _decode_outputs(n: Netlist, res: SolveResult):
-    row = []
-    for name, enc in n.outputs:
-        try:
-            row.append(decode(res.levels[name], enc))
-        except DomainError:
-            row.append(("level", res.levels[name].value))
-    return tuple(row)
+    return Sweep(n, overrides).truth_signature()
 
 
 def decoded_truth(n: Netlist) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -627,28 +720,23 @@ def decoded_truth(n: Netlist) -> dict[tuple[int, ...], tuple[int, ...]]:
     Inputs decode through their declared domain (binary inputs read VDD as
     logic 1), outputs through their declared encoding.
     """
-    table = truth_table(n)
-    out = {}
-    for pt, levels in table.items():
-        key = tuple(
-            decode(lv, domain_encoding(dom)) for lv, (name, dom) in zip(pt, n.inputs)
-        )
-        val = tuple(
-            decode(lv, enc) for lv, (name, enc) in zip(levels, n.outputs)
-        )
-        out[key] = val
-    return out
+    return Sweep(n).decoded_truth()
 
 
 def division_counts(n: Netlist, net: str | None = None) -> list[int]:
     """Division-event count per stable input state (whole netlist or one net)."""
-    points = input_space(n)
-    cn, lv, masks, rounds = _sweep(n, points)
-    div = (masks & (_BIT_G | _BIT_V)) == (_BIT_G | _BIT_V)
-    if net is not None:
-        idx = cn.index[net]
-        return [int(div[s, idx]) for s in range(len(points))]
-    return [int(div[s].sum()) for s in range(len(points))]
+    return Sweep(n).division_counts(net)
+
+
+def full_swing_lint(n: Netlist) -> list[SwingWarning]:
+    """Flag nets that reach a rail only through the wrong device polarity.
+
+    A net at VDD whose every conducting path to VDD passes an N device (or
+    dually, GND through P devices) would be degraded in an analog circuit;
+    the reported headroom is the best-case gate overdrive along the least
+    degraded path, and the least such headroom over all input states.
+    """
+    return Sweep(n).full_swing_lint()
 
 
 # -- pattern simulation ------------------------------------------------
@@ -665,17 +753,7 @@ class MetricsReport:
     warnings: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delay_rounds": self.delay_rounds,
-                "static_div_mean": self.static_div_mean,
-                "activity": self.activity,
-                "device_total": self.device_total,
-                "warnings": [list(w) for w in self.warnings],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def simulate_pattern(n: Netlist, rows: list[tuple[Level, ...]]):
@@ -732,113 +810,3 @@ def trace_csv(n: Netlist, trace) -> str:
             str(row["step"]) + "," + ",".join(row[net].value for net in nets)
         )
     return "\n".join(lines) + "\n"
-
-
-# -- full-swing lint ----------------------------------------------------
-
-
-def full_swing_lint(n: Netlist) -> list[SwingWarning]:
-    """Flag nets that reach a rail only through the wrong device polarity.
-
-    A net at VDD whose every conducting path to VDD passes an N device (or
-    dually, GND through P devices) would be degraded in an analog circuit;
-    the reported headroom is the best-case gate overdrive along the least
-    degraded path.
-    """
-    points = input_space(n)
-    cn, lv, masks, _ = _sweep(n, points)
-    worst: dict[tuple[str, Polarity], float] = {}
-    ends = list(zip(cn.dev_a.tolist(), cn.dev_b.tolist()))
-    is_n = cn.dev_is_n.tolist()
-    of_polarity = {Polarity.N: is_n, Polarity.P: [not k for k in is_n]}
-
-    for s, pt in enumerate(points):
-        state = lv[s]
-        gate_codes = state[cn.dev_gate]
-        on = cn.dev_lut[np.arange(cn.n_devices), gate_codes] if cn.n_devices else np.array([], bool)
-        # conducting devices by terminal net, shared by every search below
-        adj: dict[int, list[int]] = {}
-        for i in np.flatnonzero(on).tolist():
-            for t in ends[i]:
-                adj.setdefault(t, []).append(i)
-
-        for target_code, good_pol, bad_pol in (
-            (CODE_V, Polarity.P, Polarity.N),
-            (CODE_G, Polarity.N, Polarity.P),
-        ):
-            at_target = state == target_code
-            drivers = np.flatnonzero(cn.is_driver & at_target).tolist()
-            if not drivers:
-                continue
-            clean = _reach(cn, adj, ends, of_polarity[good_pol], drivers)
-            suspects = [
-                i
-                for i in np.flatnonzero(~cn.is_driver & at_target).tolist()
-                if i not in clean
-            ]
-            for net_i in suspects:
-                head = _best_headroom(cn, n, state, adj, ends, drivers, net_i, bad_pol)
-                if head is None:
-                    continue
-                key = (cn.nets[net_i], bad_pol)
-                if key not in worst or head < worst[key]:
-                    worst[key] = head
-    return [SwingWarning(net, pol, head) for (net, pol), head in sorted(
-        worst.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-    )]
-
-
-def _reach(cn, adj, ends, allowed, start):
-    """Nets reachable from the start drivers over conducting devices of the
-    allowed polarity, expanding through non-driver nets only."""
-    seen = set(start)
-    frontier = list(start)
-    while frontier:
-        cur = frontier.pop()
-        for i in adj.get(cur, ()):
-            if not allowed[i]:
-                continue
-            a, b = ends[i]
-            nxt = b if a == cur else a
-            if nxt not in seen:
-                seen.add(nxt)
-                if not cn.is_driver[nxt]:
-                    frontier.append(nxt)
-    return seen
-
-
-def _best_headroom(cn, n, state, adj, ends, drivers, target, bad_pol):
-    """Max-bottleneck headroom from any driver to the target net."""
-    volts = {CODE_G: 0.0, CODE_H: n.vdd / 2, CODE_V: n.vdd}
-    INF = float("inf")
-    best = {d: INF for d in drivers}
-    heap = [(-INF, d) for d in drivers]
-    devs = n.devices
-    while heap:
-        neg, cur = heapq.heappop(heap)
-        width = -neg
-        if width < best.get(cur, -INF):
-            continue
-        if cur == target:
-            return None if width == INF else width
-        for i in adj.get(cur, []):
-            a, b = ends[i]
-            nxt = b if a == cur else a
-            if cn.is_driver[nxt] and nxt != target:
-                continue
-            d = devs[i]
-            gv = volts.get(int(state[cn.dev_gate[i]]))
-            if gv is None:
-                continue
-            if d.polarity is bad_pol:
-                if bad_pol is Polarity.N:
-                    cost = gv - d.vt.vt_volts
-                else:
-                    cost = (n.vdd - gv) - d.vt.vt_volts
-            else:
-                cost = INF
-            w = min(width, cost)
-            if w > best.get(nxt, -INF):
-                best[nxt] = w
-                heapq.heappush(heap, (-w, nxt))
-    return best.get(target) if best.get(target, -INF) > -INF else None

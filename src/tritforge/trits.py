@@ -89,11 +89,6 @@ def decode(level: Level, enc: Encoding = Encoding.STANDARD) -> int:
     raise DomainError(f"level {level} not valid under encoding {enc.value}")
 
 
-def encoding_levels(enc: Encoding) -> tuple[Level, ...]:
-    """Levels an input with this encoding may take, in trit order."""
-    return tuple(_ENC_TABLE[enc].values())
-
-
 class InverterKind(enum.Enum):
     NTI = "nti"
     PTI = "pti"

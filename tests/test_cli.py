@@ -96,3 +96,29 @@ def test_catalog_commands(capsys):
 def test_missing_input_file_exits_1(tmp_path, capsys):
     assert run(["truth", str(tmp_path / "absent.tn")]) == 1
     assert capsys.readouterr().err
+
+
+def _fails_cleanly(argv, capsys):
+    """The command exits 1 with one ``tritforge:`` diagnostic, no traceback."""
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("tritforge:") == 1 and "Traceback" not in err
+    return err
+
+
+def test_bad_assumption_levels_exit_1(tmp_path, capsys):
+    cell = tmp_path / "cell.tn"
+    run(["gen", "tfa", "--style", "ternary-cmos", "-o", str(cell)])
+    err = _fails_cleanly(["simplify", str(cell), "--assume", "cin=07"], capsys)
+    assert "'07'" in err
+
+
+@pytest.mark.parametrize("command", ["sim", "metrics"])
+def test_pattern_missing_an_input_exits_1(tmp_path, capsys, command):
+    cell = tmp_path / "cell.tn"
+    pat = tmp_path / "ab.pat"
+    run(["gen", "tfa", "--style", "ternary-cmos", "-o", str(cell)])
+    pat.write_text(".signals a b\n0 0\n1 2\n")
+    err = _fails_cleanly([command, str(cell), "--pattern", str(pat)], capsys)
+    assert "cin" in err

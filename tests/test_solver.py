@@ -1,4 +1,6 @@
+import heapq
 import random
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -11,13 +13,25 @@ from tritforge.errors import (
     OscillationError,
     UnresolvableError,
 )
-from tritforge.generate import Completeness, Style, StyleSpec, gen_rca, gen_tfa
+from tritforge.generate import (
+    Cascade,
+    Completeness,
+    GateKind,
+    Style,
+    StyleSpec,
+    gen_gate,
+    gen_rca,
+    gen_testbench,
+    gen_tfa,
+    gen_tha,
+)
 from tritforge.netlist import Device, Netlist, Polarity, ThresholdClass, parse
 from tritforge.solver import (
     CODE_G,
     CODE_H,
     CODE_V,
     CODE_X,
+    Sweep,
     _CODE_OF_LEVEL,
     _MASK_TO_CODE,
     compiled,
@@ -29,6 +43,7 @@ from tritforge.solver import (
     simulate_pattern,
     solve_state,
     trace_csv,
+    truth_signature,
     truth_table,
 )
 from tritforge.trits import Encoding, Level
@@ -437,3 +452,173 @@ def test_ccc_kernel_with_a_ccc_too_wide_to_key(monkeypatch):
     assert cn._unkeyed.size == 1
     codes = _sweep_codes(n)
     assert _assert_matches_oracle(cn, codes).all()
+
+
+# -- truth signatures ----------------------------------------------------------
+
+def test_truth_signature_entries_do_not_depend_on_other_points():
+    # y is the STI read as a binary output, so at a=HALF it sits at a level
+    # outside its encoding; b pulls up a side net z that, in the second
+    # netlist, gates its own pull-down and so oscillates whenever b is GND
+    pull_up = Device("pu", Polarity.P, ThresholdClass.LVT, "b", "VDD", "z")
+    self_gated = Device("pd", Polarity.N, ThresholdClass.HVT, "z", "z", "GND")
+    calm = Netlist(
+        inputs=(("a", frozenset({Level.GND, Level.HALF, Level.VDD})),
+                ("b", frozenset({Level.GND, Level.VDD}))),
+        outputs=(("y", Encoding.FULL_VDD_HIGH),),
+        devices=STI.devices + (pull_up,),
+    )
+    osc = replace(calm, devices=calm.devices + (self_gated,))
+    sig_calm, sig_osc = truth_signature(calm), truth_signature(osc)
+    shared = (Level.HALF, Level.VDD)
+    assert sig_calm[shared] == sig_osc[shared] == (("level", CODE_H),)
+    for pt, entry in sig_osc.items():
+        if pt[1] is Level.GND:
+            assert entry == ("error", "OscillationError")
+        else:
+            assert entry == sig_calm[pt]
+
+
+# -- oracle: the per-state swing-lint search ---------------------------------
+
+
+def _reference_lint(n):
+    """The swing lint before the array relaxation: per state, a breadth-first
+    search finds the nets joined to the target rail by right-polarity
+    devices, and a heap-based widest-path search gives every other net at
+    the rail level its best headroom."""
+    sweep = Sweep(n)
+    cn, lv = sweep.cn, sweep.levels
+    worst = {}
+    ends = list(zip(cn.dev_a.tolist(), cn.dev_b.tolist()))
+    is_n = cn.dev_is_n.tolist()
+    of_polarity = {Polarity.N: is_n, Polarity.P: [not k for k in is_n]}
+    for s in range(len(sweep.points)):
+        state = lv[s]
+        on = cn.dev_lut[np.arange(cn.n_devices), state[cn.dev_gate]]
+        adj = {}
+        for i in np.flatnonzero(on).tolist():
+            for t in ends[i]:
+                adj.setdefault(t, []).append(i)
+        for target_code, good_pol, bad_pol in (
+            (CODE_V, Polarity.P, Polarity.N),
+            (CODE_G, Polarity.N, Polarity.P),
+        ):
+            at_target = state == target_code
+            drivers = np.flatnonzero(cn.is_driver & at_target).tolist()
+            clean = _reference_reach(cn, adj, ends, of_polarity[good_pol], drivers)
+            for net_i in np.flatnonzero(~cn.is_driver & at_target).tolist():
+                if net_i in clean:
+                    continue
+                head = _reference_headroom(cn, n, state, adj, ends, drivers, net_i, bad_pol)
+                if head is None:
+                    continue
+                key = (cn.nets[net_i], bad_pol)
+                if key not in worst or head < worst[key]:
+                    worst[key] = head
+    return [(net, pol, head) for (net, pol), head in sorted(
+        worst.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
+    )]
+
+
+def _reference_reach(cn, adj, ends, allowed, start):
+    seen = set(start)
+    frontier = list(start)
+    while frontier:
+        cur = frontier.pop()
+        for i in adj.get(cur, ()):
+            if not allowed[i]:
+                continue
+            a, b = ends[i]
+            nxt = b if a == cur else a
+            if nxt not in seen:
+                seen.add(nxt)
+                if not cn.is_driver[nxt]:
+                    frontier.append(nxt)
+    return seen
+
+
+def _reference_headroom(cn, n, state, adj, ends, drivers, target, bad_pol):
+    volts = {CODE_G: 0.0, CODE_H: n.vdd / 2, CODE_V: n.vdd}
+    INF = float("inf")
+    best = {d: INF for d in drivers}
+    heap = [(-INF, d) for d in drivers]
+    devs = n.devices
+    while heap:
+        neg, cur = heapq.heappop(heap)
+        width = -neg
+        if width < best.get(cur, -INF):
+            continue
+        if cur == target:
+            return None if width == INF else width
+        for i in adj.get(cur, []):
+            a, b = ends[i]
+            nxt = b if a == cur else a
+            if cn.is_driver[nxt] and nxt != target:
+                continue
+            d = devs[i]
+            gv = volts[int(state[cn.dev_gate[i]])]
+            if d.polarity is bad_pol:
+                if bad_pol is Polarity.N:
+                    cost = gv - d.vt.vt_volts
+                else:
+                    cost = (n.vdd - gv) - d.vt.vt_volts
+            else:
+                cost = INF
+            w = min(width, cost)
+            if w > best.get(nxt, -INF):
+                best[nxt] = w
+                heapq.heappush(heap, (-w, nxt))
+    return None
+
+
+def _generated_cells():
+    for style in Style:
+        for carry in (Encoding.HALF_VDD_HIGH, Encoding.FULL_VDD_HIGH):
+            yield gen_tha(style, carry)
+            for completeness in Completeness:
+                if completeness is Completeness.COMPLETE and carry is Encoding.FULL_VDD_HIGH:
+                    continue
+                for cascade in Cascade:
+                    yield gen_tfa(StyleSpec(style, completeness, carry, cascade))
+    for kind in GateKind:
+        yield gen_gate(kind)
+
+
+def _assert_lint_matches_reference(n):
+    """Exact (float ==) agreement; returns the number of warnings."""
+    got = [tuple(w) for w in full_swing_lint(n)]
+    assert got == _reference_lint(n)
+    return len(got)
+
+
+def test_swing_lint_matches_reference_on_generated_cells_and_testbenches():
+    warned = 0
+    for cell in _generated_cells():
+        warned += _assert_lint_matches_reference(cell)
+        warned += _assert_lint_matches_reference(gen_testbench(cell))
+    assert warned > 100
+
+
+def test_swing_lint_matches_reference_on_random_feedback_netlists():
+    rng = random.Random(3141)
+    compared = warned = oscillating = 0
+    while compared < 1000:
+        n = _random_feedback_netlist(rng)
+        if not Sweep(n).stable.all():
+            oscillating += 1
+            with pytest.raises(OscillationError):
+                full_swing_lint(n)
+            continue
+        warned += _assert_lint_matches_reference(n)
+        compared += 1
+    assert warned > 500 and oscillating
+
+
+def test_swing_lint_across_state_blocks(monkeypatch):
+    # 27 states cut into blocks of 4: headrooms merge across blocks
+    monkeypatch.setattr(solver_mod, "_LINT_BLOCK", 4)
+    for style in Style:
+        cell = gen_tfa(StyleSpec(style, Completeness.COMPLETE))
+        _assert_lint_matches_reference(cell)
+        _assert_lint_matches_reference(gen_testbench(cell))
