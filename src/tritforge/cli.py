@@ -94,10 +94,6 @@ def _parse_assumption(flag: str) -> AssumptionDomain:
     return AssumptionDomain(net=net, levels=levels)
 
 
-def _input_domains(n):
-    return [(name, dom) for name, dom in n.inputs]
-
-
 def _pattern_rows(n, pattern):
     """Pattern rows re-mapped onto the declared input order."""
     order = {sig: i for i, sig in enumerate(pattern.signals)}
@@ -129,7 +125,7 @@ def _cmd_gen(args) -> int:
         net = gen_testbench(_read_netlist(args.cell))
     elif args.what == "pattern":
         cell = _read_netlist(args.cell)
-        domains = _input_domains(cell)
+        domains = cell.inputs
         kind = (PatternKind.STATIC_STATES if args.kind == "static"
                 else PatternKind.COMPLETE_TRANSITIONS)
         _write(args.output, pattern_to_text(gen_pattern(domains, kind), domains),
@@ -143,7 +139,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sim(args) -> int:
     n = _read_netlist(args.netlist)
-    pattern = pattern_from_text(Path(args.pattern).read_text(), _input_domains(n))
+    pattern = pattern_from_text(Path(args.pattern).read_text(), n.inputs)
     trace, report = simulate_pattern(n, _pattern_rows(n, pattern))
     _write(args.output, trace_csv(n, trace), args.force)
     if args.report:
@@ -226,7 +222,7 @@ def _cmd_lint(args) -> int:
 
 def _cmd_metrics(args) -> int:
     n = _read_netlist(args.netlist)
-    domains = _input_domains(n)
+    domains = n.inputs
     if args.pattern:
         pattern = pattern_from_text(Path(args.pattern).read_text(), domains)
     else:

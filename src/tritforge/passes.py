@@ -35,7 +35,7 @@ from .netlist import (
     TAG_DIVIDER,
     ThresholdClass,
 )
-from .solver import Sweep, compiled, conduction, truth_signature, truth_table
+from .solver import CompiledNetlist, Sweep, conduction, truth_signature, truth_table
 from .trits import Encoding, Level, STABLE_LEVELS
 
 
@@ -98,6 +98,8 @@ def _merge_nets(n: Netlist, unions: list, removed_ids: set, vt_map: dict) -> Net
             raise NetlistSemanticError("a wire replacement would short the rails")
         keep, drop = sorted((ru, rv), key=lambda x: (-priority(x), x))
         parent[drop] = keep
+    if any(find(name) in RAILS for name in n.input_names + n.output_names):
+        raise NetlistSemanticError("a wire replacement would tie a port to a rail")
 
     devices = []
     for d in n.devices:
@@ -123,15 +125,16 @@ def _merge_nets(n: Netlist, unions: list, removed_ids: set, vt_map: dict) -> Net
 def _tracked_complements(n: Netlist, a: AssumptionDomain) -> dict[str, frozenset]:
     """Single-inverter cells driven only by the assumed net.
 
-    Returns net -> image level set under the assumption, computed by
-    solving the isolated cell over the assumed levels.
+    Returns net -> image level set under the assumption.  The candidate
+    cells read only the assumed net and the rails, so one netlist holding
+    them side by side, swept over the assumed levels, gives every image.
     """
     stop = set(RAILS) | set(n.input_names)
     candidate_gates = {
         d.gate for d in n.devices if d.gate not in stop and d.gate != a.net
     }
-    tracked = {}
-    cn = compiled(n)
+    cn = CompiledNetlist(n)
+    cells, devices = [], {}
     for y in sorted(candidate_gates):
         nets, devs = cn.channel_component(y)
         if not devs:
@@ -140,22 +143,15 @@ def _tracked_complements(n: Netlist, a: AssumptionDomain) -> dict[str, frozenset
             continue
         if any(t in n.input_names for d in devs for t in (d.source, d.drain)):
             continue
-        cell = Netlist(
-            title="",
-            vdd=n.vdd,
-            inputs=((a.net, frozenset(a.levels)),),
-            outputs=((y, Encoding.STANDARD),),
-            devices=tuple(devs),
-            loads=(),
-        )
-        try:
-            tt = truth_table(cell)
-        except (OscillationError, UnresolvableError):
-            continue
-        image = frozenset(out[0] for out in tt.values())
-        if image <= set(STABLE_LEVELS):
-            tracked[y] = image
-    return tracked
+        cells.append(y)
+        devices.update((d.id, d) for d in devs)
+    if not cells:
+        return {}
+    joined = Sweep(Netlist(
+        vdd=n.vdd, inputs=((a.net, frozenset(a.levels)),), devices=tuple(devices.values())
+    ))
+    images = {y: joined.image(y) for y in cells}
+    return {y: image for y, image in images.items() if image <= set(STABLE_LEVELS)}
 
 
 # -- passes ----------------------------------------------------------------
@@ -279,7 +275,8 @@ def rebind_carry(n: Netlist, carry_net: str):
     if carry_net not in n.nets():
         raise UnknownNetError(f"no net named {carry_net!r}")
 
-    cn = compiled(n)
+    swept = Sweep(n)
+    cn = swept.cn
     comp_nets, comp_devs = cn.channel_component(carry_net)
     dividers = [d for d in comp_devs if TAG_DIVIDER in d.tags]
     if not dividers:
@@ -291,7 +288,6 @@ def rebind_carry(n: Netlist, carry_net: str):
     # re-solve with every candidate divider deleted: with the divided path
     # cut, each former terminal carries at most one rail in its drive mask,
     # which names the side the divider bridged.
-    swept = Sweep(n)
     comp_idx = [cn.index[x] for x in comp_nets if x in cn.index]
     div_states = np.flatnonzero(swept.division()[:, comp_idx].any(axis=1))
 
@@ -378,7 +374,7 @@ def _swap_carry_stis(n: Netlist):
     stop = set(RAILS) | set(n.input_names)
     devices = list(n.devices)
     changed = 0
-    cn = compiled(n)
+    cn = CompiledNetlist(n)
     for x in sorted(binary_inputs):
         outs = {d.gate for d in devices if d.gate not in stop}
         for y in sorted(outs):

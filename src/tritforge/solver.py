@@ -20,10 +20,18 @@ of states, so exhaustive truth tables and multi-thousand-state ripple
 carry sweeps stay cheap in time and memory.
 
 Every exhaustive view of a netlist (truth table, decoded truth, truth
-signature, division counts, full-swing lint) reads one :class:`Sweep`: the
-levels, drive masks and stable flags of a single batched solve over the
-input space.  The swing lint is array work too, a widest-path (max-min)
-relaxation over the sweep's levels in the kernel's scatter style.
+signature, division counts, a net's image, full-swing lint) reads one
+:class:`Sweep`: the levels, drive masks and stable flags of a single
+batched solve over the input space.  The swing lint is array work too, a
+widest-path (max-min) relaxation over the sweep's levels in the kernel's
+scatter style.
+
+There is no compile cache.  Whoever solves builds the
+:class:`CompiledNetlist` and holds it: a :class:`Sweep` owns its compile,
+``solve_state`` compiles for its one state, and ``simulate_pattern``
+compiles once and steps through int8 level arrays, building the Level-dict
+trace only when it returns.  Nothing keeps a netlist alive after its
+caller lets go.
 """
 
 from __future__ import annotations
@@ -105,7 +113,6 @@ class SolveResult:
     division_events: frozenset[str]
     floating: frozenset[str]
     settle_rounds: int
-    swing_warnings: list = field(default_factory=list)
 
 
 class SwingWarning(NamedTuple):
@@ -466,6 +473,13 @@ class CompiledNetlist:
             row[i] = _CODE_OF_LEVEL[level]
         return row
 
+    def require_driven_outputs(self, lv_row):
+        """Raise :class:`UnresolvableError` naming the first output that
+        floats in a state solved without a previous one."""
+        for name, code in zip(self.netlist.output_names, lv_row[self.output_idx].tolist()):
+            if code == CODE_Z:
+                raise UnresolvableError(f"output {name!r} floats with no previous state")
+
     def result_from_state(self, lv_row, mask_row, rounds, from_scratch=True) -> SolveResult:
         levels = {}
         division = set()
@@ -478,9 +492,7 @@ class CompiledNetlist:
             if not self.is_driver[i] and mask_row[i] == 0:
                 floating.add(name)
         if from_scratch:
-            for name in self.netlist.output_names:
-                if levels[name] is Level.Z:
-                    raise UnresolvableError(f"output {name!r} floats with no previous state")
+            self.require_driven_outputs(lv_row)
         return SolveResult(
             levels=levels,
             division_events=frozenset(division),
@@ -489,19 +501,13 @@ class CompiledNetlist:
         )
 
 
-_COMPILE_CACHE: dict[int, tuple[Netlist, CompiledNetlist]] = {}
-
-
-def compiled(n: Netlist) -> CompiledNetlist:
-    """Compile (or fetch a cached compilation of) a netlist."""
-    entry = _COMPILE_CACHE.get(id(n))
-    if entry is not None and entry[0] is n:
-        return entry[1]
-    cn = CompiledNetlist(n)
-    if len(_COMPILE_CACHE) > 256:
-        _COMPILE_CACHE.clear()
-    _COMPILE_CACHE[id(n)] = (n, cn)
-    return cn
+def _solve_one(cn: CompiledNetlist, codes, prev):
+    """Solve one state of input ``codes``, seeded by the (1, nets) levels
+    ``prev`` when given; raise :class:`OscillationError` if it does not settle."""
+    lv, masks, rounds, stable = cn.solve_batch(codes[None, :], prev)
+    if not stable[0]:
+        raise OscillationError(f"no fixed point within {4 * cn.n_nets} rounds")
+    return lv[0], masks[0], rounds[0]
 
 
 def solve_state(
@@ -512,18 +518,15 @@ def solve_state(
     ``prev`` seeds the iteration with an earlier fixed point; floating nets
     then hold their previous charge instead of reading as errors.
     """
-    cn = compiled(n)
-    row = cn.codes_for_inputs(inputs)[None, :]
+    cn = CompiledNetlist(n)
     prev_codes = None
     if prev is not None:
         prev_codes = np.array(
             [[_CODE_OF_LEVEL[prev.levels.get(name, Level.Z)] for name in cn.nets]],
             dtype=np.int8,
         )
-    lv, masks, rounds, stable = cn.solve_batch(row, prev_codes)
-    if not stable[0]:
-        raise OscillationError(f"no fixed point within {4 * cn.n_nets} rounds")
-    return cn.result_from_state(lv[0], masks[0], rounds[0], from_scratch=prev is None)
+    lv, masks, rounds = _solve_one(cn, cn.codes_for_inputs(inputs), prev_codes)
+    return cn.result_from_state(lv, masks, rounds, from_scratch=prev is None)
 
 
 def input_space(
@@ -550,7 +553,7 @@ class Sweep:
     """
 
     def __init__(self, n: Netlist, overrides: dict[str, frozenset[Level]] | None = None):
-        self.cn = compiled(n)
+        self.cn = CompiledNetlist(n)
         self.points = input_space(n, overrides)
         codes = np.array(
             [[_CODE_OF_LEVEL[lv] for lv in pt] for pt in self.points], dtype=np.int8
@@ -609,6 +612,12 @@ class Sweep:
         """(states, nets) flags: whether GND, and whether VDD, drives each net."""
         self._require_stable()
         return (self.masks & _BIT_G) != 0, (self.masks & _BIT_V) != 0
+
+    def image(self, net: str) -> frozenset[Level]:
+        """The levels ``net`` takes over the swept states."""
+        self._require_stable()
+        codes = np.unique(self.levels[:, self.cn.index[net]]).tolist()
+        return frozenset(_LEVEL_OF_CODE[code] for code in codes)
 
     def division(self) -> np.ndarray:
         """(states, nets) flags of voltage division: both rails drive the net."""
@@ -766,44 +775,39 @@ def simulate_pattern(n: Netlist, rows: list[tuple[Level, ...]]):
     """
     if not rows:
         raise DomainError("pattern must contain at least one vector")
-    cn = compiled(n)
-    trace = []
-    div_counts = []
-    transition_rounds = []
-    activity_sums = []
-    volts = {CODE_G: 0.0, CODE_H: n.vdd / 2, CODE_V: n.vdd}
-    prev_res = None
-    prev_lv = None
+    cn = CompiledNetlist(n)
+    steps = len(rows)
+    levels = np.empty((steps, cn.n_nets), dtype=np.int8)
+    masks = np.empty((steps, cn.n_nets), dtype=np.uint8)
+    rounds = np.empty(steps, dtype=np.int64)
     for step, row in enumerate(rows):
-        assignment = dict(zip(n.input_names, row))
-        res = solve_state(n, assignment, prev=prev_res)
-        trace.append({"step": step, **{net: res.levels[net] for net in cn.nets}})
-        div_counts.append(len(res.division_events))
-        lv_row = np.array(
-            [_CODE_OF_LEVEL[res.levels[net]] for net in cn.nets], dtype=np.int8
-        )
-        if prev_lv is not None:
-            transition_rounds.append(res.settle_rounds)
-            delta = 0.0
-            for i in range(cn.n_nets):
-                a, b = int(prev_lv[i]), int(lv_row[i])
-                if a in volts and b in volts:
-                    delta += abs(volts[b] - volts[a]) / (n.vdd / 2)
-            activity_sums.append(delta)
-        prev_res = res
-        prev_lv = lv_row
+        codes = cn.codes_for_inputs(dict(zip(n.input_names, row)))
+        prev = levels[step - 1 : step] if step else None
+        levels[step], masks[step], rounds[step] = _solve_one(cn, codes, prev)
+        if not step:
+            cn.require_driven_outputs(levels[0])
+    divisions = ((masks & (_BIT_G | _BIT_V)) == (_BIT_G | _BIT_V)).sum(axis=1)
+    # G, H and V are the codes 0, 1 and 2, so the code distance of a net is
+    # its swing in units of vdd/2; a floating (Z) side counts for nothing
+    before, after = levels[:-1].astype(np.int64), levels[1:].astype(np.int64)
+    swing = (before <= CODE_V) & (after <= CODE_V)
+    activity = np.where(swing, np.abs(after - before), 0).sum(axis=1)
     report = MetricsReport(
-        delay_rounds=max(transition_rounds, default=0),
-        static_div_mean=float(np.mean(div_counts)),
-        activity=float(np.mean(activity_sums)) if activity_sums else 0.0,
+        delay_rounds=int(rounds[1:].max(initial=0)),
+        static_div_mean=float(np.mean(divisions)),
+        activity=float(np.mean(activity)) if steps > 1 else 0.0,
         device_total=len(n.devices),
     )
+    trace = [
+        {"step": step, **dict(zip(cn.nets, map(_LEVEL_OF_CODE.__getitem__, row)))}
+        for step, row in enumerate(levels.tolist())
+    ]
     return trace, report
 
 
 def trace_csv(n: Netlist, trace) -> str:
     """Render a simulation trace as CSV with one column per net."""
-    nets = compiled(n).nets
+    nets = n.nets()
     lines = ["step," + ",".join(nets)]
     for row in trace:
         lines.append(

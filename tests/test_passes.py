@@ -1,12 +1,18 @@
+import itertools
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
+from tritforge.cli import run
 from tritforge.errors import (
     DomainError,
+    NetlistSemanticError,
     NonInputAssumptionError,
+    OscillationError,
     UnknownNetError,
+    UnresolvableError,
 )
 from tritforge.generate import (
     Cascade,
@@ -14,6 +20,7 @@ from tritforge.generate import (
     Style,
     StyleSpec,
     gen_tfa,
+    gen_tha,
 )
 from tritforge.netlist import (
     DOMAIN_BINARY,
@@ -25,9 +32,12 @@ from tritforge.netlist import (
     RAILS,
     ThresholdClass,
     parse,
+    serialize,
 )
 from tritforge.passes import (
     AssumptionDomain,
+    PassReport,
+    _tracked_complements,
     apply_assumption,
     factor_parallel,
     prune_dead,
@@ -35,11 +45,11 @@ from tritforge.passes import (
     simplify_pipeline,
 )
 from tritforge.solver import (
-    compiled,
+    CompiledNetlist,
     division_counts,
     truth_table,
 )
-from tritforge.trits import Encoding, Level
+from tritforge.trits import STABLE_LEVELS, Encoding, Level
 
 HALFPAIR = frozenset({Level.GND, Level.HALF})
 BINARY = frozenset({Level.GND, Level.VDD})
@@ -313,6 +323,137 @@ def test_channel_component_matches_walk():
     rng = random.Random(SEED)
     cells = [gen_tfa(StyleSpec(style, Completeness.COMPLETE)) for style in Style]
     for n in cells + [_random_netlist(rng) for _ in range(200)]:
-        cn = compiled(n)
+        cn = CompiledNetlist(n)
         for net in n.nets():  # drivers included
             assert cn.channel_component(net) == _walk_component(n, net), net
+
+
+# -- ports never merge into a rail -------------------------------------------
+
+
+def test_simplify_never_ties_a_port_to_a_rail(tmp_path):
+    # with a = 0 the half adder's carry is always GND, and the wire merges
+    # would rename the output to the rail; the pipeline refuses instead
+    tha = gen_tha(Style.TERNARY_CMOS, Encoding.HALF_VDD_HIGH)
+    a = AssumptionDomain("a", frozenset({Level.GND}))
+    with pytest.raises(NetlistSemanticError):
+        apply_assumption(tha, a)
+    out, report = simplify_pipeline(tha, a)
+    assert (out, report) == (tha, PassReport())
+    assert parse(serialize(out)) == out
+    # the CLI writes a netlist that its own truth command reads back
+    cell, slim = tmp_path / "tha.tn", tmp_path / "slim.tn"
+    assert run(["gen", "tha", "--style", "ternary-cmos", "-o", str(cell)]) == 0
+    assert run(["simplify", str(cell), "--assume", "a=0", "-o", str(slim)]) == 0
+    assert run(["truth", str(slim), "-o", str(tmp_path / "truth.txt")]) == 0
+
+
+def test_rebind_side_detection_reads_single_rail_terminals():
+    # with both dividers stripped, n1 is still driven by both rails; only
+    # a terminal driven by VDD alone names the VDD side, so m5 is opened
+    n = parse(
+        ".input a halfpair\n.output n0 enc=halfpair\n"
+        "m m0 n hvt g=VDD s=n1 d=GND\n"
+        "m m1 n lvt g=a s=GND d=VDD tag=divider\n"
+        "m m2 n ulvt g=n1 s=VDD d=n1\n"
+        "m m3 p lvt g=a s=n0 d=GND\n"
+        "m m4 p ulvt g=GND s=n1 d=GND\n"
+        "m m5 n lvt g=n0 s=n0 d=n1 tag=divider\n"
+        "m m6 n ulvt g=VDD s=VDD d=n1\n.end\n"
+    )
+    out, report = rebind_carry(n, "n0")
+    assert report == PassReport(opened=1)
+    assert out.output_encoding("n0") is Encoding.FULL_VDD_HIGH
+
+
+# -- tracked complements: one joined sweep against one solve per cell ---------
+
+
+def _reference_tracked_complements(n, a):
+    """Tracked complements as first written: each candidate cell is copied
+    into a netlist of its own and solved alone."""
+    stop = set(RAILS) | set(n.input_names)
+    candidate_gates = {
+        d.gate for d in n.devices if d.gate not in stop and d.gate != a.net
+    }
+    tracked = {}
+    cn = CompiledNetlist(n)
+    for y in sorted(candidate_gates):
+        nets, devs = cn.channel_component(y)
+        if not devs:
+            continue
+        if any(d.gate not in RAILS and d.gate != a.net for d in devs):
+            continue
+        if any(t in n.input_names for d in devs for t in (d.source, d.drain)):
+            continue
+        cell = Netlist(
+            vdd=n.vdd,
+            inputs=((a.net, frozenset(a.levels)),),
+            outputs=((y, Encoding.STANDARD),),
+            devices=tuple(devs),
+        )
+        try:
+            tt = truth_table(cell)
+        except (OscillationError, UnresolvableError):
+            continue
+        image = frozenset(out[0] for out in tt.values())
+        if image <= set(STABLE_LEVELS):
+            tracked[y] = image
+    return tracked
+
+
+INVERTER_CELLS = (NTI_CELL, PTI_CELL, STI_CELL)
+
+
+def _random_gated_netlist(rng):
+    """A _random_netlist whose gates may also be internal nets, plus up to
+    two inverter cells reading an input, so complements get tracked."""
+    base = _random_netlist(rng)
+    names = list(base.input_names)
+    internal = sorted(set(base.nets()) - set(RAILS) - set(names))
+    devices = []
+    x = rng.choice(names)
+    for j in range(rng.randint(0, 2)):
+        cell = parse(f".input c ternary\n{rng.choice(INVERTER_CELLS)}.end\n")
+        out = rng.choice(internal + [f"c{j}"] * 2)
+        internal.append(out)
+        rename = {"c": x, "ci": out, "im1": f"c{j}im1", "im2": f"c{j}im2"}
+        for d in cell.devices:
+            ends = {t: rename.get(getattr(d, t), getattr(d, t)) for t in ("gate", "source", "drain")}
+            devices.append(replace(d, id=f"c{j}{d.id}", **ends))
+    gates = names + internal + list(RAILS)
+    for d in base.devices:
+        devices.append(replace(d, gate=rng.choice(gates)) if rng.random() < 0.5 else d)
+    return replace(base, devices=tuple(devices))
+
+
+def _assumptions(n):
+    for name, dom in n.inputs:
+        levels = sorted(dom, key=lambda lv: lv.value)
+        for r in range(1, len(levels) + 1):
+            for sub in itertools.combinations(levels, r):
+                yield AssumptionDomain(name, frozenset(sub))
+
+
+def test_tracked_complements_match_reference_on_generated_cells():
+    from test_solver import _generated_cells
+
+    joined = 0
+    for n in _generated_cells():
+        for a in _assumptions(n):
+            got = _tracked_complements(n, a)
+            assert got == _reference_tracked_complements(n, a), (n.title, a)
+            joined += len(got) > 1
+    assert joined > 500
+
+
+def test_tracked_complements_match_reference_on_random_netlists():
+    rng = random.Random(SEED)
+    tracked = 0
+    for _ in range(150):
+        n = _random_gated_netlist(rng)
+        for a in _assumptions(n):
+            got = _tracked_complements(n, a)
+            assert got == _reference_tracked_complements(n, a), (n, a)
+            tracked += bool(got)
+    assert tracked > 80

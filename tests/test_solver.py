@@ -1,5 +1,7 @@
+import gc
 import heapq
 import random
+import weakref
 from dataclasses import replace
 
 import networkx as nx
@@ -25,16 +27,16 @@ from tritforge.generate import (
     gen_tfa,
     gen_tha,
 )
-from tritforge.netlist import Device, Netlist, Polarity, ThresholdClass, parse
+from tritforge.netlist import Device, Netlist, Polarity, ThresholdClass, parse, serialize
 from tritforge.solver import (
     CODE_G,
     CODE_H,
     CODE_V,
     CODE_X,
+    CompiledNetlist,
     Sweep,
     _CODE_OF_LEVEL,
     _MASK_TO_CODE,
-    compiled,
     conduction,
     decoded_truth,
     division_counts,
@@ -141,7 +143,7 @@ def test_self_gated_contention_oscillates():
         solve_state(n, {})
     # the levels repeat with period 2, so the solve stops well before the
     # 4·N-round budget
-    cn = compiled(n)
+    cn = CompiledNetlist(n)
     lv, masks, rounds, stable = cn.solve_batch(np.zeros((1, 0), dtype=np.int8))
     assert not stable[0]
     assert rounds[0] < max(4 * cn.n_nets, 8)
@@ -242,12 +244,10 @@ def test_solver_matches_connectivity_oracle():
     rng = random.Random(1105)
     for _ in range(300):
         n = _random_static_netlist(rng)
-        from tritforge.solver import compiled
-
         for pt in input_space(n):
             assignment = dict(zip(n.input_names, pt))
             # no outputs declared, so go through the compiled interface
-            cn = compiled(n)
+            cn = CompiledNetlist(n)
             row = cn.codes_for_inputs(assignment)[None, :]
             lv, masks, rounds, stable = cn.solve_batch(row)
             assert stable[0]
@@ -387,7 +387,7 @@ def test_ccc_kernel_matches_dense_oracle_on_random_netlists(monkeypatch, share_m
     for i in range(600):
         make = (_random_netlist, _random_static_netlist, _random_feedback_netlist)[i % 3]
         n = make(rng)
-        cn = compiled(n)
+        cn = CompiledNetlist(n)
         codes = _sweep_codes(n)
         ok = _assert_matches_oracle(cn, codes)
         if make is not _random_feedback_netlist:
@@ -403,7 +403,7 @@ def test_ccc_kernel_matches_dense_oracle_on_rca3():
     spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
                      carry_encoding=Encoding.FULL_VDD_HIGH)
     n = gen_rca(3, spec)
-    cn = compiled(n)
+    cn = CompiledNetlist(n)
     codes = _sweep_codes(n)
     assert codes.shape[0] == 1458
     assert _assert_matches_oracle(cn, codes).all()
@@ -412,7 +412,7 @@ def test_ccc_kernel_matches_dense_oracle_on_rca3():
 def test_ccc_kernel_matches_dense_oracle_across_chunks():
     # more states than one chunk, and not a multiple of it
     n = gen_tfa(StyleSpec(Style.DEC_ENC, Completeness.COMPLETE))
-    cn = compiled(n)
+    cn = CompiledNetlist(n)
     base = _sweep_codes(n)
     size = solver_mod._CHUNK + 101
     codes = np.resize(base, (size, base.shape[1]))
@@ -428,7 +428,7 @@ def test_ccc_kernel_without_channels():
                    extra_nets=frozenset({"n0"}))
     rails = parse(".input a binary\nm m0 n lvt g=a s=VDD d=a\n.end\n")
     for n in (bare, rails):
-        cn = compiled(n)
+        cn = CompiledNetlist(n)
         codes = _sweep_codes(n)
         assert _assert_matches_oracle(cn, codes).all()
         prev = np.full((codes.shape[0], cn.n_nets), CODE_V, dtype=np.int8)
@@ -448,7 +448,7 @@ def test_ccc_kernel_with_a_ccc_too_wide_to_key(monkeypatch):
         devices.append(Device(f"s{i}", Polarity.N, ThresholdClass.LVT, f"g{i}", f"c{i}", f"c{i + 1}"))
     devices.append(Device("top", Polarity.P, ThresholdClass.LVT, "a", "VDD", "c0"))
     n = Netlist(inputs=(("a", ternary), ("b", ternary)), devices=tuple(devices))
-    cn = compiled(n)
+    cn = CompiledNetlist(n)
     assert cn._unkeyed.size == 1
     codes = _sweep_codes(n)
     assert _assert_matches_oracle(cn, codes).all()
@@ -622,3 +622,86 @@ def test_swing_lint_across_state_blocks(monkeypatch):
         cell = gen_tfa(StyleSpec(style, Completeness.COMPLETE))
         _assert_lint_matches_reference(cell)
         _assert_lint_matches_reference(gen_testbench(cell))
+
+
+# -- oracle: pattern simulation one solve_state per step ---------------------
+
+
+def _reference_simulate(n, rows):
+    """simulate_pattern before it stepped on arrays: one solve_state per
+    step, Level dicts in and out, activity summed in volts."""
+    if not rows:
+        raise DomainError("pattern must contain at least one vector")
+    nets = n.nets()
+    volts = {Level.GND: 0.0, Level.HALF: n.vdd / 2, Level.VDD: n.vdd}
+    trace, divs, rounds, sums = [], [], [], []
+    prev = None
+    for step, row in enumerate(rows):
+        res = solve_state(n, dict(zip(n.input_names, row)), prev=prev)
+        trace.append({"step": step, **{net: res.levels[net] for net in nets}})
+        divs.append(len(res.division_events))
+        if prev is not None:
+            rounds.append(res.settle_rounds)
+            delta = 0.0
+            for net in nets:
+                a, b = prev.levels[net], res.levels[net]
+                if a in volts and b in volts:
+                    delta += abs(volts[b] - volts[a]) / (n.vdd / 2)
+            sums.append(delta)
+        prev = res
+    report = solver_mod.MetricsReport(
+        delay_rounds=max(rounds, default=0),
+        static_div_mean=float(np.mean(divs)),
+        activity=float(np.mean(sums)) if sums else 0.0,
+        device_total=len(n.devices),
+    )
+    return trace, report
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - errors compare by type and text
+        return type(exc).__name__, str(exc)
+
+
+def _assert_simulation_matches_reference(n, rows):
+    """Equal traces and reports (float ==), or equal errors; returns the
+    outcome's kind."""
+    got = _outcome(simulate_pattern, n, rows)
+    assert got == _outcome(_reference_simulate, n, rows)
+    return got[0] if isinstance(got[0], str) else "ok"
+
+
+def test_simulation_matches_reference_on_generated_cells():
+    rng = random.Random(703)
+    for cell in _generated_cells():
+        walk = [tuple(rng.choice(sorted(dom, key=lambda lv: lv.value)) for _, dom in cell.inputs)
+                for _ in range(15)]
+        assert _assert_simulation_matches_reference(cell, walk) == "ok"
+
+
+def test_simulation_matches_reference_on_random_netlists():
+    from test_passes import _random_gated_netlist
+
+    rng = random.Random(704)
+    kinds = set()
+    for i in range(300):
+        n = (_random_gated_netlist, _random_feedback_netlist)[i % 2](rng)
+        rows = [tuple(rng.choice(list(Level)[:3]) for _ in n.inputs)
+                for _ in range(rng.randint(1, 10))]
+        kinds.add(_assert_simulation_matches_reference(n, rows))
+    assert kinds == {"ok", "DomainError", "OscillationError", "UnresolvableError"}
+
+
+def test_solves_keep_no_netlist_alive():
+    # every compiled netlist belongs to the call that built it, so once the
+    # caller lets go of a netlist nothing else holds it
+    n = parse(serialize(STI))
+    truth_table(n)
+    full_swing_lint(n)
+    simulate_pattern(n, [(Level.GND,), (Level.HALF,)])
+    ref = weakref.ref(n)
+    del n
+    gc.collect()
+    assert ref() is None
