@@ -19,6 +19,7 @@ on first use unless strict mode is requested.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import NetlistSemanticError, NetlistSyntaxError
@@ -235,8 +236,8 @@ def parse(text: str, strict: bool = False) -> Netlist:
                 vdd = float(tokens[1])
             except ValueError:
                 raise NetlistSyntaxError(f"bad voltage {tokens[1]!r}", line=lineno)
-            if vdd <= 0:
-                raise NetlistSemanticError("vdd must be positive", line=lineno)
+            if not 0 < vdd < math.inf:
+                raise NetlistSemanticError("vdd must be positive and finite", line=lineno)
         elif head == ".input":
             if len(tokens) != 3:
                 raise NetlistSyntaxError(".input expects <net> <domain>", line=lineno)
@@ -322,8 +323,10 @@ def parse(text: str, strict: bool = False) -> Netlist:
                 farads = float(tokens[3])
             except ValueError:
                 raise NetlistSyntaxError(f"bad capacitance {tokens[3]!r}", line=lineno)
-            if farads < 0:
-                raise NetlistSemanticError("capacitance must be non-negative", line=lineno)
+            if not 0 <= farads < math.inf:
+                raise NetlistSemanticError(
+                    "capacitance must be non-negative and finite", line=lineno
+                )
             loads.append((net, farads))
         elif head == ".end":
             ended = True

@@ -311,8 +311,10 @@ def rebind_carry(n: Netlist, carry_net: str):
         if side is None and div_states.size:
             # during a division event the terminal on the conditioned side
             # carries a single rail in its drive mask; that rail names the
-            # side this divider bridges
-            ends = [stripped.cn.index[t] for t in (d.source, d.drain)]
+            # side this divider bridges.  A terminal that only dividers
+            # touch is gone from the stripped netlist and carries no rail.
+            index = stripped.cn.index
+            ends = [index[t] for t in (d.source, d.drain) if t in index]
             v_side, g_side = v_only[:, ends].any(), g_only[:, ends].any()
             if v_side != g_side:
                 side = "vdd" if v_side else "gnd"

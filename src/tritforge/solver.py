@@ -11,20 +11,31 @@ The core is batched and works per channel-connected component (CCC): a
 maximal group of non-driver nets joined by device channels, where the rails
 and the inputs are the drivers (Bryant, IEEE Trans. Computers 1984).  A
 CCC's drive masks depend only on the levels of its gate nets and of the
-driver nets its channels touch, so each round solves every CCC once per
-distinct row of those levels among the states of a sweep, then scatters
-the masks back to every state (compiled per-component evaluation in the
-spirit of COSMOS, DAC 1987).  States that reach a fixed point or a
-period-2 cycle leave the active set, and large sweeps are solved in chunks
-of states, so exhaustive truth tables and multi-thousand-state ripple
-carry sweeps stay cheap in time and memory.
+driver nets its channels touch, so a CCC is solved once per distinct row of
+those levels among the states of a sweep, and the masks are scattered back
+to every state.
+
+Most netlists, every generated one among them, have CCC ranks: the graph
+with an edge from the CCC of each device's gate net to the CCC of its
+channel has no cycle.  Their sweeps are solved rank by rank, each CCC once,
+keyed from the final levels of the ranks below (the rank-ordered compiled
+evaluation of COSMOS, Bryant et al., DAC 1987).  Jacobi rounds solve the
+rest: netlists with feedback, solves seeded by an earlier state
+(``solve_state(prev=...)``, ``simulate_pattern``) and callers that count
+settling rounds.  Each round solves every CCC once per distinct row; states
+that reach a fixed point or a period-2 cycle leave the active set.  On a
+netlist with ranks both give the same levels and masks, bit for bit.  Both
+work through large sweeps in chunks of states, so exhaustive truth tables
+and multi-thousand-state ripple carry sweeps stay cheap in time and memory.
 
 Every exhaustive view of a netlist (truth table, decoded truth, truth
 signature, division counts, a net's image, full-swing lint) reads one
-:class:`Sweep`: the levels, drive masks and stable flags of a single
-batched solve over the input space.  The swing lint is array work too, a
-widest-path (max-min) relaxation over the sweep's levels in the kernel's
-scatter style.
+:class:`Sweep`: the input codes, levels, drive masks and stable flags of a
+single batched solve over the input space.  Level tuples of the input
+points are built only for the views that return them or name a point;
+decoded truth reads trits through per-encoding lookup arrays.  The swing
+lint is array work too, a widest-path (max-min) relaxation over the
+sweep's levels in the kernel's scatter style.
 
 There is no compile cache.  Whoever solves builds the
 :class:`CompiledNetlist` and holds it: a :class:`Sweep` owns its compile,
@@ -36,9 +47,9 @@ caller lets go.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -123,6 +134,85 @@ class SwingWarning(NamedTuple):
     headroom: float
 
 
+class _Group(NamedTuple):
+    """CCCs solved side by side on their local columns (see ``_partition``).
+
+    Index arrays named ``*_src`` pick columns of the level array the group
+    reads: the full levels of the states in a ranked solve, the compact key
+    levels in a Jacobi round.  ``out_net`` lists the group's non-driver
+    nets; each one reads local column ``out_col`` in its CCC ``out_ccc``.
+    """
+
+    n_ccc: int
+    n_cols: int  # local columns, plus a spare one that reads Z in every row
+    drv_cols: np.ndarray  # local columns holding a copy of a driver net
+    drv_ccc: np.ndarray
+    drv_src: np.ndarray
+    lut: np.ndarray  # (device, gate code) -> conducts
+    dev_ccc: np.ndarray
+    dev_src: np.ndarray  # gate nets
+    steps: list  # closure scatter per channel direction
+    key_src: np.ndarray  # row-key digits, grouped by CCC between key_bounds
+    key_weight: np.ndarray
+    key_bounds: np.ndarray
+    key_offset: np.ndarray  # keeps the keys of different CCCs apart
+    unkeyed: np.ndarray  # CCCs too wide to key: one row per state
+    out_net: np.ndarray
+    out_ccc: np.ndarray
+    out_col: np.ndarray
+
+    def rows(self, src):
+        """Each state's row in every CCC, (states, CCCs), and the state each
+        row is solved on, (rows, CCCs).
+
+        Sorting the keys of all the group's CCCs at once groups them by CCC;
+        each distinct key becomes the next row of its CCC.
+        """
+        A, C = src.shape[0], self.n_ccc
+        # each CCC's digits sum to its key: cumulative sums differenced at
+        # the CCC bounds, offset so keys of different CCCs never meet
+        digits = src[:, self.key_src] * self.key_weight
+        sums = np.zeros((A, digits.shape[1] + 1), dtype=np.int64)
+        np.cumsum(digits, axis=1, out=sums[:, 1:])
+        bounds = self.key_bounds
+        keys = self.key_offset + sums[:, bounds[1:]] - sums[:, bounds[:-1]]
+        if self.unkeyed.size:
+            keys[:, self.unkeyed] += np.arange(A)[:, None]
+        flat = keys.ravel()
+        order = np.argsort(flat)
+        sorted_keys = flat[order]
+        first = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+        rep = order[first]
+        ccc = rep % C
+        row = np.arange(rep.size) - np.searchsorted(ccc, np.arange(C))[ccc]
+        rep_state = np.zeros((row.max() + 1, C), dtype=np.intp)
+        rep_state[row, ccc] = rep // C
+        rows = np.empty(flat.size, dtype=np.intp)
+        rows[order] = row[np.cumsum(first) - 1]
+        return rows.reshape(A, C), rep_state
+
+    def solve(self, src, rep_state):
+        """(local column, row) drive masks of the rows solved on the states
+        ``rep_state`` of ``src``."""
+        drv = src[rep_state[:, self.drv_ccc], self.drv_src]
+        gate = src[rep_state[:, self.dev_ccc], self.dev_src]
+        return self.closure(drv, gate)
+
+    def closure(self, drv_codes, gate_codes):
+        """Inner fixed point on the local columns: push driver levels along
+        conducting channels.  Returns (local column, row) drive masks."""
+        masks = np.zeros((self.n_cols, drv_codes.shape[0]), dtype=np.uint8)
+        masks[self.drv_cols] = _BIT_OF_CODE[drv_codes.T]
+        on = self.lut[np.arange(self.lut.shape[0])[:, None], gate_codes.T]
+        steps = [(src, on[order], starts, group) for order, src, starts, group in self.steps]
+        while True:
+            before = masks.copy()
+            for src, on_src, starts, group in steps:
+                masks[group] |= np.bitwise_or.reduceat(masks[src] * on_src, starts, axis=0)
+            if np.array_equal(masks, before):
+                return masks
+
+
 class CompiledNetlist:
     """Index-based view of a netlist, reused across many solves."""
 
@@ -167,15 +257,21 @@ class CompiledNetlist:
         self._partition()
 
     def _partition(self):
-        """Split the non-driver nets into CCCs and lay the CCCs out locally.
+        """Split the non-driver nets into CCCs, lay them out and rank them.
 
         ``net_ccc`` labels every non-driver net with its CCC (drivers get -1).
         The kernel numbers the CCCs that have devices and gives each one
         local columns: its own nets plus a private copy of each driver net
-        its channels touch, so one closure over the local columns solves all
-        CCCs side by side.  A CCC's row key packs the level codes of its key
-        nets (the gate nets and driver terminals of its devices, rails
-        aside) in mixed radix 5.
+        its channels touch, so one closure over the local columns solves
+        several CCCs side by side.  A CCC's row key packs the level codes of
+        its key nets (the gate nets and driver terminals of its devices,
+        rails aside) in mixed radix 5.
+
+        ``ccc_rank`` is each kernel CCC's rank: the longest path to it along
+        the edges that run from the CCC of a device's gate net to the CCC of
+        the device's channel.  Gates on drivers, or on nets that no channel
+        touches (they read Z), add no edge.  It is None when the graph has a
+        cycle, a CCC gating itself included.
         """
         N = self.n_nets
         nd = ~self.is_driver
@@ -206,56 +302,21 @@ class CompiledNetlist:
         anchor = np.where(nd[a[live]], a[live], b[live])
         ccc_ids, dev_k = np.unique(self.net_ccc[anchor], return_inverse=True)
         nd_ccc = self.net_ccc[nd_idx]
-        net_k = np.where(
-            np.isin(nd_ccc, ccc_ids), np.searchsorted(ccc_ids, nd_ccc), 0
-        )
-        C = self._n_ccc = max(ccc_ids.size, 1)
+        touched = np.isin(nd_ccc, ccc_ids)
+        net_k = np.where(touched, np.searchsorted(ccc_ids, nd_ccc), 0)
+        C = max(ccc_ids.size, 1)
         L = live.size
         gate = self.dev_gate[live]
+        lut = self.dev_lut[live]
 
-        # local columns: one per (CCC, net) pair
+        # local columns: one per (CCC, net) pair, in CCC order
         cols, inv = np.unique(
             np.r_[dev_k * N + a[live], dev_k * N + b[live], net_k * N + nd_idx],
             return_inverse=True,
         )
         col_ccc, col_net = np.divmod(cols, N)
         col_drv = self.is_driver[col_net]
-        # one spare column past the end: no device touches it, so its level
-        # is Z in every row, a constant filler for level words
-        self._n_cols = cols.size + 1
         loc_a, loc_b, out_col = inv[:L], inv[L : 2 * L], inv[2 * L :]
-        self._out_ccc, self._out_col = net_k, out_col
-        # position of each column's net among the non-driver nets; driver
-        # columns and the spare point one past the end, at a pad that never
-        # holds charge
-        self._col_nd = np.r_[
-            np.where(col_drv, nd_idx.size, np.searchsorted(nd_idx, col_net)), nd_idx.size
-        ]
-        # per-direction groupings for duplicate-free scatter of drive-mask
-        # contributions (bitwise_or.reduceat over sorted targets)
-        self._dir = []
-        for tgt, src in ((loc_a, loc_b), (loc_b, loc_a)):
-            keep = np.flatnonzero(~col_drv[tgt])
-            order = keep[np.argsort(tgt[keep], kind="stable")]
-            tgt_sorted = tgt[order]
-            starts = np.flatnonzero(np.r_[True, tgt_sorted[1:] != tgt_sorted[:-1]])
-            if order.size:
-                self._dir.append((order, src[order], starts, tgt_sorted[starts]))
-
-        # key levels: each state carries the levels of the nets that gate a
-        # device or drive a channel; the non-driver ones change every round
-        knet, kcol = np.unique(np.r_[gate, col_net[col_drv]], return_inverse=True)
-        self._knet = knet
-        self._knd = np.flatnonzero(nd[knet])
-        pos = np.searchsorted(nd_idx, knet[self._knd])
-        self._knd_ccc, self._knd_col = net_k[pos], out_col[pos]
-        self._dev_k = dev_k
-        self._dev_kcol = kcol[:L]
-        self._dev_lut = self.dev_lut[live]
-        self._dev_range = np.arange(L)[:, None]
-        self._drv_cols = np.flatnonzero(col_drv)
-        self._drv_ccc = col_ccc[col_drv]
-        self._drv_kcol = kcol[L:]
 
         # row keys: one radix-5 digit per non-rail key net of each CCC
         # (return_index keeps np.unique on its sorting path; the hash path
@@ -266,32 +327,157 @@ class CompiledNetlist:
         key_ccc, key_net = key_ccc[keep], key_net[keep]
         bounds = np.searchsorted(key_ccc, np.arange(C + 1))
         width = np.diff(bounds)
-        rank = np.arange(key_ccc.size) - bounds[key_ccc]
+        place = np.arange(key_ccc.size) - bounds[key_ccc]
         # a CCC too wide to pack is keyed by state instead (no sharing)
         cap = (1 << 62) // C
         keyed = np.array([5 ** int(w) <= cap for w in width], dtype=bool)
         span = [5 ** int(w) if k else _CHUNK for w, k in zip(width, keyed)]
-        self._key_col = np.searchsorted(knet, key_net)
-        self._key_weight = np.where(keyed[key_ccc], 5 ** np.minimum(rank, 26), 0)
-        self._key_bounds = bounds
-        self._key_offset = np.cumsum([0] + span[:-1], dtype=np.int64)
-        self._unkeyed = np.flatnonzero(~keyed)
+        key_weight = np.where(keyed[key_ccc], 5 ** np.minimum(place, 26), 0)
+        key_offset = np.cumsum([0] + span[:-1], dtype=np.int64)
+
+        def group(ks, source):
+            """The _Group of the kernel CCCs ``ks`` (ascending); ``source``
+            maps net indices to columns of the levels the group reads."""
+            member = np.zeros(C, dtype=bool)
+            member[ks] = True
+            k_local = np.zeros(C, dtype=np.intp)
+            k_local[ks] = np.arange(ks.size)
+            csel = member[col_ccc]
+            local = np.cumsum(csel) - 1
+            g_drv = col_drv[csel]
+            drv = np.flatnonzero(csel & col_drv)
+            dsel = np.flatnonzero(member[dev_k])
+            ga, gb = local[loc_a[dsel]], local[loc_b[dsel]]
+            # per-direction groupings for duplicate-free scatter of
+            # drive-mask contributions (bitwise_or.reduceat over sorted targets)
+            steps = []
+            for tgt, src in ((ga, gb), (gb, ga)):
+                keep = np.flatnonzero(~g_drv[tgt])
+                if keep.size:
+                    order = keep[np.argsort(tgt[keep], kind="stable")]
+                    tgt_sorted = tgt[order]
+                    starts = np.flatnonzero(
+                        np.concatenate(([True], tgt_sorted[1:] != tgt_sorted[:-1]))
+                    )
+                    steps.append((order, src[order], starts, tgt_sorted[starts]))
+            ksel = np.flatnonzero(member[key_ccc])
+            osel = np.flatnonzero(member[net_k])
+            return _Group(
+                n_ccc=ks.size,
+                n_cols=g_drv.size + 1,
+                drv_cols=np.flatnonzero(g_drv),
+                drv_ccc=k_local[col_ccc[drv]],
+                drv_src=source(col_net[drv]),
+                lut=lut[dsel],
+                dev_ccc=k_local[dev_k[dsel]],
+                dev_src=source(gate[dsel]),
+                steps=steps,
+                key_src=source(key_net[ksel]),
+                key_weight=key_weight[ksel],
+                key_bounds=np.append(np.searchsorted(key_ccc[ksel], ks), ksel.size),
+                key_offset=key_offset[ks],
+                unkeyed=np.flatnonzero(~keyed[ks]),
+                out_net=nd_idx[osel],
+                out_ccc=k_local[net_k[osel]],
+                out_col=local[out_col[osel]],
+            )
+
+        # key levels: each state of a Jacobi round carries the levels of the
+        # nets that gate a device or drive a channel; the non-driver ones
+        # change every round
+        knet = np.unique(np.r_[gate, col_net[col_drv]], return_index=True)[0]
+        self._knet = knet
+        self._knd = np.flatnonzero(nd[knet])
+        pos = np.searchsorted(nd_idx, knet[self._knd])
+        self._knd_ccc, self._knd_col = net_k[pos], out_col[pos]
+        # position of each column's net among the non-driver nets; driver
+        # columns and the spare column past the end point one past the end,
+        # at a pad that never holds charge
+        self._col_nd = np.r_[
+            np.where(col_drv, nd_idx.size, np.searchsorted(nd_idx, col_net)), nd_idx.size
+        ]
 
         # level words: a CCC's non-driver levels, _SLOTS to a word in radix
-        # 8, so comparing words compares level vectors exactly
+        # 8, so comparing words compares level vectors exactly; the spare
+        # column (Z in every row) fills the last word of each CCC
         order = np.argsort(net_k, kind="stable")
         k_sorted = net_k[order]
-        rank = np.arange(order.size) - np.searchsorted(k_sorted, k_sorted)
-        words, word = np.unique(k_sorted * N + rank // _SLOTS, return_inverse=True)
+        place = np.arange(order.size) - np.searchsorted(k_sorted, k_sorted)
+        words, word = np.unique(k_sorted * N + place // _SLOTS, return_inverse=True)
         self._word_ccc = words // N
         self._word_range = np.arange(words.size)
         self._word_col = np.full((_SLOTS, words.size), cols.size, dtype=np.intp)
-        self._word_col[rank % _SLOTS, word] = out_col[order]
+        self._word_col[place % _SLOTS, word] = out_col[order]
 
-    # -- batched fixed-point solve ------------------------------------
+        # CCC ranks by relaxation: in a DAG the longest path has at most C-1
+        # edges, so C rounds settle it unless there is a cycle
+        gate_k = np.full(N, -1, dtype=np.intp)
+        gate_k[nd_idx[touched]] = net_k[touched]
+        src = gate_k[gate]
+        edge = src >= 0
+        src, dst = src[edge], dev_k[edge]
+        rank = np.zeros(C, dtype=np.intp)
+        for _ in range(C):
+            new = rank.copy()
+            np.maximum.at(new, dst, rank[src] + 1)
+            if np.array_equal(new, rank):
+                break
+            rank = new
+        else:
+            rank = None
+        self.ccc_rank = rank
+        self._n_ccc = C
+        self._group = group
+
+    @cached_property
+    def _all(self) -> _Group:
+        """Every CCC, read from the compact key levels of the Jacobi rounds."""
+        return self._group(np.arange(self._n_ccc), lambda nets: np.searchsorted(self._knet, nets))
+
+    @cached_property
+    def _ranks(self) -> list[_Group]:
+        """One group per CCC rank, lowest first, read from full levels."""
+        return [
+            self._group(np.flatnonzero(self.ccc_rank == r), lambda nets: nets)
+            for r in range(self.ccc_rank.max() + 1)
+        ]
+
+    # -- batched solves --------------------------------------------------
+
+    def _start(self, input_codes: np.ndarray):
+        """(levels, masks) of states before any solve: rails and inputs set,
+        every other net X."""
+        S = input_codes.shape[0]
+        lv = np.full((S, self.n_nets), CODE_X, dtype=np.int8)
+        lv[:, self.gnd_idx] = CODE_G
+        lv[:, self.vdd_idx] = CODE_V
+        if self.input_idx.size:
+            lv[:, self.input_idx] = input_codes
+        masks = np.zeros((S, self.n_nets), dtype=np.uint8)
+        masks[:, self.driver_idx] = _BIT_OF_CODE[lv[:, self.driver_idx]]
+        return lv, masks
+
+    def solve_ranked(self, input_codes: np.ndarray):
+        """Solve unseeded states rank by rank; needs ``ccc_rank``.
+
+        A CCC reads only the levels of CCCs of lower rank, which are final
+        by the time its rank comes, so each distinct row of a rank's CCCs is
+        closed once and the result is the unique fixed point that
+        ``solve_batch`` reaches.  Returns (levels, masks) as ``solve_batch``
+        does; every state is stable.
+        """
+        lv, masks = self._start(input_codes)
+        for lo in range(0, lv.shape[0], _CHUNK):
+            block, block_masks = lv[lo : lo + _CHUNK], masks[lo : lo + _CHUNK]
+            for g in self._ranks:
+                rows, rep = g.rows(block)
+                got = _take(g.solve(block, rep), rows, g.out_ccc, g.out_col)
+                block_masks[:, g.out_net] = got
+                block[:, g.out_net] = _MASK_TO_CODE[got]
+        return lv, masks
 
     def solve_batch(self, input_codes: np.ndarray, prev: np.ndarray | None = None):
-        """Solve many input states at once.
+        """Solve many input states at once by Jacobi rounds.
 
         input_codes: (S, n_inputs) level codes.
         prev:        optional (S, n_nets) seed levels for transition solves.
@@ -301,18 +487,11 @@ class CompiledNetlist:
         4·n_nets rounds, or that fell into a period-2 cycle (those stop
         early, with the levels and masks of their last round).
         """
-        S = input_codes.shape[0]
-        N = self.n_nets
         nd = self.nondriver_idx
-        lv = np.full((S, N), CODE_X, dtype=np.int8)
-        lv[:, self.gnd_idx] = CODE_G
-        lv[:, self.vdd_idx] = CODE_V
-        if self.input_idx.size:
-            lv[:, self.input_idx] = input_codes
+        lv, masks = self._start(input_codes)
         if prev is not None:
             lv[:, nd] = prev[:, nd]
-        masks = np.zeros((S, N), dtype=np.uint8)
-        masks[:, self.driver_idx] = _BIT_OF_CODE[lv[:, self.driver_idx]]
+        S = lv.shape[0]
         rounds = np.zeros(S, dtype=np.int64)
         stable = np.zeros(S, dtype=bool)
         for lo in range(0, S, _CHUNK):
@@ -333,7 +512,7 @@ class CompiledNetlist:
         leaves).
         """
         nd = self.nondriver_idx
-        out = (self._out_ccc, self._out_col)
+        out = (self._all.out_ccc, self._all.out_col)
         act = np.arange(lv.shape[0])
         kl = lv[:, self._knet]
         share = hold is None and act.size >= _SHARE_MIN
@@ -385,37 +564,14 @@ class CompiledNetlist:
         tables of drive masks and resulting levels.  Unless ``share`` is set,
         every state keeps rows of its own.
         """
-        A, C = kl.shape[0], self._n_ccc
-        if not share:
-            rows = np.broadcast_to(np.arange(A)[:, None], (A, C))
-            drv, gate = kl[:, self._drv_kcol], kl[:, self._dev_kcol]
+        g = self._all
+        if share:
+            rows, rep = g.rows(kl)
+            table = g.solve(kl, rep)
         else:
-            # each CCC's digits sum to its key: cumulative sums differenced
-            # at the CCC bounds, offset so keys of different CCCs never meet
-            digits = kl[:, self._key_col] * self._key_weight
-            sums = np.zeros((A, digits.shape[1] + 1), dtype=np.int64)
-            np.cumsum(digits, axis=1, out=sums[:, 1:])
-            bounds = self._key_bounds
-            keys = self._key_offset + sums[:, bounds[1:]] - sums[:, bounds[:-1]]
-            if self._unkeyed.size:
-                keys[:, self._unkeyed] += np.arange(A)[:, None]
-            # sorting groups the keys by CCC; each distinct key becomes the
-            # next row of its CCC, solved on one representative state
-            flat = keys.ravel()
-            order = np.argsort(flat)
-            sorted_keys = flat[order]
-            first = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-            rep = order[first]
-            ccc = rep % C
-            row = np.arange(rep.size) - np.searchsorted(ccc, np.arange(C))[ccc]
-            rep_state = np.zeros((row.max() + 1, C), dtype=np.intp)
-            rep_state[row, ccc] = rep // C
-            rows = np.empty(flat.size, dtype=np.intp)
-            rows[order] = row[np.cumsum(first) - 1]
-            rows = rows.reshape(A, C)
-            drv = kl[rep_state[:, self._drv_ccc], self._drv_kcol]
-            gate = kl[rep_state[:, self._dev_k], self._dev_kcol]
-        table = self._closure(drv, gate)
+            A = kl.shape[0]
+            rows = np.broadcast_to(np.arange(A)[:, None], (A, g.n_ccc))
+            table = g.closure(kl[:, g.drv_src], kl[:, g.dev_src])
         levels = _MASK_TO_CODE[table]
         if hold is not None:
             levels = np.where((table == 0) & (hold <= CODE_V), hold, levels)
@@ -427,20 +583,6 @@ class CompiledNetlist:
             "swr,s->wr", levels[self._word_col], _SLOT_WEIGHT, dtype=np.int64
         )
         return _take(words, rows, self._word_ccc, self._word_range)
-
-    def _closure(self, drv_codes, gate_codes):
-        """Inner fixed point on the local columns: push driver levels along
-        conducting channels.  Returns (local column, row) drive masks."""
-        masks = np.zeros((self._n_cols, drv_codes.shape[0]), dtype=np.uint8)
-        masks[self._drv_cols] = _BIT_OF_CODE[drv_codes.T]
-        on = self._dev_lut[self._dev_range, gate_codes.T]
-        steps = [(src, on[order], starts, group) for order, src, starts, group in self._dir]
-        while True:
-            before = masks.copy()
-            for src, on_src, starts, group in steps:
-                masks[group] |= np.bitwise_or.reduceat(masks[src] * on_src, starts, axis=0)
-            if np.array_equal(masks, before):
-                return masks
 
     # -- helpers --------------------------------------------------------
 
@@ -529,56 +671,98 @@ def solve_state(
     return cn.result_from_state(lv, masks, rounds, from_scratch=prev is None)
 
 
+def _input_codes(n: Netlist, overrides: dict[str, frozenset[Level]] | None = None) -> np.ndarray:
+    """(points, inputs) level codes of the input space, in the order of
+    :func:`input_space`: each earlier input's code repeats over all the
+    combinations of the later ones."""
+    codes = np.zeros((1, 0), dtype=np.int8)
+    for name, dom in n.inputs:
+        if overrides and name in overrides:
+            dom = overrides[name]
+        axis = np.array(sorted(map(_CODE_OF_LEVEL.__getitem__, dom)), dtype=np.int8)
+        codes = np.column_stack(
+            [np.repeat(codes, axis.size, axis=0), np.tile(axis, codes.shape[0])]
+        )
+    return codes
+
+
+def _level_tuples(codes: np.ndarray) -> list[tuple[Level, ...]]:
+    """One tuple of Levels per row of a code array."""
+    return [tuple(map(_LEVEL_OF_CODE.__getitem__, row)) for row in codes.tolist()]
+
+
 def input_space(
     n: Netlist, overrides: dict[str, frozenset[Level]] | None = None
 ) -> list[tuple[Level, ...]]:
     """All input level combinations, lexicographic in declared input order."""
-    axes = []
-    for name, dom in n.inputs:
-        if overrides and name in overrides:
-            dom = overrides[name]
-        axes.append(sorted(dom, key=lambda lv: _CODE_OF_LEVEL[lv]))
-    return [tuple(pt) for pt in itertools.product(*axes)]
+    return _level_tuples(_input_codes(n, overrides))
+
+
+def _trit_table(enc: Encoding) -> np.ndarray:
+    """Trit of each level code under ``enc``; -1 for levels outside it."""
+    table = np.full(len(_LEVEL_OF_CODE), -1, dtype=np.int8)
+    for code, level in enumerate(_LEVEL_OF_CODE):
+        try:
+            table[code] = decode(level, enc)
+        except DomainError:
+            pass
+    return table
+
+
+_TRIT_OF_CODE = {enc: _trit_table(enc) for enc in Encoding}
 
 
 class Sweep:
     """One batched solve of a netlist over its input space, and its views.
 
-    Holds the compiled netlist, the input points (lexicographic in declared
-    input order) and the levels, drive masks and ``stable`` flags that one
-    ``solve_batch`` call gives for them.  Every exhaustive view of a netlist
-    reads a sweep, so a caller that needs several views of one netlist
-    solves it once and keeps the value.  Views that need every state settled
-    raise :class:`OscillationError` naming the first point that is not.
+    Holds the compiled netlist, the input ``codes`` (one row per point,
+    lexicographic in declared input order) and the levels, drive masks and
+    ``stable`` flags of the solve.  A netlist with CCC ranks is solved rank
+    by rank (:meth:`CompiledNetlist.solve_ranked`), every state stable; any
+    other takes the Jacobi rounds of ``solve_batch``.  Every exhaustive view
+    of a netlist reads a sweep, so a caller that needs several views of one
+    netlist solves it once and keeps the value.  Views that need every
+    state settled raise :class:`OscillationError` naming the first point
+    that is not.
     """
 
     def __init__(self, n: Netlist, overrides: dict[str, frozenset[Level]] | None = None):
         self.cn = CompiledNetlist(n)
-        self.points = input_space(n, overrides)
-        codes = np.array(
-            [[_CODE_OF_LEVEL[lv] for lv in pt] for pt in self.points], dtype=np.int8
-        ).reshape(len(self.points), len(n.inputs))
-        self.levels, self.masks, _, self.stable = self.cn.solve_batch(codes)
+        self.codes = _input_codes(n, overrides)
+        if self.cn.ccc_rank is None:
+            self.levels, self.masks, _, self.stable = self.cn.solve_batch(self.codes)
+        else:
+            self.levels, self.masks = self.cn.solve_ranked(self.codes)
+            self.stable = np.ones(len(self.codes), dtype=bool)
+
+    @cached_property
+    def points(self) -> list[tuple[Level, ...]]:
+        """The input level tuple of each state."""
+        return _level_tuples(self.codes)
+
+    def _point(self, i: int) -> tuple[Level, ...]:
+        return _level_tuples(self.codes[i : i + 1])[0]
 
     def _require_stable(self):
         if not self.stable.all():
             bad = int(np.flatnonzero(~self.stable)[0])
-            raise OscillationError(f"no fixed point at input point {self.points[bad]}")
+            raise OscillationError(f"no fixed point at input point {self._point(bad)}")
 
-    def _output_codes(self) -> list[list[int]]:
-        return self.levels[:, self.cn.output_idx].tolist()
+    def _resolved_outputs(self) -> np.ndarray:
+        """(states, outputs) level codes; raises :class:`UnresolvableError`
+        naming the first output that is X or Z, in point order."""
+        self._require_stable()
+        out = self.levels[:, self.cn.output_idx]
+        bad = (out == CODE_X) | (out == CODE_Z)
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            name = self.cn.netlist.output_names[j]
+            raise UnresolvableError(f"output {name!r} unresolved at input {self._point(i)}")
+        return out
 
     def truth_table(self) -> dict[tuple[Level, ...], tuple[Level, ...]]:
         """Input level tuple -> output level tuple; see :func:`truth_table`."""
-        self._require_stable()
-        names = self.cn.netlist.output_names
-        out = {}
-        for pt, row in zip(self.points, self._output_codes()):
-            for name, code in zip(names, row):
-                if code in (CODE_X, CODE_Z):
-                    raise UnresolvableError(f"output {name!r} unresolved at input {pt}")
-            out[pt] = tuple(_LEVEL_OF_CODE[code] for code in row)
-        return out
+        return dict(zip(self.points, _level_tuples(self._resolved_outputs())))
 
     def truth_signature(self) -> dict[tuple[Level, ...], tuple]:
         """Outputs decoded to trits, with per-point failure sentinels.
@@ -587,26 +771,40 @@ class Sweep:
         a state with an unresolved output ``("error", "UnresolvableError")``,
         and an output level outside its encoding ``("level", code)``.
         """
-        encs = [enc for _, enc in self.cn.netlist.outputs]
+        tables = [_TRIT_OF_CODE[enc].tolist() for _, enc in self.cn.netlist.outputs]
+        out = self.levels[:, self.cn.output_idx].tolist()
         sig = {}
-        for pt, ok, row in zip(self.points, self.stable.tolist(), self._output_codes()):
+        for pt, ok, row in zip(self.points, self.stable.tolist(), out):
             if not ok:
                 sig[pt] = ("error", "OscillationError")
             elif CODE_X in row or CODE_Z in row:
                 sig[pt] = ("error", "UnresolvableError")
             else:
-                sig[pt] = tuple(_decode_code(code, enc) for code, enc in zip(row, encs))
+                sig[pt] = tuple(
+                    t[code] if t[code] >= 0 else ("level", code)
+                    for code, t in zip(row, tables)
+                )
         return sig
 
     def decoded_truth(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Truth table decoded to trits on both sides; see :func:`decoded_truth`."""
+        """Truth table decoded to trits on both sides; see :func:`decoded_truth`.
+
+        Raises the error of :meth:`truth_table`, or the :class:`DomainError`
+        of the first level, in point order and inputs before outputs, that
+        its encoding does not hold.
+        """
         n = self.cn.netlist
-        in_encs = [domain_encoding(dom) for _, dom in n.inputs]
-        out_encs = [enc for _, enc in n.outputs]
-        return {
-            tuple(map(decode, pt, in_encs)): tuple(map(decode, levels, out_encs))
-            for pt, levels in self.truth_table().items()
-        }
+        encs = [domain_encoding(dom) for _, dom in n.inputs] + [enc for _, enc in n.outputs]
+        codes = np.column_stack([self.codes, self._resolved_outputs()])
+        trits = np.empty_like(codes)
+        for j, enc in enumerate(encs):
+            trits[:, j] = _TRIT_OF_CODE[enc][codes[:, j]]
+        bad = trits < 0
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            decode(_LEVEL_OF_CODE[codes[i, j]], encs[j])  # raises DomainError
+        k = len(n.inputs)
+        return dict(zip(map(tuple, trits[:, :k].tolist()), map(tuple, trits[:, k:].tolist())))
 
     def rail_reach(self) -> tuple[np.ndarray, np.ndarray]:
         """(states, nets) flags: whether GND, and whether VDD, drives each net."""
@@ -662,7 +860,7 @@ class Sweep:
         is_n = cn.dev_is_n[:, None]
         dev_range = np.arange(cn.n_devices)[:, None]
         worst = np.full((2, cn.n_nets), np.inf)
-        for lo in range(0, len(self.points), _LINT_BLOCK):
+        for lo in range(0, len(self.levels), _LINT_BLOCK):
             # (net or device, state) arrays; the VDD target's states come
             # first along axis 1, then the GND target's
             lv = self.levels[lo : lo + _LINT_BLOCK].T
@@ -690,14 +888,6 @@ class Sweep:
             for i in np.flatnonzero(np.isfinite(worst[k])).tolist()
         ]
         return sorted(warnings, key=lambda w: (w.net, w.polarity.value))
-
-
-def _decode_code(code: int, enc: Encoding):
-    """Trit of a stable level code under ``enc``, or ``("level", code)``."""
-    try:
-        return decode(_LEVEL_OF_CODE[code], enc)
-    except DomainError:
-        return ("level", code)
 
 
 def truth_table(

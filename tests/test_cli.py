@@ -122,3 +122,13 @@ def test_pattern_missing_an_input_exits_1(tmp_path, capsys, command):
     pat.write_text(".signals a b\n0 0\n1 2\n")
     err = _fails_cleanly([command, str(cell), "--pattern", str(pat)], capsys)
     assert "cin" in err
+
+
+@pytest.mark.parametrize("vdd", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["truth", "lint"])
+def test_non_finite_supply_exits_1(tmp_path, capsys, vdd, command):
+    cell = tmp_path / "sti.tn"
+    assert run(["gen", "gate", "sti", "-o", str(cell)]) == 0
+    cell.write_text(f".vdd {vdd}\n" + cell.read_text().replace(".vdd 0.9\n", ""))
+    err = _fails_cleanly([command, str(cell)], capsys)
+    assert "vdd must be positive and finite" in err

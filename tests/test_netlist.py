@@ -101,6 +101,13 @@ def test_semantic_errors():
         parse(".vdd -0.9\n.end\n")
 
 
+@pytest.mark.parametrize("line", [".vdd nan", ".vdd inf", ".vdd -inf", ".vdd NaN",
+                                  "c c0 y nan", "c c0 y inf"])
+def test_non_finite_values_are_rejected(line):
+    with pytest.raises(NetlistSemanticError):
+        parse(f".output y\n{line}\nm m0 n lvt g=VDD s=y d=GND\n.end\n")
+
+
 def test_strict_mode_requires_declarations():
     text = "m m0 p hvt g=a s=VDD d=y\n.end\n"
     parse(text)  # lenient: nets appear on first use

@@ -8,6 +8,7 @@ import pytest
 from tritforge.cli import run
 from tritforge.errors import (
     DomainError,
+    EquivalenceCheckFailedError,
     NetlistSemanticError,
     NonInputAssumptionError,
     OscillationError,
@@ -364,6 +365,33 @@ def test_rebind_side_detection_reads_single_rail_terminals():
     out, report = rebind_carry(n, "n0")
     assert report == PassReport(opened=1)
     assert out.output_encoding("n0") is Encoding.FULL_VDD_HIGH
+
+
+DANGLING_DIVIDER = """\
+.input a ternary
+.output y
+m mp p lvt g=a s=VDD d=y
+m mn n lvt g=a s=y d=GND
+m md n mvt g=VDD s=y d=n5 tag=divider
+.end
+"""
+
+
+def test_rebind_carry_with_a_divider_terminal_nothing_else_touches(tmp_path, capsys):
+    # n5 is gone once the divider is stripped, so it names no side; the
+    # structural fallback wires the divider, and since it was inert the
+    # binary carry no longer decodes like the divided one
+    n = parse(DANGLING_DIVIDER)
+    assert sum(division_counts(n, "y")) > 0
+    with pytest.raises(EquivalenceCheckFailedError):
+        rebind_carry(n, "y")
+    cell = tmp_path / "cell.tn"
+    cell.write_text(DANGLING_DIVIDER)
+    argv = ["simplify", str(cell), "--assume", "a=012", "--rebind-carry", "y",
+            "-o", str(tmp_path / "slim.tn")]
+    assert run(argv) in (0, 1, 2)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
 
 
 # -- tracked complements: one joined sweep against one solve per cell ---------

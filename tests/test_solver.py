@@ -1,5 +1,6 @@
 import gc
 import heapq
+import itertools
 import random
 import weakref
 from dataclasses import replace
@@ -27,15 +28,25 @@ from tritforge.generate import (
     gen_tfa,
     gen_tha,
 )
-from tritforge.netlist import Device, Netlist, Polarity, ThresholdClass, parse, serialize
+from tritforge.netlist import (
+    Device,
+    Netlist,
+    Polarity,
+    ThresholdClass,
+    domain_encoding,
+    parse,
+    serialize,
+)
 from tritforge.solver import (
     CODE_G,
     CODE_H,
     CODE_V,
     CODE_X,
+    CODE_Z,
     CompiledNetlist,
     Sweep,
     _CODE_OF_LEVEL,
+    _LEVEL_OF_CODE,
     _MASK_TO_CODE,
     conduction,
     decoded_truth,
@@ -48,7 +59,7 @@ from tritforge.solver import (
     truth_signature,
     truth_table,
 )
-from tritforge.trits import Encoding, Level
+from tritforge.trits import Encoding, Level, decode
 
 STI = parse("""\
 .input a ternary
@@ -449,9 +460,161 @@ def test_ccc_kernel_with_a_ccc_too_wide_to_key(monkeypatch):
     devices.append(Device("top", Polarity.P, ThresholdClass.LVT, "a", "VDD", "c0"))
     n = Netlist(inputs=(("a", ternary), ("b", ternary)), devices=tuple(devices))
     cn = CompiledNetlist(n)
-    assert cn._unkeyed.size == 1
+    assert cn._all.unkeyed.size == 1
     codes = _sweep_codes(n)
     assert _assert_matches_oracle(cn, codes).all()
+
+
+# -- ranked sweeps against the Jacobi rounds ---------------------------------
+
+def _assert_ranked_matches_jacobi(n):
+    """Levels, masks and stable flags of the sweep equal those of the Jacobi
+    rounds bit for bit; returns whether the netlist has CCC ranks."""
+    swept = Sweep(n)
+    want = swept.cn.solve_batch(swept.codes)
+    assert np.array_equal(swept.codes, _sweep_codes(n))
+    assert np.array_equal(swept.stable, want[3])
+    for got, ref in zip((swept.levels, swept.masks), want[:2]):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    return swept.cn.ccc_rank is not None
+
+
+def test_ranked_sweep_matches_jacobi_on_generated_netlists():
+    netlists = [gen_rca(digits, StyleSpec(style, Completeness.PARTIAL,
+                                          carry_encoding=Encoding.FULL_VDD_HIGH))
+                for digits in (2, 3) for style in Style]
+    for cell in _generated_cells():
+        netlists += [cell, gen_testbench(cell)]
+    for n in netlists:
+        assert _assert_ranked_matches_jacobi(n), n.title
+
+
+@pytest.mark.parametrize("chunk", [2048, 5])
+def test_ranked_sweep_matches_jacobi_on_random_netlists(monkeypatch, chunk):
+    from test_passes import _random_gated_netlist, _random_netlist
+
+    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    rng = random.Random(606 + chunk)
+    makers = (_random_netlist, _random_static_netlist, _random_gated_netlist,
+              _random_feedback_netlist)
+    ranked = 0
+    for i in range(800):
+        ranked += _assert_ranked_matches_jacobi(makers[i % 4](rng))
+    assert 400 < ranked < 800  # both paths run
+
+
+FEEDBACK = parse(
+    ".output y\n.output z\n"
+    "m pu p lvt g=GND s=VDD d=y\nm pd n hvt g=z s=y d=GND\n"
+    "m qu p lvt g=GND s=VDD d=z\nm qd n hvt g=y s=z d=GND\n.end\n"
+)
+
+
+@pytest.mark.parametrize("n", [
+    parse(".output y\nm pu p lvt g=GND s=VDD d=y\nm pd n hvt g=y s=y d=GND\n.end\n"),
+    FEEDBACK,
+], ids=["self-gated", "two-ccc-loop"])
+def test_netlists_without_ranks_take_the_jacobi_rounds(n):
+    # y and z are pulled up, and each one's HVT pull-down turns on only when
+    # the gating net sits at VDD, so the levels alternate with period 2
+    cn = CompiledNetlist(n)
+    assert cn.ccc_rank is None
+    assert not _assert_ranked_matches_jacobi(n)
+    with pytest.raises(OscillationError, match="no fixed point at input point"):
+        truth_table(n)
+    with pytest.raises(OscillationError):
+        decoded_truth(n)
+
+
+def test_ccc_ranks_follow_gate_to_channel_edges():
+    # three STIs in a chain: each stage's CCC is gated by the one before
+    chain = parse(
+        ".input a ternary\n.output y\n"
+        "m p0 p lvt g=a s=VDD d=x1\nm n0 n lvt g=a s=x1 d=GND\n"
+        "m p1 p lvt g=x1 s=VDD d=x2\nm n1 n lvt g=x1 s=x2 d=GND\n"
+        "m p2 p lvt g=x2 s=VDD d=y\nm n2 n lvt g=x2 s=y d=GND\n"
+        "m g0 n lvt g=free s=x1 d=GND\n.end\n"
+    )
+    cn = CompiledNetlist(chain)
+    rank = {net: int(cn.ccc_rank[cn._all.out_ccc[np.flatnonzero(
+        cn._all.out_net == cn.index[net])[0]]]) for net in ("x1", "x2", "y")}
+    # the gate net "free" touches no channel: it reads Z and adds no edge,
+    # so the first stage does not gate itself
+    assert rank == {"x1": 0, "x2": 1, "y": 2}
+    assert len(cn._ranks) == 3
+
+
+def _reference_points(n, overrides=None):
+    """The input space as first written: Level tuples from itertools.product."""
+    axes = []
+    for name, dom in n.inputs:
+        dom = (overrides or {}).get(name, dom)
+        axes.append(sorted(dom, key=lambda lv: _CODE_OF_LEVEL[lv]))
+    return list(itertools.product(*axes))
+
+
+def test_sweep_codes_follow_the_lexicographic_input_space():
+    ternary = frozenset({Level.GND, Level.HALF, Level.VDD})
+    n = Netlist(inputs=(("a", ternary), ("b", frozenset({Level.GND, Level.VDD})),
+                        ("c", ternary), ("d", frozenset({Level.HALF}))))
+    for overrides in (None, {"c": frozenset({Level.VDD, Level.GND})}, {"a": frozenset()}):
+        points = _reference_points(n, overrides)
+        swept = Sweep(n, overrides)
+        assert swept.codes.dtype == np.int8
+        assert swept.codes.shape == (len(points), 4)
+        assert swept.points == input_space(n, overrides) == points
+        assert swept.codes.tolist() == [[_CODE_OF_LEVEL[lv] for lv in pt] for pt in points]
+    assert Sweep(Netlist()).codes.shape == (1, 0)
+
+
+# -- decoded truth against the route through truth_table ----------------------
+
+def _reference_decoded_truth(n, overrides=None):
+    """decoded_truth as first written: the truth table point by point, then
+    each input and output level decoded on its own."""
+    cn = CompiledNetlist(n)
+    points = _reference_points(n, overrides)
+    codes = np.array([[_CODE_OF_LEVEL[lv] for lv in pt] for pt in points],
+                     dtype=np.int8).reshape(len(points), len(n.inputs))
+    lv, _, _, stable = cn.solve_batch(codes)
+    if not stable.all():
+        raise OscillationError(f"no fixed point at input point {points[np.flatnonzero(~stable)[0]]}")
+    table = {}
+    for pt, row in zip(points, lv[:, cn.output_idx].tolist()):
+        for name, code in zip(n.output_names, row):
+            if code in (CODE_X, CODE_Z):
+                raise UnresolvableError(f"output {name!r} unresolved at input {pt}")
+        table[pt] = tuple(_LEVEL_OF_CODE[code] for code in row)
+    in_encs = [domain_encoding(dom) for _, dom in n.inputs]
+    out_encs = [enc for _, enc in n.outputs]
+    return {tuple(map(decode, pt, in_encs)): tuple(map(decode, levels, out_encs))
+            for pt, levels in table.items()}
+
+
+def test_decoded_truth_matches_reference_route():
+    from test_passes import _random_gated_netlist, _random_netlist
+
+    floating = parse(".input a binary\n.output y\nm m0 n lvt g=a s=VDD d=y\n.end\n")
+    wrong_level = replace(STI, outputs=(("y", Encoding.FULL_VDD_HIGH),))
+    cases = [(STI, None), (BININV, None), (floating, None), (wrong_level, None),
+             (STI, {"a": frozenset({Level.GND, Level.HALF})}),
+             (BININV, {"a": frozenset({Level.HALF})})]
+    rng = random.Random(909)
+    makers = (_random_netlist, _random_static_netlist, _random_gated_netlist,
+              _random_feedback_netlist)
+    for i in range(600):
+        n = makers[i % 4](rng)
+        n = replace(n, outputs=tuple((name, rng.choice(list(Encoding))) for name in n.output_names))
+        levels = [Level.GND, Level.HALF, Level.VDD]
+        overrides = {name: frozenset(rng.sample(levels, rng.randint(1, 3)))
+                     for name in n.input_names if rng.random() < 0.3}
+        cases.append((n, overrides or None))
+    seen = set()
+    for n, overrides in cases:
+        got = _outcome(lambda: Sweep(n, overrides).decoded_truth())
+        assert got == _outcome(_reference_decoded_truth, n, overrides)
+        seen.add(got[0] if isinstance(got, tuple) else "ok")
+    assert seen == {"ok", "DomainError", "UnresolvableError", "OscillationError"}
 
 
 # -- truth signatures ----------------------------------------------------------
