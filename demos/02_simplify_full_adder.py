@@ -19,7 +19,7 @@ from tritforge import (
     decoded_truth,
     division_counts,
     gen_tfa,
-    reduction_percent,
+    improvement_percent,
     simplify_pipeline,
 )
 
@@ -29,13 +29,11 @@ CIN_01 = AssumptionDomain("cin", frozenset({Level.GND, Level.HALF}))
 def main() -> None:
     for style in Style:
         complete = gen_tfa(StyleSpec(style, Completeness.COMPLETE))
-        partial, report = simplify_pipeline(
-            complete, CIN_01, rebind=True, carry_net="carry"
-        )
+        partial, report = simplify_pipeline(complete, CIN_01, carry_net="carry")
 
         before, after = len(complete.devices), len(partial.devices)
         print(f"{style.value:14s} {before:3d} -> {after:3d} devices "
-              f"({reduction_percent(before, after):.1f}% fewer)")
+              f"({improvement_percent(before, after):.1f}% fewer)")
         print(f"  wired={report.wired} opened={report.opened} "
               f"remapped={report.remapped} pruned={report.pruned} "
               f"factored={report.factored}")

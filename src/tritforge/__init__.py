@@ -40,7 +40,6 @@ from .netlist import (
     ThresholdClass,
     device_count,
     parse,
-    reduction_percent,
     serialize,
     validate,
 )

@@ -179,6 +179,8 @@ def _cmd_truth(args) -> int:
     idx = {name: i for i, name in enumerate(n.output_names)}
     if "sum" not in idx or "carry" not in idx:
         raise TritforgeError("--expect needs outputs named sum and carry")
+    if len(n.inputs) != 3:
+        raise TritforgeError("--expect needs a full adder with three inputs")
     bad = []
     for pt, val in sorted(table.items()):
         carry, total = oracle(*pt)
@@ -194,11 +196,7 @@ def _cmd_truth(args) -> int:
 def _cmd_simplify(args) -> int:
     n = _read_netlist(args.netlist)
     assumption = _parse_assumption(args.assume)
-    out, report = simplify_pipeline(
-        n, assumption,
-        rebind=args.rebind_carry is not None,
-        carry_net=args.rebind_carry,
-    )
+    out, report = simplify_pipeline(n, assumption, carry_net=args.rebind_carry)
     _write(args.output, serialize(out), args.force)
     if args.report:
         _write(args.report, report.to_json() + "\n", args.force)

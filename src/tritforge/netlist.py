@@ -444,10 +444,3 @@ def device_count(n: Netlist) -> DeviceCount:
         counts[key] = counts.get(key, 0) + 1
     ordered = tuple(sorted(counts.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)))
     return DeviceCount(by_class=ordered, total=len(n.devices))
-
-
-def reduction_percent(old: int, new: int) -> float:
-    """Relative reduction (old - new) / old in percent."""
-    if old <= 0:
-        raise ValueError("old count must be positive")
-    return 100.0 * (old - new) / old

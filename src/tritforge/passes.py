@@ -23,11 +23,11 @@ from .errors import (
     NetlistSemanticError,
     NoDividerFoundError,
     NonInputAssumptionError,
-    OscillationError,
     UnknownNetError,
-    UnresolvableError,
 )
 from .netlist import (
+    DOMAIN_BINARY,
+    DOMAIN_HALFPAIR,
     Device,
     Netlist,
     Polarity,
@@ -35,8 +35,8 @@ from .netlist import (
     TAG_DIVIDER,
     ThresholdClass,
 )
-from .solver import CompiledNetlist, Sweep, conduction, truth_signature, truth_table
-from .trits import Encoding, Level, STABLE_LEVELS
+from .solver import CompiledNetlist, Sweep, conduction, truth_signature
+from .trits import Encoding, STABLE_LEVELS
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def apply_assumption(n: Netlist, a: AssumptionDomain):
         raise NonInputAssumptionError(f"{a.net!r} is not a declared input")
 
     tracked = _tracked_complements(n, a)
-    binary_assumption = frozenset(a.levels) == frozenset({Level.GND, Level.VDD})
+    binary_assumption = frozenset(a.levels) == DOMAIN_BINARY
 
     unions, removed, vt_map = [], set(), {}
     report = PassReport()
@@ -369,7 +369,7 @@ def _swap_carry_stis(n: Netlist):
     binary_inputs = {
         name
         for name, dom in n.inputs
-        if dom in (frozenset({Level.GND, Level.VDD}), frozenset({Level.GND, Level.HALF}))
+        if dom in (DOMAIN_BINARY, DOMAIN_HALFPAIR)
     }
     if not binary_inputs:
         return None, 0
@@ -412,37 +412,18 @@ def _swap_carry_stis(n: Netlist):
     return replace(n, devices=tuple(devices), extra_nets=frozenset()), changed
 
 
-def _rebind_candidates(n: Netlist) -> list[str]:
-    """Outputs still carrying logic '1' at the half level.
-
-    Covers both declared HalfVddHigh outputs and standard-encoded outputs
-    whose observed image collapsed to {GND, HALF} under an assumption.
-    """
-    names = [name for name, enc in n.outputs if enc is Encoding.HALF_VDD_HIGH]
-    std = [name for name, enc in n.outputs if enc is Encoding.STANDARD]
-    if std:
-        try:
-            tt = truth_table(n)
-        except (OscillationError, UnresolvableError):
-            return names
-        order = n.output_names
-        for name in std:
-            i = order.index(name)
-            image = {row[i] for row in tt.values()}
-            if image <= {Level.GND, Level.HALF} and Level.HALF in image:
-                names.append(name)
-    return names
-
-
-def simplify_pipeline(
-    n: Netlist, a: AssumptionDomain, rebind: bool = False, carry_net: str | None = None
-):
-    """assumption → prune → factor to a fixpoint, then optional carry
-    re-encoding and the same fixpoint again.
+def simplify_pipeline(n: Netlist, a: AssumptionDomain, carry_net: str | None = None, *old):
+    """assumption → prune → factor to a fixpoint, then, when ``carry_net``
+    names an output, its re-encoding at the full supply and the same
+    fixpoint again.
 
     Decoded-truth equivalence over the assumed domain is a hard
     postcondition; if it fails the original netlist is returned untouched.
     """
+    if isinstance(carry_net, bool):
+        # the older positional form (rebind, carry_net), which
+        # bench/baselines.py still calls
+        carry_net = old[0] if carry_net else None
     before = truth_signature(n, overrides={a.net: frozenset(a.levels)})
 
     # complement tracking is one inverter deep, so eliminating a cell can
@@ -460,18 +441,11 @@ def simplify_pipeline(
 
     try:
         cur, report = fixpoint(n, PassReport())
-        if rebind:
-            targets = [carry_net] if carry_net else _rebind_candidates(cur)
-            # already at the full supply: nothing left to re-encode
-            done = {name for name, enc in cur.outputs if enc is Encoding.FULL_VDD_HIGH}
-            targets = [t for t in targets if t not in done]
-            if len(targets) > 1:
-                raise DomainError(
-                    f"ambiguous carry output among {targets}; re-encode explicitly"
-                )
-            if targets:
-                cur, r = rebind_carry(cur, targets[0])
-                cur, report = fixpoint(cur, report + r)
+        # already at the full supply: nothing left to re-encode
+        done = dict(cur.outputs).get(carry_net) is Encoding.FULL_VDD_HIGH
+        if carry_net is not None and not done:
+            cur, r = rebind_carry(cur, carry_net)
+            cur, report = fixpoint(cur, report + r)
     except (EquivalenceCheckFailedError, NetlistSemanticError):
         # refuse rather than emit a netlist that shorts the rails or
         # changes behaviour; the caller gets the input back untouched

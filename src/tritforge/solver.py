@@ -22,11 +22,12 @@ keyed from the final levels of the ranks below (the rank-ordered compiled
 evaluation of COSMOS, Bryant et al., DAC 1987).  Jacobi rounds solve the
 rest: netlists with feedback, solves seeded by an earlier state
 (``solve_state(prev=...)``, ``simulate_pattern``) and callers that count
-settling rounds.  Each round solves every CCC once per distinct row; states
-that reach a fixed point or a period-2 cycle leave the active set.  On a
-netlist with ranks both give the same levels and masks, bit for bit.  Both
-work through large sweeps in chunks of states, so exhaustive truth tables
-and multi-thousand-state ripple carry sweeps stay cheap in time and memory.
+settling rounds.  Each round closes every CCC of every active state on
+that state's own levels; states that reach a fixed point or a period-2
+cycle leave the active set.  On a netlist with ranks both give the same
+levels and masks, bit for bit.  Both work through large sweeps in chunks of
+states, so exhaustive truth tables and multi-thousand-state ripple carry
+sweeps stay cheap in memory.
 
 Every exhaustive view of a netlist (truth table, decoded truth, truth
 signature, division counts, a net's image, full-swing lint) reads one
@@ -84,16 +85,6 @@ _CHUNK = 2048
 # over 150 MiB, and they run about twice as fast.
 _LINT_BLOCK = 128
 
-# Below this many active states each state keeps its own CCC rows: finding
-# shared rows would cost more than it saves.
-_SHARE_MIN = 16
-
-
-# Levels per word when a CCC's level vector is packed for comparison:
-# 3 bits a level code, 21 codes to an int64.
-_SLOTS = 21
-_SLOT_WEIGHT = 8 ** np.arange(_SLOTS, dtype=np.int64)
-
 
 def _take(table, rows, ccc, col):
     """(states, len(col)) entries of a (column, row) table: entry j of a
@@ -137,14 +128,14 @@ class SwingWarning(NamedTuple):
 class _Group(NamedTuple):
     """CCCs solved side by side on their local columns (see ``_partition``).
 
-    Index arrays named ``*_src`` pick columns of the level array the group
-    reads: the full levels of the states in a ranked solve, the compact key
-    levels in a Jacobi round.  ``out_net`` lists the group's non-driver
-    nets; each one reads local column ``out_col`` in its CCC ``out_ccc``.
+    Index arrays named ``*_src`` pick the nets whose levels the group reads,
+    as columns of a (states, nets) level array.  ``out_net`` lists the
+    group's non-driver nets; each one reads local column ``out_col`` in its
+    CCC ``out_ccc``.
     """
 
     n_ccc: int
-    n_cols: int  # local columns, plus a spare one that reads Z in every row
+    n_cols: int
     drv_cols: np.ndarray  # local columns holding a copy of a driver net
     drv_ccc: np.ndarray
     drv_src: np.ndarray
@@ -335,9 +326,8 @@ class CompiledNetlist:
         key_weight = np.where(keyed[key_ccc], 5 ** np.minimum(place, 26), 0)
         key_offset = np.cumsum([0] + span[:-1], dtype=np.int64)
 
-        def group(ks, source):
-            """The _Group of the kernel CCCs ``ks`` (ascending); ``source``
-            maps net indices to columns of the levels the group reads."""
+        def group(ks):
+            """The _Group of the kernel CCCs ``ks`` (ascending)."""
             member = np.zeros(C, dtype=bool)
             member[ks] = True
             k_local = np.zeros(C, dtype=np.intp)
@@ -364,15 +354,15 @@ class CompiledNetlist:
             osel = np.flatnonzero(member[net_k])
             return _Group(
                 n_ccc=ks.size,
-                n_cols=g_drv.size + 1,
+                n_cols=g_drv.size,
                 drv_cols=np.flatnonzero(g_drv),
                 drv_ccc=k_local[col_ccc[drv]],
-                drv_src=source(col_net[drv]),
+                drv_src=col_net[drv],
                 lut=lut[dsel],
                 dev_ccc=k_local[dev_k[dsel]],
-                dev_src=source(gate[dsel]),
+                dev_src=gate[dsel],
                 steps=steps,
-                key_src=source(key_net[ksel]),
+                key_src=key_net[ksel],
                 key_weight=key_weight[ksel],
                 key_bounds=np.append(np.searchsorted(key_ccc[ksel], ks), ksel.size),
                 key_offset=key_offset[ks],
@@ -381,33 +371,6 @@ class CompiledNetlist:
                 out_ccc=k_local[net_k[osel]],
                 out_col=local[out_col[osel]],
             )
-
-        # key levels: each state of a Jacobi round carries the levels of the
-        # nets that gate a device or drive a channel; the non-driver ones
-        # change every round
-        knet = np.unique(np.r_[gate, col_net[col_drv]], return_index=True)[0]
-        self._knet = knet
-        self._knd = np.flatnonzero(nd[knet])
-        pos = np.searchsorted(nd_idx, knet[self._knd])
-        self._knd_ccc, self._knd_col = net_k[pos], out_col[pos]
-        # position of each column's net among the non-driver nets; driver
-        # columns and the spare column past the end point one past the end,
-        # at a pad that never holds charge
-        self._col_nd = np.r_[
-            np.where(col_drv, nd_idx.size, np.searchsorted(nd_idx, col_net)), nd_idx.size
-        ]
-
-        # level words: a CCC's non-driver levels, _SLOTS to a word in radix
-        # 8, so comparing words compares level vectors exactly; the spare
-        # column (Z in every row) fills the last word of each CCC
-        order = np.argsort(net_k, kind="stable")
-        k_sorted = net_k[order]
-        place = np.arange(order.size) - np.searchsorted(k_sorted, k_sorted)
-        words, word = np.unique(k_sorted * N + place // _SLOTS, return_inverse=True)
-        self._word_ccc = words // N
-        self._word_range = np.arange(words.size)
-        self._word_col = np.full((_SLOTS, words.size), cols.size, dtype=np.intp)
-        self._word_col[place % _SLOTS, word] = out_col[order]
 
         # CCC ranks by relaxation: in a DAG the longest path has at most C-1
         # edges, so C rounds settle it unless there is a cycle
@@ -431,14 +394,14 @@ class CompiledNetlist:
 
     @cached_property
     def _all(self) -> _Group:
-        """Every CCC, read from the compact key levels of the Jacobi rounds."""
-        return self._group(np.arange(self._n_ccc), lambda nets: np.searchsorted(self._knet, nets))
+        """Every CCC, for the Jacobi rounds."""
+        return self._group(np.arange(self._n_ccc))
 
     @cached_property
     def _ranks(self) -> list[_Group]:
-        """One group per CCC rank, lowest first, read from full levels."""
+        """One group per CCC rank, lowest first."""
         return [
-            self._group(np.flatnonzero(self.ccc_rank == r), lambda nets: nets)
+            self._group(np.flatnonzero(self.ccc_rank == r))
             for r in range(self.ccc_rank.max() + 1)
         ]
 
@@ -505,84 +468,56 @@ class CompiledNetlist:
     def _solve_chunk(self, lv, masks, rounds, stable, hold):
         """Jacobi rounds over one chunk of states, filling the outputs in place.
 
-        A state leaves the active set when a round leaves it unchanged (a
-        fixed point, which it keeps forever) or, from the third round on,
-        when its levels repeat those of two rounds back while differing from
-        the last (a period-2 cycle, which the deterministic round map never
-        leaves).
+        Each round closes every CCC of each active state on that state's own
+        levels.  A state leaves the active set when a round leaves it
+        unchanged (a fixed point, which it keeps forever) or, from the third
+        round on, when its levels repeat those of two rounds back while
+        differing from the last (a period-2 cycle, which the deterministic
+        round map never leaves).
         """
         nd = self.nondriver_idx
-        out = (self._all.out_ccc, self._all.out_col)
         act = np.arange(lv.shape[0])
-        kl = lv[:, self._knet]
-        share = hold is None and act.size >= _SHARE_MIN
-        if hold is not None:
-            # held charge per local column; seeded states never share rows
-            pad = np.full((act.size, 1), CODE_Z, dtype=np.int8)
-            hold = np.concatenate([hold, pad], axis=1)[:, self._col_nd].T
-        last = back = None
-        for _ in range(max(4 * self.n_nets, 8)):
-            rows, table, levels = self._round(kl, share, hold)
-            new = self._level_words(rows, levels)
-            if last is None:
-                # the starting levels may hold any code: compare them in full
-                changed = (_take(levels, rows, *out) != lv[:, nd]).any(axis=1)
-            else:
-                changed = (new != last).any(axis=1)
+        cur = lv.copy()
+        for r in range(max(4 * self.n_nets, 8)):
+            table, new = self._round(cur, hold)
+            last = cur[:, nd]
+            changed = (new != last).any(axis=1)
             rounds[act] += changed
             done = ~changed
-            if back is not None:
+            if r >= 2:
                 done |= (new == back).all(axis=1)
             if done.any():
                 idx = act[done]
-                lv[idx[:, None], nd] = _take(levels, rows[done], *out)
-                masks[idx[:, None], nd] = _take(table, rows[done], *out)
+                lv[idx[:, None], nd] = new[done]
+                masks[idx[:, None], nd] = table[done]
                 stable[idx] = ~changed[done]
                 keep = ~done
-                act, rows, new, kl = act[keep], rows[keep], new[keep], kl[keep]
+                act, cur, new, last = act[keep], cur[keep], new[keep], last[keep]
                 if hold is not None:
-                    hold = hold[:, keep]
-                if last is not None:
-                    last = last[keep]
-                if back is not None:
-                    back = back[keep]
+                    hold = hold[keep]
                 if not act.size:
                     return
-            back, last = last, new
-            settled = rows, levels
-            kl[:, self._knd] = _take(levels, rows, self._knd_ccc, self._knd_col)
+            back = last
+            cur[:, nd] = new
         # one more recompute to identify which states are still moving
-        rows, table, levels = self._round(kl, share, hold)
-        lv[act[:, None], nd] = _take(settled[1], settled[0], *out)
-        masks[act[:, None], nd] = _take(table, rows, *out)
-        stable[act] = ~(self._level_words(rows, levels) != last).any(axis=1)
+        table, new = self._round(cur, hold)
+        lv[act[:, None], nd] = cur[:, nd]
+        masks[act[:, None], nd] = table
+        stable[act] = ~(new != cur[:, nd]).any(axis=1)
 
-    def _round(self, kl, share, hold):
-        """One Jacobi round over the states whose key levels are ``kl``.
+    def _round(self, lv, hold):
+        """One Jacobi round over the states of full levels ``lv``.
 
-        Returns each state's row in every CCC, and the (local column, row)
-        tables of drive masks and resulting levels.  Unless ``share`` is set,
-        every state keeps rows of its own.
+        Returns the states' drive masks and new levels of the non-driver
+        nets, both (states, nets).  A net that nothing drives keeps its
+        charge from the non-driver levels ``hold``, if given.
         """
         g = self._all
-        if share:
-            rows, rep = g.rows(kl)
-            table = g.solve(kl, rep)
-        else:
-            A = kl.shape[0]
-            rows = np.broadcast_to(np.arange(A)[:, None], (A, g.n_ccc))
-            table = g.closure(kl[:, g.drv_src], kl[:, g.dev_src])
+        table = g.closure(lv[:, g.drv_src], lv[:, g.dev_src])[g.out_col].T
         levels = _MASK_TO_CODE[table]
         if hold is not None:
             levels = np.where((table == 0) & (hold <= CODE_V), hold, levels)
-        return rows, table, levels
-
-    def _level_words(self, rows, levels):
-        """Each state's non-driver levels packed into words: (states, words)."""
-        words = np.einsum(
-            "swr,s->wr", levels[self._word_col], _SLOT_WEIGHT, dtype=np.int64
-        )
-        return _take(words, rows, self._word_ccc, self._word_range)
+        return table, levels
 
     # -- helpers --------------------------------------------------------
 

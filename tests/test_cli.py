@@ -114,6 +114,14 @@ def test_bad_assumption_levels_exit_1(tmp_path, capsys):
     assert "'07'" in err
 
 
+@pytest.mark.parametrize("table", ["table2-complete", "table2-partial"])
+def test_truth_expectation_needs_three_inputs(tmp_path, capsys, table):
+    cell = tmp_path / "tha.tn"
+    run(["gen", "tha", "--style", "ntpt", "-o", str(cell)])
+    err = _fails_cleanly(["truth", str(cell), "--expect", table], capsys)
+    assert "three inputs" in err
+
+
 @pytest.mark.parametrize("command", ["sim", "metrics"])
 def test_pattern_missing_an_input_exits_1(tmp_path, capsys, command):
     cell = tmp_path / "cell.tn"

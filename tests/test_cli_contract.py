@@ -91,6 +91,8 @@ def test_cli_contract(netlist, levels, data):
         Path(path["cell"]).write_text(serialize(netlist))
         cell = path["cell"]
         _run(["truth", cell, "-o", "-"])
+        _run(["truth", cell, "--expect", "table2-complete"])
+        _run(["truth", cell, "--expect", "table2-partial"])
         _run(["lint", cell, "--format", "json"])
         _run(["gen", "testbench", cell, "-o", path["tb"]])
         if _run(["gen", "pattern", cell, "--kind", "static", "-o", path["pat"]]) == 0:
@@ -104,6 +106,6 @@ def test_cli_contract(netlist, levels, data):
             written = parse(Path(path["slim"]).read_text())
             out, _ = simplify_pipeline(
                 parse(Path(cell).read_text()), _parse_assumption(f"{assumed}={levels}"),
-                rebind=carry is not None, carry_net=carry,
+                carry_net=carry,
             )
             assert written == out

@@ -14,7 +14,6 @@ from tritforge.netlist import (
     domain_token,
     parse,
     parse_domain,
-    reduction_percent,
     serialize,
     validate,
 )
@@ -153,14 +152,6 @@ def test_device_count():
     assert dc.count(Polarity.P, ThresholdClass.HVT) == 1
     assert dc.count(Polarity.N, ThresholdClass.MVT) == 2
     assert dc.count(Polarity.N, ThresholdClass.ULVT) == 0
-
-
-def test_reduction_percent():
-    assert reduction_percent(106, 74) == pytest.approx(30.2, abs=0.05)
-    assert reduction_percent(132, 76) == pytest.approx(42.4, abs=0.05)
-    assert reduction_percent(100, 100) == 0.0
-    with pytest.raises(ValueError):
-        reduction_percent(0, 0)
 
 
 # -- property: parse(serialize(n)) == n over generated netlists ----------

@@ -223,7 +223,7 @@ def test_pipeline_complete_to_partial(style):
     for cascade in Cascade:
         n = gen_tfa(StyleSpec(style, Completeness.COMPLETE, cascade=cascade))
         a = AssumptionDomain("cin", HALFPAIR)
-        out, report = simplify_pipeline(n, a, rebind=True, carry_net="carry")
+        out, report = simplify_pipeline(n, a, carry_net="carry")
         ref = gen_tfa(StyleSpec(style, Completeness.PARTIAL,
                                 carry_encoding=Encoding.FULL_VDD_HIGH,
                                 cascade=cascade))
@@ -238,8 +238,8 @@ def test_pipeline_is_idempotent():
     for style in Style:
         n = gen_tfa(StyleSpec(style, Completeness.COMPLETE))
         a = AssumptionDomain("cin", HALFPAIR)
-        once, _ = simplify_pipeline(n, a, rebind=True, carry_net="carry")
-        twice, report = simplify_pipeline(once, a, rebind=True, carry_net="carry")
+        once, _ = simplify_pipeline(n, a, carry_net="carry")
+        twice, report = simplify_pipeline(once, a, carry_net="carry")
         assert twice == once
         assert report.wired == report.opened == report.pruned == 0
 

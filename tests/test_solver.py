@@ -45,6 +45,8 @@ from tritforge.solver import (
     CODE_Z,
     CompiledNetlist,
     Sweep,
+    _BIT_G,
+    _BIT_V,
     _CODE_OF_LEVEL,
     _LEVEL_OF_CODE,
     _MASK_TO_CODE,
@@ -384,16 +386,14 @@ def _random_feedback_netlist(rng):
                    extra_nets=frozenset(internal))
 
 
-@pytest.mark.parametrize("share_min,chunk", [(16, 2048), (1, 2048), (1, 5)])
-def test_ccc_kernel_matches_dense_oracle_on_random_netlists(monkeypatch, share_min, chunk):
-    # share_min 1 sends even tiny sweeps through the shared-row path; chunk 5
-    # cuts every sweep into several chunks
+@pytest.mark.parametrize("chunk", [2048, 5])
+def test_ccc_kernel_matches_dense_oracle_on_random_netlists(monkeypatch, chunk):
+    # chunk 5 cuts every sweep into several chunks
     from test_passes import _random_netlist
 
-    monkeypatch.setattr(solver_mod, "_SHARE_MIN", share_min)
     monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
-    rng = random.Random(2024 + share_min + chunk)
-    gen = np.random.default_rng(share_min + chunk)
+    rng = random.Random(2024 + chunk)
+    gen = np.random.default_rng(chunk)
     unstable = 0
     for i in range(600):
         make = (_random_netlist, _random_static_netlist, _random_feedback_netlist)[i % 3]
@@ -446,10 +446,10 @@ def test_ccc_kernel_without_channels():
         assert _assert_matches_oracle(cn, codes, prev).all()
 
 
-def test_ccc_kernel_with_a_ccc_too_wide_to_key(monkeypatch):
+def test_ccc_kernel_with_a_ccc_too_wide_to_key():
     # a pass chain gated by 30 distinct nets: its row key would need 30+
-    # radix-5 digits, more than an int64 holds, so each state keys it alone
-    monkeypatch.setattr(solver_mod, "_SHARE_MIN", 1)
+    # radix-5 digits, more than an int64 holds, so each state of a ranked
+    # sweep keys it alone
     ternary = frozenset({Level.GND, Level.HALF, Level.VDD})
     devices = []
     for i in range(30):
@@ -460,9 +460,13 @@ def test_ccc_kernel_with_a_ccc_too_wide_to_key(monkeypatch):
     devices.append(Device("top", Polarity.P, ThresholdClass.LVT, "a", "VDD", "c0"))
     n = Netlist(inputs=(("a", ternary), ("b", ternary)), devices=tuple(devices))
     cn = CompiledNetlist(n)
-    assert cn._all.unkeyed.size == 1
+    assert sorted(g.unkeyed.size for g in cn._ranks) == [0, 1]
     codes = _sweep_codes(n)
     assert _assert_matches_oracle(cn, codes).all()
+    swept = Sweep(n)
+    want = _dense_solve_batch(swept.cn, swept.codes)
+    assert swept.stable.all() and want[3].all()
+    assert np.array_equal(swept.levels, want[0]) and np.array_equal(swept.masks, want[1])
 
 
 # -- ranked sweeps against the Jacobi rounds ---------------------------------
@@ -524,6 +528,38 @@ def test_netlists_without_ranks_take_the_jacobi_rounds(n):
         truth_table(n)
     with pytest.raises(OscillationError):
         decoded_truth(n)
+
+
+RING = parse(
+    "m px p lvt g=z s=VDD d=x\nm nx n lvt g=z s=x d=GND\n"
+    "m py p lvt g=x s=VDD d=y\nm ny n lvt g=x s=y d=GND\n"
+    "m pz p lvt g=y s=VDD d=z\nm nz n lvt g=y s=z d=GND\n.end\n"
+)
+
+
+@pytest.mark.parametrize("seed,rounds,final,drive", [
+    # (x, y, z) cycles with period 6 and runs out the 4·n_nets budget of 20
+    # rounds: the levels are those of the last round, the masks those of
+    # one more, and the dense oracle agrees on all of them
+    ((CODE_G, CODE_V, CODE_G), 20, (CODE_V, CODE_G, CODE_G), (_BIT_V, _BIT_G, _BIT_V)),
+    # all equal: period 2, caught from the third round on (the second round
+    # repeats only the seed), with the levels and masks of that round
+    ((CODE_G, CODE_G, CODE_G), 3, (CODE_V, CODE_V, CODE_V), (_BIT_V, _BIT_V, _BIT_V)),
+], ids=["period-6", "period-2"])
+def test_jacobi_rounds_on_an_unstable_ring(seed, rounds, final, drive):
+    cn = CompiledNetlist(RING)
+    nets = [cn.index[name] for name in "xyz"]
+    prev = np.full((1, cn.n_nets), CODE_X, dtype=np.int8)
+    prev[0, nets] = seed
+    codes = np.zeros((1, 0), dtype=np.int8)
+    got = cn.solve_batch(codes, prev)
+    lv, masks, got_rounds, stable = got
+    assert not stable[0] and got_rounds[0] == rounds
+    assert tuple(lv[0, nets].tolist()) == final
+    assert tuple(masks[0, nets].tolist()) == drive
+    if rounds == 20:
+        want = _dense_solve_batch(cn, codes, prev)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_ccc_ranks_follow_gate_to_channel_edges():
