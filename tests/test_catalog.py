@@ -138,9 +138,6 @@ def test_results_catalog_loads():
 def test_improvement_percent():
     assert improvement_percent(100, 70) == pytest.approx(30.0)
     assert improvement_percent(1.2074, 0.5584) == pytest.approx(53.75, abs=0.01)
-    assert improvement_percent(106, 74) == pytest.approx(30.2, abs=0.05)
-    assert improvement_percent(132, 76) == pytest.approx(42.4, abs=0.05)
-    assert improvement_percent(100, 100) == 0.0
     with pytest.raises(ZeroDivisionError):
         improvement_percent(0, 1)
 

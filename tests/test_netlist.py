@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tritforge.catalog import improvement_percent
 from tritforge.errors import NetlistSemanticError, NetlistSyntaxError
 from tritforge.netlist import (
     DOMAIN_BINARY,
@@ -152,6 +153,15 @@ def test_device_count():
     assert dc.count(Polarity.P, ThresholdClass.HVT) == 1
     assert dc.count(Polarity.N, ThresholdClass.MVT) == 2
     assert dc.count(Polarity.N, ThresholdClass.ULVT) == 0
+
+
+def test_reduction_percent():
+    # device-count reductions go through catalog.improvement_percent
+    assert improvement_percent(106, 74) == pytest.approx(30.2, abs=0.05)
+    assert improvement_percent(132, 76) == pytest.approx(42.4, abs=0.05)
+    assert improvement_percent(100, 100) == 0.0
+    with pytest.raises(ZeroDivisionError):
+        improvement_percent(0, 0)
 
 
 # -- property: parse(serialize(n)) == n over generated netlists ----------

@@ -386,14 +386,15 @@ def _random_feedback_netlist(rng):
                    extra_nets=frozenset(internal))
 
 
-@pytest.mark.parametrize("chunk", [2048, 5])
-def test_ccc_kernel_matches_dense_oracle_on_random_netlists(monkeypatch, chunk):
-    # chunk 5 cuts every sweep into several chunks
+@pytest.mark.parametrize("seed,chunk", [(16, 2048), (1, 2048), (1, 5)])
+def test_ccc_kernel_matches_dense_oracle_on_random_netlists(monkeypatch, seed, chunk):
+    # seed picks the random netlists and held charge; chunk 5 cuts every
+    # sweep into several chunks
     from test_passes import _random_netlist
 
     monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
-    rng = random.Random(2024 + chunk)
-    gen = np.random.default_rng(chunk)
+    rng = random.Random(2024 + seed + chunk)
+    gen = np.random.default_rng(seed + chunk)
     unstable = 0
     for i in range(600):
         make = (_random_netlist, _random_static_netlist, _random_feedback_netlist)[i % 3]
