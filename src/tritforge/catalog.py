@@ -18,7 +18,8 @@ from importlib import resources
 
 from .errors import SchemaError, UnknownFieldError
 from .generate import Completeness
-from .trits import Encoding
+from .netlist import domain_token
+from .trits import CARRY_NAMES, Encoding
 
 __all__ = [
     "CascadeKind",
@@ -57,12 +58,9 @@ _CASCADE_ALIASES = {
     "both": CascadeKind.BOTH,
 }
 
-_CARRY_ALIASES = {
-    "half": Encoding.HALF_VDD_HIGH,
-    "halfpair": Encoding.HALF_VDD_HIGH,
-    "vdd": Encoding.FULL_VDD_HIGH,
-    "binary": Encoding.FULL_VDD_HIGH,
-}
+# a carry encoding is spelled by its short name or by its netlist format name
+_CARRY_ALIASES = {**CARRY_NAMES, **{domain_token(e.levels): e for e in CARRY_NAMES.values()}}
+_CARRY_LABEL = {enc: name for name, enc in CARRY_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,7 @@ def _label(value) -> str:
     if isinstance(value, Completeness):
         return value.value.capitalize()
     if isinstance(value, Encoding):
-        return "half" if value is Encoding.HALF_VDD_HIGH else "vdd"
+        return _CARRY_LABEL[value]
     if isinstance(value, Enum):
         return value.value
     return str(value)

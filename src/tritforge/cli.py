@@ -38,9 +38,7 @@ from .solver import (
     simulate_pattern,
     trace_csv,
 )
-from .trits import Encoding, full_add_complete, full_add_partial
-
-_CARRY = {"half": Encoding.HALF_VDD_HIGH, "vdd": Encoding.FULL_VDD_HIGH}
+from .trits import CARRY_NAMES, Encoding, full_add_complete, full_add_partial
 
 
 def _write(path: str | None, text: str, force: bool) -> None:
@@ -59,11 +57,10 @@ def _read_netlist(path: str):
 
 def _spec_from_args(args) -> StyleSpec:
     completeness = Completeness.PARTIAL if args.partial else Completeness.COMPLETE
-    carry = _CARRY[args.carry]
     return StyleSpec(
         style=Style(args.style),
         completeness=completeness,
-        carry_encoding=carry,
+        carry_encoding=CARRY_NAMES[args.carry],
         cascade=Cascade(args.cascade),
     )
 
@@ -71,7 +68,7 @@ def _spec_from_args(args) -> StyleSpec:
 def _add_style_flags(p, carry_default="half"):
     p.add_argument("--style", required=True,
                    choices=[s.value for s in Style])
-    p.add_argument("--carry", choices=sorted(_CARRY), default=carry_default)
+    p.add_argument("--carry", choices=sorted(CARRY_NAMES), default=carry_default)
     p.add_argument("--cascade", choices=[c.value for c in Cascade],
                    default=Cascade.DIRECT.value)
 
@@ -112,7 +109,7 @@ def _cmd_gen(args) -> int:
     elif args.what == "tfa":
         net = gen_tfa(_spec_from_args(args))
     elif args.what == "tha":
-        net = gen_tha(Style(args.style), _CARRY[args.carry])
+        net = gen_tha(Style(args.style), CARRY_NAMES[args.carry])
     elif args.what == "rca":
         spec = StyleSpec(
             style=Style(args.style),
@@ -170,17 +167,18 @@ def _truth_lines(n, table, fmt: str) -> str:
 
 def _cmd_truth(args) -> int:
     n = _read_netlist(args.netlist)
+    idx = {name: i for i, name in enumerate(n.output_names)}
+    if args.expect is not None:
+        if "sum" not in idx or "carry" not in idx:
+            raise TritforgeError("--expect needs outputs named sum and carry")
+        if len(n.inputs) != 3:
+            raise TritforgeError("--expect needs a full adder with three inputs")
     table = decoded_truth(n)
     _write(args.output, _truth_lines(n, table, args.format), args.force)
     if args.expect is None:
         return 0
     oracle = (full_add_complete if args.expect == "table2-complete"
               else full_add_partial)
-    idx = {name: i for i, name in enumerate(n.output_names)}
-    if "sum" not in idx or "carry" not in idx:
-        raise TritforgeError("--expect needs outputs named sum and carry")
-    if len(n.inputs) != 3:
-        raise TritforgeError("--expect needs a full adder with three inputs")
     bad = []
     for pt, val in sorted(table.items()):
         carry, total = oracle(*pt)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .errors import DomainError, UnsupportedCombinationError
 from .netlist import (
     DOMAIN_BINARY,
-    DOMAIN_HALFPAIR,
     DOMAIN_TERNARY,
     Netlist,
     Polarity,
@@ -93,14 +92,14 @@ class GateKind(enum.Enum):
 
 @dataclass(frozen=True)
 class _Term:
-    """One adder operand: a net plus how its levels decode to trits."""
+    """One adder operand: a net plus the encoding its levels decode under."""
 
     net: str
-    domain: frozenset
+    encoding: Encoding
 
     @property
-    def encoding(self) -> Encoding:
-        return domain_encoding(self.domain)
+    def domain(self) -> frozenset:
+        return self.encoding.levels
 
     def trit(self, level: Level) -> int:
         return decode(level, self.encoding)
@@ -113,14 +112,6 @@ def _carry_out_encoding(spec: StyleSpec) -> Encoding:
     if spec.completeness is Completeness.COMPLETE:
         return Encoding.STANDARD
     return spec.carry_encoding
-
-
-def _cin_domain(spec: StyleSpec) -> frozenset:
-    if spec.completeness is Completeness.COMPLETE:
-        return DOMAIN_TERNARY
-    if spec.carry_encoding is Encoding.FULL_VDD_HIGH:
-        return DOMAIN_BINARY
-    return DOMAIN_HALFPAIR
 
 
 def _sum_of(terms, pt):
@@ -196,7 +187,7 @@ def _indicators(builder, term: _Term):
     ind = {}
     for lv in term.levels():
         v = term.trit(lv)
-        if term.domain == DOMAIN_BINARY and lv is _V:
+        if term.encoding is Encoding.FULL_VDD_HIGH and lv is _V:
             pos = term.net  # the signal is already its own '1' indicator
         else:
             pos = builder.net(f"{term.net}.is{v}")
@@ -269,7 +260,7 @@ def _mux_route(builder, out, routes, selectors, tags=()):
 
 def _adder_mux(builder, terms, sum_out, carry_out, carry_enc):
     first, rest = terms[0], terms[1:]
-    if first.domain != DOMAIN_TERNARY:
+    if first.encoding is not Encoding.STANDARD:
         raise DomainError("mux style expects a ternary first operand")
     selectors = [_indicators(builder, t) for t in rest]
     cache: dict = {}
@@ -285,7 +276,7 @@ def _adder_mux(builder, terms, sum_out, carry_out, carry_enc):
             builder,
             first,
             tuple((x + s) // 3 for x in range(3)),
-            carry_enc if carry_enc is not Encoding.STANDARD else Encoding.STANDARD,
+            carry_enc,
             cache,
             (TAG_CARRY_GEN,),
         )
@@ -377,25 +368,21 @@ def _build_cell(builder, spec: StyleSpec, a, b, c, sum_out, carry_out):
     build = _ADDER_BUILDERS[spec.style]
     carry_enc = _carry_out_encoding(spec)
     terms = [
-        _Term(a, DOMAIN_TERNARY),
-        _Term(b, DOMAIN_TERNARY),
-        _Term(c, _cin_domain(spec)),
+        _Term(a, Encoding.STANDARD),
+        _Term(b, Encoding.STANDARD),
+        _Term(c, carry_enc),
     ]
     if spec.cascade is Cascade.DIRECT:
         build(builder, terms, sum_out, carry_out, carry_enc)
         return
-    # two cascaded half adders: (a,b) then (s1, cin)
-    tha_enc = (
-        Encoding.FULL_VDD_HIGH
-        if spec.carry_encoding is Encoding.FULL_VDD_HIGH
-        else Encoding.HALF_VDD_HIGH
-    )
+    # two cascaded half adders: (a,b) then (s1, cin); a half adder's carry
+    # is at most 1, so it takes the carry encoding even in a complete cell
+    tha_enc = spec.carry_encoding
     c1, s1 = builder.net("c1"), builder.net("s1")
     c2 = builder.net("c2")
     build(builder, terms[:2], s1, c1, tha_enc)
-    build(builder, [_Term(s1, DOMAIN_TERNARY), terms[2]], sum_out, c2, tha_enc)
-    cd = DOMAIN_BINARY if tha_enc is Encoding.FULL_VDD_HIGH else DOMAIN_HALFPAIR
-    combine = [_Term(c1, cd), _Term(c2, cd)]
+    build(builder, [_Term(s1, Encoding.STANDARD), terms[2]], sum_out, c2, tha_enc)
+    combine = [_Term(c1, tha_enc), _Term(c2, tha_enc)]
     _carry_gate(
         builder,
         combine,
@@ -411,9 +398,10 @@ def gen_tfa(spec: StyleSpec) -> Netlist:
                       f"carry={spec.carry_encoding.value} {spec.cascade.value}")
     b.declare_input("a", DOMAIN_TERNARY)
     b.declare_input("b", DOMAIN_TERNARY)
-    b.declare_input("cin", _cin_domain(spec))
+    carry = _carry_out_encoding(spec)
+    b.declare_input("cin", carry.levels)  # a carry-in is the previous cell's carry
     b.declare_output("sum", Encoding.STANDARD)
-    b.declare_output("carry", _carry_out_encoding(spec))
+    b.declare_output("carry", carry)
     _build_cell(b, spec, "a", "b", "cin", "sum", "carry")
     return b.build()
 
@@ -427,7 +415,7 @@ def gen_tha(style: Style, carry_encoding: Encoding = Encoding.HALF_VDD_HIGH) -> 
     b.declare_input("b", DOMAIN_TERNARY)
     b.declare_output("sum", Encoding.STANDARD)
     b.declare_output("carry", carry_encoding)
-    terms = [_Term("a", DOMAIN_TERNARY), _Term("b", DOMAIN_TERNARY)]
+    terms = [_Term("a", Encoding.STANDARD), _Term("b", Encoding.STANDARD)]
     _ADDER_BUILDERS[style](b, terms, "sum", "carry", carry_encoding)
     return b.build()
 

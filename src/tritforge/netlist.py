@@ -14,6 +14,11 @@ The text format ("tritforge-net v1") is whitespace-separated tokens with
 
 ``VDD`` and ``GND`` are reserved rail names.  Nets are created implicitly
 on first use unless strict mode is requested.
+
+The encodings and the levels each one uses are defined once, by
+:class:`~tritforge.trits.Encoding`.  This module adds only their format
+names (``_ENC_NAMES``): an input domain named by an encoding is that
+encoding's ``levels``, and level digits are trits of the standard encoding.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NetlistSemanticError, NetlistSyntaxError
-from .trits import DEFAULT_VDD, Encoding, Level
+from .trits import DEFAULT_VDD, Encoding, Level, decode, encode
 
 RAILS = ("VDD", "GND")
 
@@ -60,52 +65,40 @@ class Polarity(enum.Enum):
 TAG_DIVIDER = "divider"
 TAG_CARRY_GEN = "carry-gen"
 
-_DOMAIN_NAMES = {
-    "ternary": frozenset({Level.GND, Level.HALF, Level.VDD}),
-    "binary": frozenset({Level.GND, Level.VDD}),
-    "halfpair": frozenset({Level.GND, Level.HALF}),
-}
-_LEVEL_DIGIT = {"0": Level.GND, "1": Level.HALF, "2": Level.VDD}
+DOMAIN_TERNARY = Encoding.STANDARD.levels
+DOMAIN_BINARY = Encoding.FULL_VDD_HIGH.levels
+DOMAIN_HALFPAIR = Encoding.HALF_VDD_HIGH.levels
 
-DOMAIN_TERNARY = _DOMAIN_NAMES["ternary"]
-DOMAIN_BINARY = _DOMAIN_NAMES["binary"]
-DOMAIN_HALFPAIR = _DOMAIN_NAMES["halfpair"]
-
-
-def parse_domain(token: str) -> frozenset[Level]:
-    """Parse a domain keyword or a compact level-digit string like ``01``."""
-    low = token.lower()
-    if low in _DOMAIN_NAMES:
-        return _DOMAIN_NAMES[low]
-    if low and all(ch in _LEVEL_DIGIT for ch in low) and len(set(low)) == len(low):
-        return frozenset(_LEVEL_DIGIT[ch] for ch in low)
-    raise ValueError(f"unknown input domain {token!r}")
-
-
-def domain_token(domain: frozenset[Level]) -> str:
-    """Canonical serialization of an input domain."""
-    for name, levels in _DOMAIN_NAMES.items():
-        if levels == domain:
-            return name
-    digits = {Level.GND: "0", Level.HALF: "1", Level.VDD: "2"}
-    return "".join(digits[lv] for lv in sorted(domain, key=lambda l: l.name))
-
-
-def domain_encoding(domain: frozenset[Level]) -> Encoding:
-    """Encoding under which levels of this input domain decode to trits."""
-    if domain == DOMAIN_BINARY:
-        return Encoding.FULL_VDD_HIGH
-    if domain == DOMAIN_HALFPAIR:
-        return Encoding.HALF_VDD_HIGH
-    return Encoding.STANDARD
-
-
+# The one name table of the text format: ``.input`` domains and ``.output enc=``.
 _ENC_NAMES = {
     "ternary": Encoding.STANDARD,
     "binary": Encoding.FULL_VDD_HIGH,
     "halfpair": Encoding.HALF_VDD_HIGH,
 }
-_ENC_TOKENS = {v: k for k, v in _ENC_NAMES.items()}
+_DOMAIN_TOKEN = {enc.levels: name for name, enc in _ENC_NAMES.items()}
+_DOMAIN_ENCODING = {enc.levels: enc for enc in Encoding}
+
+
+def parse_domain(token: str) -> frozenset[Level]:
+    """Parse an encoding name or a compact level-digit string like ``01``."""
+    low = token.lower()
+    if low in _ENC_NAMES:
+        return _ENC_NAMES[low].levels
+    if low and all(ch in "012" for ch in low) and len(set(low)) == len(low):
+        return frozenset(encode(int(ch)) for ch in low)
+    raise ValueError(f"unknown input domain {token!r}")
+
+
+def domain_token(domain: frozenset[Level]) -> str:
+    """Canonical serialization of an input domain: its encoding name, else level digits."""
+    if domain in _DOMAIN_TOKEN:
+        return _DOMAIN_TOKEN[domain]
+    return "".join(sorted(str(decode(lv)) for lv in domain))
+
+
+def domain_encoding(domain: frozenset[Level]) -> Encoding:
+    """Encoding under which levels of this input domain decode to trits."""
+    return _DOMAIN_ENCODING.get(domain, Encoding.STANDARD)
 
 
 @dataclass(frozen=True)
@@ -364,7 +357,7 @@ def serialize(n: Netlist) -> str:
         if enc is Encoding.STANDARD:
             lines.append(f".output {name}")
         else:
-            lines.append(f".output {name} enc={_ENC_TOKENS[enc]}")
+            lines.append(f".output {name} enc={domain_token(enc.levels)}")
     for name in sorted(n.extra_nets):
         lines.append(f".net {name}")
     for dev in n.devices:  # already id-sorted

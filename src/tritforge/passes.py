@@ -27,13 +27,13 @@ from .errors import (
 )
 from .netlist import (
     DOMAIN_BINARY,
-    DOMAIN_HALFPAIR,
     Device,
     Netlist,
     Polarity,
     RAILS,
     TAG_DIVIDER,
     ThresholdClass,
+    domain_encoding,
 )
 from .solver import CompiledNetlist, Sweep, conduction, truth_signature
 from .trits import Encoding, STABLE_LEVELS
@@ -367,9 +367,7 @@ _STI_SHAPE = {
 def _swap_carry_stis(n: Netlist):
     """Replace 6-device STIs fed by a binary-domain input with MVT pairs."""
     binary_inputs = {
-        name
-        for name, dom in n.inputs
-        if dom in (DOMAIN_BINARY, DOMAIN_HALFPAIR)
+        name for name, dom in n.inputs if domain_encoding(dom) is not Encoding.STANDARD
     }
     if not binary_inputs:
         return None, 0

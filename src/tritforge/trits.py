@@ -64,12 +64,21 @@ class Encoding(enum.Enum):
     HALF_VDD_HIGH = "halfpair"
     FULL_VDD_HIGH = "binary"
 
+    @property
+    def levels(self) -> frozenset[Level]:
+        """The voltage levels this encoding uses: an input domain."""
+        return _ENC_LEVELS[self]
+
 
 _ENC_TABLE = {
     Encoding.STANDARD: {0: Level.GND, 1: Level.HALF, 2: Level.VDD},
     Encoding.HALF_VDD_HIGH: {0: Level.GND, 1: Level.HALF},
     Encoding.FULL_VDD_HIGH: {0: Level.GND, 1: Level.VDD},
 }
+_ENC_LEVELS = {enc: frozenset(table.values()) for enc, table in _ENC_TABLE.items()}
+
+# Short names of the two carry encodings, as the CLI and the catalog spell them.
+CARRY_NAMES = {"half": Encoding.HALF_VDD_HIGH, "vdd": Encoding.FULL_VDD_HIGH}
 
 
 def encode(trit: int, enc: Encoding = Encoding.STANDARD) -> Level:

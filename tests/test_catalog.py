@@ -90,6 +90,22 @@ def test_cascade_aliases():
         load_catalog(HEAD + "\n" + row(cascade="sideways"))
 
 
+def test_carry_aliases():
+    for alias, want in [("half", Encoding.HALF_VDD_HIGH),
+                        ("halfpair", Encoding.HALF_VDD_HIGH),
+                        ("HALF", Encoding.HALF_VDD_HIGH),
+                        ("vdd", Encoding.FULL_VDD_HIGH),
+                        ("binary", Encoding.FULL_VDD_HIGH),
+                        ("Vdd", Encoding.FULL_VDD_HIGH)]:
+        recs = load_catalog(HEAD + "\n" + row(carry_encoding=alias))
+        assert recs[0].carry_encoding is want
+    # the standard encoding is not a carry encoding, under either name
+    for alias in ("ternary", "standard"):
+        with pytest.raises(SchemaError):
+            load_catalog(HEAD + "\n" + row(carry_encoding=alias))
+    assert set(aggregate(load_survey(), "carry_encoding")) == {"half", "vdd", "n/a"}
+
+
 def test_survey_shape():
     recs = load_survey()
     assert len(recs) == 11

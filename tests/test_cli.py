@@ -122,6 +122,16 @@ def test_truth_expectation_needs_three_inputs(tmp_path, capsys, table):
     assert "three inputs" in err
 
 
+def test_truth_expectation_refusal_writes_no_table(tmp_path, capsys):
+    cell, out = tmp_path / "tha.tn", tmp_path / "out.txt"
+    run(["gen", "tha", "--style", "ntpt", "-o", str(cell)])
+    _fails_cleanly(["truth", str(cell), "--expect", "table2-complete",
+                    "-o", str(out)], capsys)
+    assert not out.exists()
+    assert run(["truth", str(cell), "--expect", "table2-complete"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("command", ["sim", "metrics"])
 def test_pattern_missing_an_input_exits_1(tmp_path, capsys, command):
     cell = tmp_path / "cell.tn"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from tritforge.netlist import (
     Polarity,
     ThresholdClass,
     device_count,
+    domain_encoding,
     domain_token,
     parse,
     parse_domain,
@@ -75,6 +78,23 @@ def test_domain_tokens():
         parse_domain("quaternary")
     with pytest.raises(ValueError):
         parse_domain("00")
+
+
+def test_domain_vocabulary_round_trips():
+    g, h, v = Level.GND, Level.HALF, Level.VDD
+    carries = {frozenset({g, v}): Encoding.FULL_VDD_HIGH,
+               frozenset({g, h}): Encoding.HALF_VDD_HIGH}
+    subsets = [frozenset(c) for r in (1, 2, 3) for c in itertools.combinations((g, h, v), r)]
+    assert len(subsets) == 7
+    for d in subsets:
+        assert parse_domain(domain_token(d)) == d
+        assert domain_encoding(d) is carries.get(d, Encoding.STANDARD)
+    for name, enc in [("ternary", Encoding.STANDARD),
+                      ("binary", Encoding.FULL_VDD_HIGH),
+                      ("halfpair", Encoding.HALF_VDD_HIGH)]:
+        n = parse(f".output y enc={name}\n.end\n")
+        assert n.output_encoding("y") is enc
+        assert parse(serialize(n)) == n
 
 
 def test_syntax_errors_carry_line_numbers():

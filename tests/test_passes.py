@@ -20,6 +20,7 @@ from tritforge.generate import (
     Completeness,
     Style,
     StyleSpec,
+    gen_testbench,
     gen_tfa,
     gen_tha,
 )
@@ -216,6 +217,25 @@ def test_rebind_carry_eliminates_division(style):
     assert sum(division_counts(out, "carry")) == 0
     assert report.wired > 0 and report.opened > 0
     assert out.output_encoding("carry") is Encoding.FULL_VDD_HIGH
+
+
+@pytest.mark.parametrize("style", list(Style))
+def test_rebind_carry_swaps_the_carry_in_sti(style):
+    # the testbench buffers the half-level carry-in through a six-device
+    # STI; once the carry is re-encoded it becomes a two-device inverter
+    tb = gen_testbench(gen_tfa(StyleSpec(style, Completeness.PARTIAL)))
+    buf = next(d.drain for d in tb.devices
+               if d.gate == "cin" and d.source == "VDD" and d.vt is ThresholdClass.HVT)
+    sti = CompiledNetlist(tb).channel_component(buf)[1]
+    assert len(sti) == 6
+    out, report = rebind_carry(tb, "carry")
+    assert report.pruned == 4
+    assert not {d.id for d in sti} & {d.id for d in out.devices}
+    pair = sorted((d.id.rsplit(".", 1)[-1], d.polarity, d.vt, d.source, d.drain)
+                  for d in out.devices if d.gate == "cin")
+    assert pair == [("bn", Polarity.N, ThresholdClass.MVT, buf, "GND"),
+                    ("bp", Polarity.P, ThresholdClass.MVT, "VDD", buf)]
+    assert sum(division_counts(out, "carry")) == 0
 
 
 @pytest.mark.parametrize("style", list(Style))
