@@ -20,6 +20,7 @@ from .netlist import (
     Netlist,
     Polarity,
     TAG_CARRY_GEN,
+    TAG_DIVIDER,
     ThresholdClass,
     domain_encoding,
 )
@@ -155,7 +156,6 @@ def _ntpt_output(builder, terms, func, out, enc, tags=()):
     if enc is Encoding.FULL_VDD_HIGH:
         build_binary_gate(builder, nets, doms, func, out, tags)
         return
-    dtags = frozenset(tags) | {"divider"}
     if values <= {0, 1}:
         lo = "GND"
     else:
@@ -163,8 +163,7 @@ def _ntpt_output(builder, terms, func, out, enc, tags=()):
         build_binary_gate(builder, nets, doms, lambda pt: 1 if func(pt) == 2 else 0, lo, tags)
     hi = builder.net("pt")
     build_binary_gate(builder, nets, doms, lambda pt: 1 if func(pt) >= 1 else 0, hi, tags)
-    builder.add(Polarity.N, ThresholdClass.MVT, "VDD", lo, out, dtags)
-    builder.add(Polarity.P, ThresholdClass.MVT, "GND", out, hi, dtags)
+    builder.divider(lo, out, hi, tags)
 
 
 def _adder_ntpt(builder, terms, sum_out, carry_out, carry_enc):
@@ -228,9 +227,7 @@ def _line_for(builder, term, values, enc, cache, tags=()):
             net = cache.get(("halfrail", enc))
             if net is None:
                 net = builder.net("hr")
-                dtags = frozenset(tags) | {"divider"}
-                builder.add(Polarity.N, ThresholdClass.MVT, "VDD", "VDD", net, dtags)
-                builder.add(Polarity.P, ThresholdClass.MVT, "GND", net, "GND", dtags)
+                builder.divider("VDD", net, "GND", tags)
                 cache[("halfrail", enc)] = net
     else:
         net = builder.net("ln")
@@ -316,7 +313,7 @@ def _adder_decenc(builder, terms, sum_out, carry_out, carry_enc):
 def _onehot_encoder(builder, value_of, ctrl_nets, out, enc, tags=()):
     """Drive a ternary/binary output from one-hot binary controls."""
     LVT = ThresholdClass.LVT
-    dtags = frozenset(tags) | {"divider"}
+    dtags = frozenset(tags) | {TAG_DIVIDER}
     if enc is Encoding.FULL_VDD_HIGH:
         hi = {k for k, v in value_of.items() if v == 1}
         lo = {k for k, v in value_of.items() if v == 0}
@@ -325,7 +322,6 @@ def _onehot_encoder(builder, value_of, ctrl_nets, out, enc, tags=()):
         for k in sorted(lo):
             builder.add(Polarity.N, LVT, ctrl_nets[k], out, "GND", tags)
         return
-    top = 2 if enc is Encoding.STANDARD else 1
     strong_hi = {k for k, v in value_of.items() if v == 2}
     strong_lo = {k for k, v in value_of.items() if v == 0}
     mid = {k for k, v in value_of.items() if v == 1}
@@ -342,14 +338,14 @@ def _onehot_encoder(builder, value_of, ctrl_nets, out, enc, tags=()):
             m = builder.net("e")
             for k in sorted(up):
                 builder.add(Polarity.P, LVT, builder.companion(ctrl_nets[k], "binv"), "VDD", m, tags)
-        builder.add(Polarity.N, ThresholdClass.MVT, "VDD", m, out, dtags)
+        builder.always_on(Polarity.N, m, out, dtags)
         if dn == set(value_of):
             m2 = "GND"
         else:
             m2 = builder.net("e")
             for k in sorted(dn):
                 builder.add(Polarity.N, LVT, ctrl_nets[k], m2, "GND", tags)
-        builder.add(Polarity.P, ThresholdClass.MVT, "GND", out, m2, dtags)
+        builder.always_on(Polarity.P, out, m2, dtags)
 
 
 _ADDER_BUILDERS = {
@@ -423,60 +419,33 @@ def gen_tha(style: Style, carry_encoding: Encoding = Encoding.HALF_VDD_HIGH) -> 
 # -- small gates ----------------------------------------------------------
 
 
+_GATE_INVERTERS = {GateKind.NTI: "nti", GateKind.PTI: "pti", GateKind.BINARY_INVERTER: "binv"}
+
+
 def gen_gate(kind: GateKind) -> Netlist:
     b = Builder(title=f"gate {kind.value}")
-    P, N = Polarity.P, Polarity.N
-    HVT, MVT, LVT = ThresholdClass.HVT, ThresholdClass.MVT, ThresholdClass.LVT
-    if kind is GateKind.NTI:
-        b.declare_input("a", DOMAIN_TERNARY)
-        b.declare_output("y", Encoding.STANDARD)
-        b.add(P, HVT, "a", "VDD", "y")
-        b.add(N, MVT, "a", "y", "GND")
-    elif kind is GateKind.PTI:
-        b.declare_input("a", DOMAIN_TERNARY)
-        b.declare_output("y", Encoding.STANDARD)
-        b.add(P, MVT, "a", "VDD", "y")
-        b.add(N, HVT, "a", "y", "GND")
+    binary = kind is GateKind.BINARY_INVERTER
+    b.declare_input("a", DOMAIN_BINARY if binary else DOMAIN_TERNARY)
+    if kind is not GateKind.TERNARY_DECODER:
+        b.declare_output("y", Encoding.FULL_VDD_HIGH if binary else Encoding.STANDARD)
+    if kind in _GATE_INVERTERS:
+        b.inverter(_GATE_INVERTERS[kind], "a", "y")
     elif kind is GateKind.STI:
-        b.declare_input("a", DOMAIN_TERNARY)
-        b.declare_output("y", Encoding.STANDARD)
-        _sti(b, "a", "y")
-    elif kind is GateKind.BINARY_INVERTER:
-        b.declare_input("a", DOMAIN_BINARY)
-        b.declare_output("y", Encoding.FULL_VDD_HIGH)
-        b.add(P, LVT, "a", "VDD", "y")
-        b.add(N, LVT, "a", "y", "GND")
+        b.sti("a", "y")
     elif kind is GateKind.TERNARY_DECODER:
-        b.declare_input("a", DOMAIN_TERNARY)
         for v, lv in enumerate((_G, _H, _V)):
-            out = f"y{v}"
-            b.declare_output(out, Encoding.FULL_VDD_HIGH)
+            out = b.declare_output(f"y{v}", Encoding.FULL_VDD_HIGH)
             build_binary_gate(
                 b, ["a"], [DOMAIN_TERNARY],
                 lambda pt, want=lv: 1 if pt[0] is want else 0, out,
             )
     elif kind is GateKind.TERNARY_BUFFER:
-        b.declare_input("a", DOMAIN_TERNARY)
-        b.declare_output("y", Encoding.STANDARD)
         mid = b.net("bf")
-        _sti(b, "a", mid)
-        _sti(b, mid, "y")
+        b.sti("a", mid)
+        b.sti(mid, "y")
     else:
         raise DomainError(f"unknown gate kind {kind!r}")
     return b.build()
-
-
-def _sti(b: Builder, x: str, y: str):
-    """Six-device standard ternary inverter with a conditioned divider pair."""
-    P, N = Polarity.P, Polarity.N
-    HVT, MVT = ThresholdClass.HVT, ThresholdClass.MVT
-    b.add(P, HVT, x, "VDD", y)
-    b.add(N, HVT, x, y, "GND")
-    m1, m2 = b.net("sti"), b.net("sti")
-    b.add(P, MVT, x, "VDD", m1)
-    b.add(N, MVT, "VDD", m1, y, ("divider",))
-    b.add(P, MVT, "GND", y, m2, ("divider",))
-    b.add(N, MVT, x, m2, "GND")
 
 
 # -- test bench -----------------------------------------------------------
@@ -492,13 +461,13 @@ def gen_testbench(dut: Netlist) -> Netlist:
         b.declare_input(name, dom)
         inner = f"{name}.buf"
         mid = b.net("tb")
-        _sti(b, name, mid)
-        _sti(b, mid, inner)
+        b.sti(name, mid)
+        b.sti(mid, inner)
         rename[name] = inner
     for name, enc in dut.outputs:
         b.declare_output(name, enc)
         for _ in range(4):
-            _sti(b, name, b.net("fo"))
+            b.sti(name, b.net("fo"))
     for dev in dut.devices:
         b.add(
             dev.polarity,

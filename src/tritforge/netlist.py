@@ -65,6 +65,9 @@ class Polarity(enum.Enum):
 TAG_DIVIDER = "divider"
 TAG_CARRY_GEN = "carry-gen"
 
+# The rail that holds a device of each polarity permanently on.
+ALWAYS_ON_GATE = {Polarity.N: "VDD", Polarity.P: "GND"}
+
 DOMAIN_TERNARY = Encoding.STANDARD.levels
 DOMAIN_BINARY = Encoding.FULL_VDD_HIGH.levels
 DOMAIN_HALFPAIR = Encoding.HALF_VDD_HIGH.levels

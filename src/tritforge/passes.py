@@ -12,6 +12,7 @@ All passes are pure: they return a new Netlist plus a PassReport.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -26,6 +27,7 @@ from .errors import (
     UnknownNetError,
 )
 from .netlist import (
+    ALWAYS_ON_GATE,
     DOMAIN_BINARY,
     Device,
     Netlist,
@@ -36,6 +38,7 @@ from .netlist import (
     domain_encoding,
 )
 from .solver import CompiledNetlist, Sweep, conduction, truth_signature
+from .synth import Builder
 from .trits import Encoding, STABLE_LEVELS
 
 
@@ -122,6 +125,20 @@ def _merge_nets(n: Netlist, unions: list, removed_ids: set, vt_map: dict) -> Net
     )
 
 
+def _cells_reading(cn: CompiledNetlist, x: str):
+    """Cells driven only by input ``x``: the channel component around each
+    internal gate net whose devices are all gated by ``x`` or a rail and
+    whose channels touch no input.  Yields (gate net, devices) in net order.
+    """
+    n = cn.netlist
+    inputs = set(n.input_names)
+    for y in sorted({d.gate for d in n.devices} - set(RAILS) - inputs):
+        devs = cn.channel_component(y)[1]
+        reads_x = all(d.gate in RAILS or d.gate == x for d in devs)
+        if devs and reads_x and not any({d.source, d.drain} & inputs for d in devs):
+            yield y, devs
+
+
 def _tracked_complements(n: Netlist, a: AssumptionDomain) -> dict[str, frozenset]:
     """Single-inverter cells driven only by the assumed net.
 
@@ -129,20 +146,8 @@ def _tracked_complements(n: Netlist, a: AssumptionDomain) -> dict[str, frozenset
     cells read only the assumed net and the rails, so one netlist holding
     them side by side, swept over the assumed levels, gives every image.
     """
-    stop = set(RAILS) | set(n.input_names)
-    candidate_gates = {
-        d.gate for d in n.devices if d.gate not in stop and d.gate != a.net
-    }
-    cn = CompiledNetlist(n)
     cells, devices = [], {}
-    for y in sorted(candidate_gates):
-        nets, devs = cn.channel_component(y)
-        if not devs:
-            continue
-        if any(d.gate not in RAILS and d.gate != a.net for d in devs):
-            continue
-        if any(t in n.input_names for d in devs for t in (d.source, d.drain)):
-            continue
+    for y, devs in _cells_reading(CompiledNetlist(n), a.net):
         cells.append(y)
         devices.update((d.id, d) for d in devs)
     if not cells:
@@ -255,12 +260,6 @@ def factor_parallel(n: Netlist):
     return replace(n, devices=tuple(out)), PassReport(factored=removed)
 
 
-def _always_on(d: Device) -> bool:
-    return (d.polarity is Polarity.N and d.gate == "VDD") or (
-        d.polarity is Polarity.P and d.gate == "GND"
-    )
-
-
 def rebind_carry(n: Netlist, carry_net: str):
     """Re-encode a half-level carry to the full supply.
 
@@ -280,7 +279,7 @@ def rebind_carry(n: Netlist, carry_net: str):
     comp_nets, comp_devs = cn.channel_component(carry_net)
     dividers = [d for d in comp_devs if TAG_DIVIDER in d.tags]
     if not dividers:
-        dividers = [d for d in comp_devs if _always_on(d)]
+        dividers = [d for d in comp_devs if d.gate == ALWAYS_ON_GATE[d.polarity]]
     if not dividers:
         raise NoDividerFoundError(f"no divider devices found around {carry_net!r}")
 
@@ -354,14 +353,18 @@ def rebind_carry(n: Netlist, carry_net: str):
     return out, report
 
 
-_STI_SHAPE = {
-    (Polarity.P, ThresholdClass.HVT, "in", "VDD", "out"),
-    (Polarity.N, ThresholdClass.HVT, "in", "out", "GND"),
-    (Polarity.P, ThresholdClass.MVT, "in", "VDD", "m1"),
-    (Polarity.N, ThresholdClass.MVT, "VDD", "m1", "out"),
-    (Polarity.P, ThresholdClass.MVT, "GND", "out", "m2"),
-    (Polarity.N, ThresholdClass.MVT, "in", "m2", "GND"),
-}
+def _shapes(devs, x: str, y: str, inner: int):
+    """A cell's devices with ``x``, ``y`` and its inner nets renamed to fixed
+    labels, once per labelling of the inner nets; none unless it has ``inner``."""
+    nets = sorted({t for d in devs for t in d.terminals()} - {x, y, *RAILS})
+    for order in itertools.permutations(nets) if len(nets) == inner else ():
+        names = {x: "in", y: "out", **{net: f"m{i}" for i, net in enumerate(order)}}
+        yield {(d.polarity, d.vt, *(names.get(t, t) for t in d.terminals())) for d in devs}
+
+
+# The STI with its two inner nets, exactly as synth.Builder lays it down;
+# _swap_carry_stis compares candidate cells with it through _shapes too.
+_STI_SHAPE = next(_shapes(Builder().sti("in", "out"), "in", "out", 2))
 
 
 def _swap_carry_stis(n: Netlist):
@@ -371,32 +374,12 @@ def _swap_carry_stis(n: Netlist):
     }
     if not binary_inputs:
         return None, 0
-    stop = set(RAILS) | set(n.input_names)
     devices = list(n.devices)
     changed = 0
     cn = CompiledNetlist(n)
     for x in sorted(binary_inputs):
-        outs = {d.gate for d in devices if d.gate not in stop}
-        for y in sorted(outs):
-            nets, devs = cn.channel_component(y)
-            if len(devs) != 6 or any(d.gate not in RAILS and d.gate != x for d in devs):
-                continue
-            shape = set()
-            names = {}
-            ok = True
-            for d in devs:
-                row = []
-                for net in (d.gate, d.source, d.drain):
-                    if net in RAILS:
-                        row.append(net)
-                    elif net == x:
-                        row.append("in")
-                    elif net == y:
-                        row.append("out")
-                    else:
-                        row.append(names.setdefault(net, f"m{len(names) + 1}"))
-                shape.add((d.polarity, d.vt, *row))
-            if shape != _STI_SHAPE:
+        for y, devs in _cells_reading(cn, x):
+            if len(devs) != len(_STI_SHAPE) or _STI_SHAPE not in _shapes(devs, x, y, 2):
                 continue
             ids = {d.id for d in devs}
             keep = [d for d in devices if d.id not in ids]

@@ -7,6 +7,11 @@ device that conducts exactly on the wanted gate levels — adding an NTI/PTI
 companion inverter where a polarity needs the complemented view of a signal.
 
 Binary-valued signals get plain LVT complementary devices throughout.
+
+:class:`Builder` alone lays down the circuit primitives, which the passes
+recognise from the same definitions: the NTI, PTI and binary ``inverter``,
+the ``always_on`` device, the always-on ``divider`` pair that makes the half
+level, and the six-device standard ternary inverter (``sti``).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import itertools
 
 from .errors import DomainError
 from .netlist import (
+    ALWAYS_ON_GATE,
     DOMAIN_BINARY,
     DOMAIN_HALFPAIR,
     Device,
@@ -26,6 +32,13 @@ from .netlist import (
 from .trits import DEFAULT_VDD, Encoding, Level
 
 _G, _H, _V = Level.GND, Level.HALF, Level.VDD
+
+# (P vt, N vt) of each two-device inverter kind
+_INVERTERS = {
+    "nti": (ThresholdClass.HVT, ThresholdClass.MVT),
+    "pti": (ThresholdClass.MVT, ThresholdClass.HVT),
+    "binv": (ThresholdClass.LVT, ThresholdClass.LVT),
+}
 
 
 class Builder:
@@ -40,7 +53,7 @@ class Builder:
         self.loads: list[tuple[str, float]] = []
         self._nets = itertools.count()
         self._devs = itertools.count()
-        self._companions: dict[tuple[str, str], str] = {}
+        self._companions: set[str] = set()
 
     def net(self, prefix: str = "n") -> str:
         return f"{prefix}{next(self._nets)}"
@@ -73,34 +86,45 @@ class Builder:
             loads=tuple(self.loads),
         )
 
-    # companion inverters, shared per signal
+    # circuit primitives
+
+    def inverter(self, kind: str, x: str, y: str):
+        """Two-device inverter from x to y: 'nti', 'pti' or 'binv' (binary)."""
+        if kind not in _INVERTERS:
+            raise DomainError(f"unknown inverter kind {kind!r}")
+        p_vt, n_vt = _INVERTERS[kind]
+        self.add(Polarity.P, p_vt, x, "VDD", y)
+        self.add(Polarity.N, n_vt, x, y, "GND")
+
+    def always_on(self, polarity: Polarity, a: str, b: str, tags=()):
+        """Rail-gated device that conducts unconditionally."""
+        self.add(polarity, ThresholdClass.MVT, ALWAYS_ON_GATE[polarity], a, b, tags)
+
+    def divider(self, up: str, out: str, down: str, tags=()):
+        """Always-on N/P pair up → out → down: out divides to the half
+        level while up is at VDD and down at GND."""
+        dtags = frozenset(tags) | {TAG_DIVIDER}
+        self.always_on(Polarity.N, up, out, dtags)
+        self.always_on(Polarity.P, out, down, dtags)
+
+    def sti(self, x: str, y: str) -> list[Device]:
+        """Six-device standard ternary inverter with a conditioned divider
+        pair; returns its devices."""
+        HVT, MVT = ThresholdClass.HVT, ThresholdClass.MVT
+        self.add(Polarity.P, HVT, x, "VDD", y)
+        self.add(Polarity.N, HVT, x, y, "GND")
+        m1, m2 = self.net("sti"), self.net("sti")
+        self.add(Polarity.P, MVT, x, "VDD", m1)
+        self.divider(m1, y, m2)
+        self.add(Polarity.N, MVT, x, m2, "GND")
+        return self.devices[-6:]
 
     def companion(self, x: str, kind: str) -> str:
-        """Inverted view of a signal: 'nti', 'pti', or 'binv' (binary)."""
-        key = (x, kind)
-        cached = self._companions.get(key)
-        if cached is not None:
-            return cached
+        """Inverted view of a signal, one inverter of each kind per signal."""
         y = f"{x}.{kind}"
-        P, N, HVT, MVT, LVT = (
-            Polarity.P,
-            Polarity.N,
-            ThresholdClass.HVT,
-            ThresholdClass.MVT,
-            ThresholdClass.LVT,
-        )
-        if kind == "nti":
-            self.add(P, HVT, x, "VDD", y)
-            self.add(N, MVT, x, y, "GND")
-        elif kind == "pti":
-            self.add(P, MVT, x, "VDD", y)
-            self.add(N, HVT, x, y, "GND")
-        elif kind == "binv":
-            self.add(P, LVT, x, "VDD", y)
-            self.add(N, LVT, x, y, "GND")
-        else:
-            raise DomainError(f"unknown companion kind {kind!r}")
-        self._companions[key] = y
+        if y not in self._companions:
+            self.inverter(kind, x, y)
+            self._companions.add(y)
         return y
 
 
@@ -197,18 +221,11 @@ def literal_options(builder, polarity, x, levels, domain):
         gate = x if want_h else builder.companion(x, "nti")
         return [[(ThresholdClass.MVT if want_h else ThresholdClass.HVT, gate)]]
     table = _P_LITERALS if polarity is Polarity.P else _N_LITERALS
-    opts = table.get(levels)
-    if opts is None:
-        # non-contiguous subset of a partial domain: union of singletons
-        opts = []
-        for lv in sorted(levels, key=lambda l: l.value):
-            opts.extend(table[frozenset({lv})])
-    out = []
-    for opt in opts:
-        out.append(
-            [(vt, x if kind is None else builder.companion(x, kind)) for vt, kind in opt]
-        )
-    return out
+    # every non-empty proper subset of the three levels is a key
+    return [
+        [(vt, x if kind is None else builder.companion(x, kind)) for vt, kind in opt]
+        for opt in table[levels]
+    ]
 
 
 def build_network(builder, polarity, top, bottom, inputs, domains, on_set, tags=()):
@@ -255,14 +272,6 @@ def _chain(builder, polarity, top, bottom, elements, tags):
         cur = nxt
 
 
-def _always_on(builder, polarity, top, bottom, tags=()):
-    """Rail-gated device that conducts unconditionally."""
-    if polarity is Polarity.P:
-        builder.add(Polarity.P, ThresholdClass.MVT, "GND", top, bottom, tags)
-    else:
-        builder.add(Polarity.N, ThresholdClass.MVT, "VDD", top, bottom, tags)
-
-
 # -- gate construction ---------------------------------------------------
 
 
@@ -286,11 +295,11 @@ def build_ternary_gate(builder, inputs, domains, func, out, tags=()):
         r = build_network(builder, Polarity.P, "VDD", m := builder.net("d"), inputs, domains, up, tags)
         if r == "always":
             m = "VDD"
-        builder.add(Polarity.N, ThresholdClass.MVT, "VDD", m, out, dtags)
+        builder.always_on(Polarity.N, m, out, dtags)
         r = build_network(builder, Polarity.N, m2 := builder.net("d"), "GND", inputs, domains, dn, tags)
         if r == "always":
             m2 = "GND"
-        builder.add(Polarity.P, ThresholdClass.MVT, "GND", out, m2, dtags)
+        builder.always_on(Polarity.P, out, m2, dtags)
 
 
 def build_binary_gate(builder, inputs, domains, func, out, tags=()):
@@ -305,7 +314,7 @@ def build_binary_gate(builder, inputs, domains, func, out, tags=()):
 def _place(builder, polarity, top, bottom, inputs, domains, on_set, tags):
     r = build_network(builder, polarity, top, bottom, inputs, domains, on_set, tags)
     if r == "always":
-        _always_on(builder, polarity, top, bottom, tags)
+        builder.always_on(polarity, top, bottom, tags)
 
 
 def build_sop_binary(builder, products, out, tags=()):

@@ -150,3 +150,58 @@ def test_non_finite_supply_exits_1(tmp_path, capsys, vdd, command):
     cell.write_text(f".vdd {vdd}\n" + cell.read_text().replace(".vdd 0.9\n", ""))
     err = _fails_cleanly([command, str(cell)], capsys)
     assert "vdd must be positive and finite" in err
+
+
+@pytest.mark.parametrize("style", ["ternary-cmos", "ntpt", "mux", "decenc"])
+def test_gen_rca_adds_in_base_3(tmp_path, capsys, style):
+    cell = tmp_path / "rca.tn"
+    assert run(["gen", "rca", "--style", style, "--digits", "2",
+                "-o", str(cell)]) == 0
+    capsys.readouterr()
+    assert run(["truth", str(cell)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "a0 a1 b0 b1 cin | s0 s1 cout"
+    assert len(rows) == 162
+    for row in rows:
+        ins, outs = row.split(" | ")
+        a0, a1, b0, b1, cin = map(int, ins.split())
+        s0, s1, cout = map(int, outs.split())
+        assert s0 + 3 * s1 + 9 * cout == a0 + 3 * a1 + b0 + 3 * b1 + cin, row
+
+
+def test_truth_json_and_csv_match_the_text_table(tmp_path, capsys):
+    cell = tmp_path / "tha.tn"
+    run(["gen", "tha", "--style", "mux", "-o", str(cell)])
+    capsys.readouterr()
+    tables = {}
+    for fmt in ("text", "json", "csv"):
+        assert run(["truth", str(cell), "--format", fmt]) == 0
+        tables[fmt] = capsys.readouterr().out
+    header, *rows = tables["text"].splitlines()
+    names = header.replace(" |", "").split()
+    want = [[int(x) for x in row.replace(" |", "").split()] for row in rows]
+    assert [[rec[k] for k in names] for rec in json.loads(tables["json"])] == want
+    csv_header, *csv_rows = tables["csv"].splitlines()
+    assert csv_header.split(",") == names
+    assert [[int(x) for x in row.split(",")] for row in csv_rows] == want
+
+
+# a standard ternary inverter from a to y, y substituted per output
+STI_OF_A = (
+    "m {y}0 p hvt g=a s=VDD d={y}\n"
+    "m {y}1 n hvt g=a s={y} d=GND\n"
+    "m {y}2 p mvt g=a s=VDD d={y}.m1\n"
+    "m {y}3 n mvt g=VDD s={y}.m1 d={y}\n"
+    "m {y}4 p mvt g=GND s={y} d={y}.m2\n"
+    "m {y}5 n mvt g=a s={y}.m2 d=GND\n"
+)
+
+
+def test_truth_expectation_mismatch_exits_1(tmp_path, capsys):
+    # sum = carry = 2 - a agrees with a full adder only at (1, 1, 2) and (1, 2, 1)
+    cell = tmp_path / "bad.tn"
+    cell.write_text(".input a ternary\n.input b ternary\n.input cin ternary\n"
+                    ".output sum\n.output carry\n" + STI_OF_A.format(y="sum")
+                    + STI_OF_A.format(y="carry") + ".end\n")
+    assert run(["truth", str(cell), "--expect", "table2-complete"]) == 1
+    assert "truth mismatch on 25 of 27 points" in capsys.readouterr().err

@@ -39,6 +39,7 @@ from tritforge.netlist import (
 from tritforge.passes import (
     AssumptionDomain,
     PassReport,
+    _swap_carry_stis,
     _tracked_complements,
     apply_assumption,
     factor_parallel,
@@ -236,6 +237,32 @@ def test_rebind_carry_swaps_the_carry_in_sti(style):
     assert pair == [("bn", Polarity.N, ThresholdClass.MVT, buf, "GND"),
                     ("bp", Polarity.P, ThresholdClass.MVT, "VDD", buf)]
     assert sum(division_counts(out, "carry")) == 0
+
+
+# a six-device STI from x to y in build order, ids filled in per case
+ORDERED_STI = (
+    "m {0} p hvt g=x s=VDD d=y\n"
+    "m {1} n hvt g=x s=y d=GND\n"
+    "m {2} p mvt g=x s=VDD d=s1\n"
+    "m {3} n mvt g=VDD s=s1 d=y\n"
+    "m {4} p mvt g=GND s=y d=s2\n"
+    "m {5} n mvt g=x s=s2 d=GND\n"
+)
+
+
+@pytest.mark.parametrize("first", [0, 5, 95])
+def test_sti_swap_does_not_depend_on_device_ids(first):
+    # m5..m10 and m95..m100 sort out of build order; the match must not care
+    sti = ORDERED_STI.format(*(f"m{first + i}" for i in range(6)))
+    n = parse(".input x binary\n.output z enc=binary\n" + sti
+              + "m q0 p lvt g=y s=VDD d=z\nm q1 n lvt g=y s=z d=GND\n.end\n")
+    out, changed = _swap_carry_stis(n)
+    assert changed == 4
+    pair = sorted((d.polarity.value, d.vt, d.source, d.drain)
+                  for d in out.devices if d.gate == "x")
+    assert pair == [("n", ThresholdClass.MVT, "y", "GND"),
+                    ("p", ThresholdClass.MVT, "VDD", "y")]
+    assert len(out.devices) == 4
 
 
 @pytest.mark.parametrize("style", list(Style))
