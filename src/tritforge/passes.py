@@ -37,7 +37,7 @@ from .netlist import (
     ThresholdClass,
     domain_encoding,
 )
-from .solver import CompiledNetlist, Sweep, conduction, truth_signature
+from .solver import CompiledNetlist, Sweep, conduction
 from .synth import Builder
 from .trits import Encoding, STABLE_LEVELS
 
@@ -139,37 +139,41 @@ def _cells_reading(cn: CompiledNetlist, x: str):
             yield y, devs
 
 
-def _tracked_complements(n: Netlist, a: AssumptionDomain) -> dict[str, frozenset]:
-    """Single-inverter cells driven only by the assumed net.
+def _tracked_complements(swept: Sweep, x: str) -> dict[str, frozenset]:
+    """Single-inverter cells driven only by the assumed net ``x``.
 
-    Returns net -> image level set under the assumption.  The candidate
-    cells read only the assumed net and the rails, so one netlist holding
-    them side by side, swept over the assumed levels, gives every image.
+    Returns net -> image level set, read from ``swept``, the sweep of the
+    netlist with ``x`` narrowed to the assumption.  A candidate cell reads
+    only ``x`` and the rails, so its CCC settles from ``x`` alone, even where
+    the netlist oscillates.  An empty sweep tracks nothing.
     """
-    cells, devices = [], {}
-    for y, devs in _cells_reading(CompiledNetlist(n), a.net):
-        cells.append(y)
-        devices.update((d.id, d) for d in devs)
-    if not cells:
-        return {}
-    joined = Sweep(Netlist(
-        vdd=n.vdd, inputs=((a.net, frozenset(a.levels)),), devices=tuple(devices.values())
-    ))
-    images = {y: joined.image(y) for y in cells}
-    return {y: image for y, image in images.items() if image <= set(STABLE_LEVELS)}
+    images = {y: swept.image(y) for y, _ in _cells_reading(swept.cn, x)}
+    return {y: image for y, image in images.items() if image and image <= set(STABLE_LEVELS)}
 
 
 # -- passes ----------------------------------------------------------------
 
 
-def apply_assumption(n: Netlist, a: AssumptionDomain):
-    """Restrict an input's domain and eliminate devices it can no longer switch."""
+def _narrow(n: Netlist, a: AssumptionDomain) -> Netlist:
+    """``n`` with the assumed input's domain narrowed to the assumption."""
     if a.net not in n.nets():
         raise UnknownNetError(f"no net named {a.net!r}")
     if a.net not in n.input_names:
         raise NonInputAssumptionError(f"{a.net!r} is not a declared input")
+    inputs = tuple((x, frozenset(a.levels) if x == a.net else dom) for x, dom in n.inputs)
+    return replace(n, inputs=inputs)
 
-    tracked = _tracked_complements(n, a)
+
+def apply_assumption(n: Netlist, a: AssumptionDomain):
+    """Restrict an input's domain and eliminate devices it can no longer switch."""
+    return _assume(Sweep(_narrow(n, a)), a)
+
+
+def _assume(swept: Sweep, a: AssumptionDomain):
+    """:func:`apply_assumption` on the netlist of ``swept``, whose domain is
+    already narrowed to ``a``."""
+    n = swept.cn.netlist
+    tracked = _tracked_complements(swept, a.net)
     binary_assumption = frozenset(a.levels) == DOMAIN_BINARY
 
     unions, removed, vt_map = [], set(), {}
@@ -197,12 +201,7 @@ def apply_assumption(n: Netlist, a: AssumptionDomain):
             vt_map[d.id] = ThresholdClass.LVT
             report.remapped += 1
 
-    out = _merge_nets(n, unions, removed, vt_map)
-    inputs = tuple(
-        (name, frozenset(a.levels) if name == a.net else dom)
-        for name, dom in out.inputs
-    )
-    return replace(out, inputs=inputs), report
+    return _merge_nets(n, unions, removed, vt_map), report
 
 
 def prune_dead(n: Netlist):
@@ -269,31 +268,39 @@ def rebind_carry(n: Netlist, carry_net: str):
     an open.  Any standard ternary inverter reading the (now binary)
     carry-domain input is swapped for a two-device binary inverter.
     Decoded truth must be preserved and no division may remain on the carry
-    net; both are checked exhaustively.
+    net; both are checked exhaustively.  With no divider in the carry's
+    channel component, a carry that never divides is only re-encoded, and
+    one that divides raises :class:`NoDividerFoundError`.
     """
-    if carry_net not in n.nets():
+    report, after = _rebind(Sweep(n), carry_net)
+    return after.cn.netlist, report
+
+
+def _rebind(swept: Sweep, carry_net: str):
+    """:func:`rebind_carry` on the netlist of ``swept``: the report and the
+    sweep of the result."""
+    cn = swept.cn
+    n = cn.netlist
+    if carry_net not in cn.index:
         raise UnknownNetError(f"no net named {carry_net!r}")
 
-    swept = Sweep(n)
-    cn = swept.cn
     comp_nets, comp_devs = cn.channel_component(carry_net)
     dividers = [d for d in comp_devs if TAG_DIVIDER in d.tags]
     if not dividers:
         dividers = [d for d in comp_devs if d.gate == ALWAYS_ON_GATE[d.polarity]]
-    if not dividers:
-        raise NoDividerFoundError(f"no divider devices found around {carry_net!r}")
 
     # Find the input states where division happens in this component, then
     # re-solve with every candidate divider deleted: with the divided path
     # cut, each former terminal carries at most one rail in its drive mask,
     # which names the side the divider bridged.
-    comp_idx = [cn.index[x] for x in comp_nets if x in cn.index]
+    comp_idx = [cn.index[x] for x in comp_nets]
     div_states = np.flatnonzero(swept.division()[:, comp_idx].any(axis=1))
+    if not dividers and div_states.size:
+        raise NoDividerFoundError(f"no divider devices found around {carry_net!r}")
 
     divider_ids = {d.id for d in dividers}
-    stripped = Sweep(
-        replace(n, devices=tuple(d for d in n.devices if d.id not in divider_ids))
-    )
+    kept = tuple(d for d in n.devices if d.id not in divider_ids)
+    stripped = Sweep(replace(n, devices=kept)) if dividers else swept
     gnd, vdd = stripped.rail_reach()
     v_only = (vdd & ~gnd)[div_states]
     g_only = (gnd & ~vdd)[div_states]
@@ -338,7 +345,6 @@ def rebind_carry(n: Netlist, carry_net: str):
     swapped, extra = _swap_carry_stis(out)
     after = Sweep(swapped) if swapped is not None else None
     if after is not None and after.truth_signature() == before:
-        out = swapped
         report.pruned += extra
     else:
         # a swap that changes decoded truth is dropped silently; the
@@ -346,11 +352,11 @@ def rebind_carry(n: Netlist, carry_net: str):
         after = Sweep(out)
         if after.truth_signature() != before:
             raise EquivalenceCheckFailedError("carry re-encoding changed decoded truth")
-    if carry_net in out.nets() and sum(after.division_counts(carry_net)) != 0:
+    if carry_net in after.cn.index and sum(after.division_counts(carry_net)) != 0:
         raise EquivalenceCheckFailedError(
             f"division events remain on {carry_net!r} after re-encoding"
         )
-    return out, report
+    return report, after
 
 
 def _shapes(devs, x: str, y: str, inner: int):
@@ -398,6 +404,10 @@ def simplify_pipeline(n: Netlist, a: AssumptionDomain, carry_net: str | None = N
     names an output, its re-encoding at the full supply and the same
     fixpoint again.
 
+    Each netlist is swept once: the input narrowed to the assumption (the
+    truth to keep), then each one a round or the re-encoding changes.  A
+    sweep serves the next round, the re-encoding and the final check.
+
     Decoded-truth equivalence over the assumed domain is a hard
     postcondition; if it fails the original netlist is returned untouched.
     """
@@ -405,32 +415,33 @@ def simplify_pipeline(n: Netlist, a: AssumptionDomain, carry_net: str | None = N
         # the older positional form (rebind, carry_net), which
         # bench/baselines.py still calls
         carry_net = old[0] if carry_net else None
-    before = truth_signature(n, overrides={a.net: frozenset(a.levels)})
+    swept = Sweep(_narrow(n, a))
+    before = swept.truth_signature()
 
     # complement tracking is one inverter deep, so eliminating a cell can
     # expose the next one, and re-encoding merges nets, which can expose
     # further rules: iterate the cheap passes to their fixpoint
-    def fixpoint(cur, report):
+    def fixpoint(swept, report):
         while True:
-            prev = cur
-            cur, r1 = apply_assumption(cur, a)
+            cur, r1 = _assume(swept, a)
             cur, r2 = prune_dead(cur)
             cur, r3 = factor_parallel(cur)
             report = report + r1 + r2 + r3
-            if cur == prev:
-                return cur, report
+            if cur == swept.cn.netlist:
+                return swept, report
+            swept = Sweep(cur)
 
     try:
-        cur, report = fixpoint(n, PassReport())
+        swept, report = fixpoint(swept, PassReport())
         # already at the full supply: nothing left to re-encode
-        done = dict(cur.outputs).get(carry_net) is Encoding.FULL_VDD_HIGH
+        done = dict(swept.cn.netlist.outputs).get(carry_net) is Encoding.FULL_VDD_HIGH
         if carry_net is not None and not done:
-            cur, r = rebind_carry(cur, carry_net)
-            cur, report = fixpoint(cur, report + r)
+            r, swept = _rebind(swept, carry_net)
+            swept, report = fixpoint(swept, report + r)
     except (EquivalenceCheckFailedError, NetlistSemanticError):
         # refuse rather than emit a netlist that shorts the rails or
         # changes behaviour; the caller gets the input back untouched
         return n, PassReport()
-    if truth_signature(cur) != before:
+    if swept.truth_signature() != before:
         return n, PassReport()
-    return cur, report
+    return swept.cn.netlist, report

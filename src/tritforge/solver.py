@@ -32,7 +32,10 @@ sweeps stay cheap in memory.
 Every exhaustive view of a netlist (truth table, decoded truth, truth
 signature, division counts, a net's image, full-swing lint) reads one
 :class:`Sweep`: the input codes, levels, drive masks and stable flags of a
-single batched solve over the input space.  Level tuples of the input
+single batched solve over the input space, the product of the declared
+input domains.  A sweep under an assumption is the sweep of a netlist
+whose input domain is narrowed to it, which is what
+``passes.apply_assumption`` returns.  Level tuples of the input
 points are built only for the views that return them or name a point;
 decoded truth reads trits through per-encoding lookup arrays.  The swing
 lint is array work too, a widest-path (max-min) relaxation over the
@@ -606,14 +609,12 @@ def solve_state(
     return cn.result_from_state(lv, masks, rounds, from_scratch=prev is None)
 
 
-def _input_codes(n: Netlist, overrides: dict[str, frozenset[Level]] | None = None) -> np.ndarray:
+def _input_codes(n: Netlist) -> np.ndarray:
     """(points, inputs) level codes of the input space, in the order of
     :func:`input_space`: each earlier input's code repeats over all the
     combinations of the later ones."""
     codes = np.zeros((1, 0), dtype=np.int8)
-    for name, dom in n.inputs:
-        if overrides and name in overrides:
-            dom = overrides[name]
+    for _, dom in n.inputs:
         axis = np.array(sorted(map(_CODE_OF_LEVEL.__getitem__, dom)), dtype=np.int8)
         codes = np.column_stack(
             [np.repeat(codes, axis.size, axis=0), np.tile(axis, codes.shape[0])]
@@ -626,11 +627,9 @@ def _level_tuples(codes: np.ndarray) -> list[tuple[Level, ...]]:
     return [tuple(map(_LEVEL_OF_CODE.__getitem__, row)) for row in codes.tolist()]
 
 
-def input_space(
-    n: Netlist, overrides: dict[str, frozenset[Level]] | None = None
-) -> list[tuple[Level, ...]]:
+def input_space(n: Netlist) -> list[tuple[Level, ...]]:
     """All input level combinations, lexicographic in declared input order."""
-    return _level_tuples(_input_codes(n, overrides))
+    return _level_tuples(_input_codes(n))
 
 
 def _trit_table(enc: Encoding) -> np.ndarray:
@@ -661,9 +660,9 @@ class Sweep:
     that is not.
     """
 
-    def __init__(self, n: Netlist, overrides: dict[str, frozenset[Level]] | None = None):
+    def __init__(self, n: Netlist):
         self.cn = CompiledNetlist(n)
-        self.codes = _input_codes(n, overrides)
+        self.codes = _input_codes(n)
         if self.cn.ccc_rank is None:
             self.levels, self.masks, _, self.stable = self.cn.solve_batch(self.codes)
         else:
@@ -700,7 +699,8 @@ class Sweep:
         return dict(zip(self.points, _level_tuples(self._resolved_outputs())))
 
     def truth_signature(self) -> dict[tuple[Level, ...], tuple]:
-        """Outputs decoded to trits, with per-point failure sentinels.
+        """Outputs decoded to trits, with per-point failure sentinels, so
+        two netlists compare including their error behavior.
 
         A state without a fixed point reads ``("error", "OscillationError")``,
         a state with an unresolved output ``("error", "UnresolvableError")``,
@@ -747,8 +747,8 @@ class Sweep:
         return (self.masks & _BIT_G) != 0, (self.masks & _BIT_V) != 0
 
     def image(self, net: str) -> frozenset[Level]:
-        """The levels ``net`` takes over the swept states."""
-        self._require_stable()
+        """The levels ``net`` takes over the swept states, unsettled states
+        included with the levels they stopped at."""
         codes = np.unique(self.levels[:, self.cn.index[net]]).tolist()
         return frozenset(_LEVEL_OF_CODE[code] for code in codes)
 
@@ -825,27 +825,14 @@ class Sweep:
         return sorted(warnings, key=lambda w: (w.net, w.polarity.value))
 
 
-def truth_table(
-    n: Netlist, overrides: dict[str, frozenset[Level]] | None = None
-) -> dict[tuple[Level, ...], tuple[Level, ...]]:
+def truth_table(n: Netlist) -> dict[tuple[Level, ...], tuple[Level, ...]]:
     """Exhaustive solve over the input domain product.
 
     Maps each input level tuple (declared input order) to the output level
     tuple.  A floating output makes the whole sweep fail, with the offending
     input point named.
     """
-    return Sweep(n, overrides).truth_table()
-
-
-def truth_signature(
-    n: Netlist, overrides: dict[str, frozenset[Level]] | None = None
-) -> dict[tuple[Level, ...], tuple]:
-    """Like :func:`truth_table` but with outputs decoded to trits.
-
-    Solver failures become per-point sentinels instead of raising, so two
-    netlists can be compared including their error behavior.
-    """
-    return Sweep(n, overrides).truth_signature()
+    return Sweep(n).truth_table()
 
 
 def decoded_truth(n: Netlist) -> dict[tuple[int, ...], tuple[int, ...]]:

@@ -10,8 +10,10 @@ from tritforge.errors import (
     DomainError,
     EquivalenceCheckFailedError,
     NetlistSemanticError,
+    NoDividerFoundError,
     NonInputAssumptionError,
     OscillationError,
+    TritforgeError,
     UnknownNetError,
     UnresolvableError,
 )
@@ -49,6 +51,8 @@ from tritforge.passes import (
 )
 from tritforge.solver import (
     CompiledNetlist,
+    Sweep,
+    decoded_truth,
     division_counts,
     truth_table,
 )
@@ -275,7 +279,6 @@ def test_pipeline_complete_to_partial(style):
                                 carry_encoding=Encoding.FULL_VDD_HIGH,
                                 cascade=cascade))
         # behaviourally identical to a natively generated partial cell
-        from tritforge.solver import decoded_truth
         assert decoded_truth(out) == decoded_truth(ref)
         assert len(out.devices) < len(n.devices)
         assert sum(division_counts(out, "carry")) == 0
@@ -319,14 +322,22 @@ def _random_netlist(rng):
     )
 
 
+def _narrowed(n, domains):
+    """``n`` with each input named in ``domains`` narrowed to its levels."""
+    return replace(n, inputs=tuple((name, domains.get(name, dom)) for name, dom in n.inputs))
+
+
 def _tables_agree(n, out, overrides):
+    """Whether ``n`` and ``out``, with each input in ``overrides`` narrowed
+    to its levels there, have equal truth tables or fail with the same
+    error.  Only the package's own errors count as an outcome."""
     try:
-        ta = truth_table(n, overrides)
-    except Exception as exc:  # noqa: BLE001 - sentinel comparison
+        ta = truth_table(_narrowed(n, overrides))
+    except TritforgeError as exc:
         ta = type(exc).__name__
     try:
-        tb = truth_table(out, overrides)
-    except Exception as exc:  # noqa: BLE001
+        tb = truth_table(_narrowed(out, overrides))
+    except TritforgeError as exc:
         tb = type(exc).__name__
     if isinstance(ta, str) or isinstance(tb, str):
         return ta == tb
@@ -441,7 +452,43 @@ def test_rebind_carry_with_a_divider_terminal_nothing_else_touches(tmp_path, cap
     assert "Traceback" not in captured.out + captured.err
 
 
-# -- tracked complements: one joined sweep against one solve per cell ---------
+def test_rebind_carry_re_encodes_a_carry_left_without_dividers(tmp_path):
+    # a = 0 prunes the mux half adder's carry generator, dividers and all,
+    # and leaves the carry at 0 on every row: with no divider and no
+    # division there is nothing to strip, so the carry is only re-encoded
+    cell, slim = tmp_path / "tha.tn", tmp_path / "slim.tn"
+    assert run(["gen", "tha", "--style", "mux", "-o", str(cell)]) == 0
+    argv = ["simplify", str(cell), "--assume", "a=0", "--rebind-carry", "carry",
+            "-o", str(slim)]
+    assert run(argv) == 0
+    text = slim.read_text()
+    assert ".output carry enc=binary" in text
+    out = parse(text)
+    assert {row[1] for row in decoded_truth(out).values()} == {0}
+    assert sum(division_counts(out, "carry")) == 0
+
+
+# an N MVT pull-up and a P MVT pull-down, both gated by a: y divides at
+# a = HALF, yet no device is a divider
+DIVIDED_WITHOUT_DIVIDER = """\
+.input a ternary
+.output y
+m mu n mvt g=a s=VDD d=y
+m md p mvt g=a s=y d=GND
+.end
+"""
+
+
+def test_rebind_carry_refuses_a_divided_net_without_dividers():
+    n = parse(DIVIDED_WITHOUT_DIVIDER)
+    assert division_counts(n, "y") == [0, 1, 0]
+    with pytest.raises(NoDividerFoundError):
+        rebind_carry(n, "y")
+    with pytest.raises(NoDividerFoundError):
+        simplify_pipeline(n, AssumptionDomain("a", DOMAIN_TERNARY), carry_net="y")
+
+
+# -- tracked complements: the netlist's sweep against one solve per cell -------
 
 
 def _reference_tracked_complements(n, a):
@@ -510,16 +557,21 @@ def _assumptions(n):
                 yield AssumptionDomain(name, frozenset(sub))
 
 
+def _tracked(n, a):
+    """_tracked_complements read from the sweep of ``n`` narrowed to ``a``."""
+    return _tracked_complements(Sweep(_narrowed(n, {a.net: a.levels})), a.net)
+
+
 def test_tracked_complements_match_reference_on_generated_cells():
     from test_solver import _generated_cells
 
-    joined = 0
+    several = 0
     for n in _generated_cells():
         for a in _assumptions(n):
-            got = _tracked_complements(n, a)
+            got = _tracked(n, a)
             assert got == _reference_tracked_complements(n, a), (n.title, a)
-            joined += len(got) > 1
-    assert joined > 500
+            several += len(got) > 1
+    assert several > 500
 
 
 def test_tracked_complements_match_reference_on_random_netlists():
@@ -528,7 +580,58 @@ def test_tracked_complements_match_reference_on_random_netlists():
     for _ in range(150):
         n = _random_gated_netlist(rng)
         for a in _assumptions(n):
-            got = _tracked_complements(n, a)
+            got = _tracked(n, a)
             assert got == _reference_tracked_complements(n, a), (n, a)
             tracked += bool(got)
     assert tracked > 80
+
+
+def test_cell_image_settles_where_the_netlist_oscillates():
+    # z gates its own pull-down, so the netlist has no CCC ranks and
+    # oscillates whenever b is GND; the NTI cell reads only c and settles
+    n = parse(".input c ternary\n.input b binary\n" + NTI_CELL + "m x p hvt g=ci s=u d=w\n"
+              + "m pu p lvt g=b s=VDD d=z\nm pd n hvt g=z s=z d=GND\n" + PROBES + ".end\n")
+    swept = Sweep(n)
+    assert swept.cn.ccc_rank is None and not swept.stable.all()
+    alone = Sweep(parse(".input c ternary\n" + NTI_CELL + ".end\n")).image("ci")
+    assert alone == {Level.GND, Level.VDD}
+    assert swept.image("ci") == alone
+    assert _tracked_complements(swept, "c") == {"ci": alone}
+
+
+def test_an_empty_sweep_tracks_no_complement():
+    # b has no levels (only the Netlist constructor allows that), so the
+    # sweep has no state and the cell's image is empty: x keeps its place
+    # instead of being wired as if every level of ci turned it on
+    cell = parse(".input c ternary\n" + NTI_CELL + "m x p hvt g=ci s=u d=w\n" + PROBES + ".end\n")
+    n = replace(cell, inputs=cell.inputs + (("b", frozenset()),))
+    swept = Sweep(n)
+    assert swept.codes.shape == (0, 2) and swept.image("ci") == frozenset()
+    assert _tracked_complements(swept, "c") == {}
+    out, _ = apply_assumption(n, AssumptionDomain("c", HALFPAIR))
+    assert "x" in {d.id for d in out.devices}
+
+
+# -- one sweep per netlist -------------------------------------------------------
+
+
+def test_resimplifying_a_simplified_cell_compiles_once(monkeypatch):
+    # the simplified cell is already narrowed and re-encoded: the sweep of
+    # the input serves the closing no-change round and the final check
+    a = AssumptionDomain("cin", HALFPAIR)
+    compiles = []
+    init = CompiledNetlist.__init__
+
+    def counted(self, n):
+        compiles.append(n)
+        init(self, n)
+
+    for style in Style:
+        once, _ = simplify_pipeline(gen_tfa(StyleSpec(style, Completeness.COMPLETE)), a,
+                                    carry_net="carry")
+        compiles.clear()
+        with monkeypatch.context() as m:
+            m.setattr(CompiledNetlist, "__init__", counted)
+            twice, _ = simplify_pipeline(once, a, carry_net="carry")
+        assert twice == once
+        assert compiles == [once], style

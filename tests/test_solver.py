@@ -58,7 +58,6 @@ from tritforge.solver import (
     simulate_pattern,
     solve_state,
     trace_csv,
-    truth_signature,
     truth_table,
 )
 from tritforge.trits import Encoding, Level, decode
@@ -581,36 +580,36 @@ def test_ccc_ranks_follow_gate_to_channel_edges():
     assert len(cn._ranks) == 3
 
 
-def _reference_points(n, overrides=None):
+def _reference_points(n):
     """The input space as first written: Level tuples from itertools.product."""
-    axes = []
-    for name, dom in n.inputs:
-        dom = (overrides or {}).get(name, dom)
-        axes.append(sorted(dom, key=lambda lv: _CODE_OF_LEVEL[lv]))
+    axes = [sorted(dom, key=lambda lv: _CODE_OF_LEVEL[lv]) for _, dom in n.inputs]
     return list(itertools.product(*axes))
 
 
 def test_sweep_codes_follow_the_lexicographic_input_space():
+    from test_passes import _narrowed
+
     ternary = frozenset({Level.GND, Level.HALF, Level.VDD})
-    n = Netlist(inputs=(("a", ternary), ("b", frozenset({Level.GND, Level.VDD})),
-                        ("c", ternary), ("d", frozenset({Level.HALF}))))
-    for overrides in (None, {"c": frozenset({Level.VDD, Level.GND})}, {"a": frozenset()}):
-        points = _reference_points(n, overrides)
-        swept = Sweep(n, overrides)
+    full = Netlist(inputs=(("a", ternary), ("b", frozenset({Level.GND, Level.VDD})),
+                           ("c", ternary), ("d", frozenset({Level.HALF}))))
+    for domains in ({}, {"c": frozenset({Level.VDD, Level.GND})}, {"a": frozenset()}):
+        n = _narrowed(full, domains)
+        points = _reference_points(n)
+        swept = Sweep(n)
         assert swept.codes.dtype == np.int8
         assert swept.codes.shape == (len(points), 4)
-        assert swept.points == input_space(n, overrides) == points
+        assert swept.points == input_space(n) == points
         assert swept.codes.tolist() == [[_CODE_OF_LEVEL[lv] for lv in pt] for pt in points]
     assert Sweep(Netlist()).codes.shape == (1, 0)
 
 
 # -- decoded truth against the route through truth_table ----------------------
 
-def _reference_decoded_truth(n, overrides=None):
+def _reference_decoded_truth(n):
     """decoded_truth as first written: the truth table point by point, then
     each input and output level decoded on its own."""
     cn = CompiledNetlist(n)
-    points = _reference_points(n, overrides)
+    points = _reference_points(n)
     codes = np.array([[_CODE_OF_LEVEL[lv] for lv in pt] for pt in points],
                      dtype=np.int8).reshape(len(points), len(n.inputs))
     lv, _, _, stable = cn.solve_batch(codes)
@@ -629,13 +628,13 @@ def _reference_decoded_truth(n, overrides=None):
 
 
 def test_decoded_truth_matches_reference_route():
-    from test_passes import _random_gated_netlist, _random_netlist
+    from test_passes import _narrowed, _random_gated_netlist, _random_netlist
 
     floating = parse(".input a binary\n.output y\nm m0 n lvt g=a s=VDD d=y\n.end\n")
     wrong_level = replace(STI, outputs=(("y", Encoding.FULL_VDD_HIGH),))
-    cases = [(STI, None), (BININV, None), (floating, None), (wrong_level, None),
-             (STI, {"a": frozenset({Level.GND, Level.HALF})}),
-             (BININV, {"a": frozenset({Level.HALF})})]
+    cases = [STI, BININV, floating, wrong_level,
+             _narrowed(STI, {"a": frozenset({Level.GND, Level.HALF})}),
+             _narrowed(BININV, {"a": frozenset({Level.HALF})})]
     rng = random.Random(909)
     makers = (_random_netlist, _random_static_netlist, _random_gated_netlist,
               _random_feedback_netlist)
@@ -643,13 +642,13 @@ def test_decoded_truth_matches_reference_route():
         n = makers[i % 4](rng)
         n = replace(n, outputs=tuple((name, rng.choice(list(Encoding))) for name in n.output_names))
         levels = [Level.GND, Level.HALF, Level.VDD]
-        overrides = {name: frozenset(rng.sample(levels, rng.randint(1, 3)))
-                     for name in n.input_names if rng.random() < 0.3}
-        cases.append((n, overrides or None))
+        domains = {name: frozenset(rng.sample(levels, rng.randint(1, 3)))
+                   for name in n.input_names if rng.random() < 0.3}
+        cases.append(_narrowed(n, domains))
     seen = set()
-    for n, overrides in cases:
-        got = _outcome(lambda: Sweep(n, overrides).decoded_truth())
-        assert got == _outcome(_reference_decoded_truth, n, overrides)
+    for n in cases:
+        got = _outcome(lambda: Sweep(n).decoded_truth())
+        assert got == _outcome(_reference_decoded_truth, n)
         seen.add(got[0] if isinstance(got, tuple) else "ok")
     assert seen == {"ok", "DomainError", "UnresolvableError", "OscillationError"}
 
@@ -669,7 +668,7 @@ def test_truth_signature_entries_do_not_depend_on_other_points():
         devices=STI.devices + (pull_up,),
     )
     osc = replace(calm, devices=calm.devices + (self_gated,))
-    sig_calm, sig_osc = truth_signature(calm), truth_signature(osc)
+    sig_calm, sig_osc = Sweep(calm).truth_signature(), Sweep(osc).truth_signature()
     shared = (Level.HALF, Level.VDD)
     assert sig_calm[shared] == sig_osc[shared] == (("level", CODE_H),)
     for pt, entry in sig_osc.items():
