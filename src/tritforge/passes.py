@@ -293,17 +293,20 @@ def _rebind(swept: Sweep, carry_net: str):
     # re-solve with every candidate divider deleted: with the divided path
     # cut, each former terminal carries at most one rail in its drive mask,
     # which names the side the divider bridged.
-    comp_idx = [cn.index[x] for x in comp_nets]
-    div_states = np.flatnonzero(swept.division()[:, comp_idx].any(axis=1))
+    gnd, vdd = swept.rail_reach(sorted(comp_nets))
+    div_states = np.flatnonzero((gnd & vdd).any(axis=1))
     if not dividers and div_states.size:
         raise NoDividerFoundError(f"no divider devices found around {carry_net!r}")
 
     divider_ids = {d.id for d in dividers}
     kept = tuple(d for d in n.devices if d.id not in divider_ids)
     stripped = Sweep(replace(n, devices=kept)) if dividers else swept
-    gnd, vdd = stripped.rail_reach()
-    v_only = (vdd & ~gnd)[div_states]
-    g_only = (gnd & ~vdd)[div_states]
+    # a terminal that only dividers touch is gone from the stripped netlist
+    # and carries no rail
+    ends = sorted({t for d in dividers for t in (d.source, d.drain)} & set(stripped.cn.index))
+    gnd, vdd = stripped.rail_reach(ends)
+    v_only = dict(zip(ends, (vdd & ~gnd)[div_states].any(axis=0).tolist()))
+    g_only = dict(zip(ends, (gnd & ~vdd)[div_states].any(axis=0).tolist()))
 
     unions, removed = [], set()
     report = PassReport()
@@ -317,11 +320,9 @@ def _rebind(swept: Sweep, carry_net: str):
         if side is None and div_states.size:
             # during a division event the terminal on the conditioned side
             # carries a single rail in its drive mask; that rail names the
-            # side this divider bridges.  A terminal that only dividers
-            # touch is gone from the stripped netlist and carries no rail.
-            index = stripped.cn.index
-            ends = [index[t] for t in (d.source, d.drain) if t in index]
-            v_side, g_side = v_only[:, ends].any(), g_only[:, ends].any()
+            # side this divider bridges
+            v_side = any(v_only.get(t, False) for t in (d.source, d.drain))
+            g_side = any(g_only.get(t, False) for t in (d.source, d.drain))
             if v_side != g_side:
                 side = "vdd" if v_side else "gnd"
         if side is None:
@@ -340,7 +341,7 @@ def _rebind(swept: Sweep, carry_net: str):
         (name, Encoding.FULL_VDD_HIGH if name == carry_net else enc)
         for name, enc in out.outputs
     )
-    out = replace(out, outputs=outputs)
+    out = CompiledNetlist(replace(out, outputs=outputs))
 
     swapped, extra = _swap_carry_stis(out)
     after = Sweep(swapped) if swapped is not None else None
@@ -373,8 +374,12 @@ def _shapes(devs, x: str, y: str, inner: int):
 _STI_SHAPE = next(_shapes(Builder().sti("in", "out"), "in", "out", 2))
 
 
-def _swap_carry_stis(n: Netlist):
-    """Replace 6-device STIs fed by a binary-domain input with MVT pairs."""
+def _swap_carry_stis(cn: CompiledNetlist):
+    """Replace 6-device STIs fed by a binary-domain input with MVT pairs.
+
+    Returns the netlist of ``cn`` with the swaps made, or None if there is
+    none, and the number of devices the swaps removed."""
+    n = cn.netlist
     binary_inputs = {
         name for name, dom in n.inputs if domain_encoding(dom) is not Encoding.STANDARD
     }
@@ -382,7 +387,6 @@ def _swap_carry_stis(n: Netlist):
         return None, 0
     devices = list(n.devices)
     changed = 0
-    cn = CompiledNetlist(n)
     for x in sorted(binary_inputs):
         for y, devs in _cells_reading(cn, x):
             if len(devs) != len(_STI_SHAPE) or _STI_SHAPE not in _shapes(devs, x, y, 2):

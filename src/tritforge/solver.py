@@ -10,36 +10,31 @@ transition simulation).
 The core is batched and works per channel-connected component (CCC): a
 maximal group of non-driver nets joined by device channels, where the rails
 and the inputs are the drivers (Bryant, IEEE Trans. Computers 1984).  A
-CCC's drive masks depend only on the levels of its gate nets and of the
-driver nets its channels touch, so a CCC is solved once per distinct row of
-those levels among the states of a sweep, and the masks are scattered back
-to every state.
+CCC's drive masks depend only on its key nets, the gate nets and driver
+nets its devices touch, so a CCC is closed once per distinct row of their
+levels.
 
 Most netlists, every generated one among them, have CCC ranks: the graph
 with an edge from the CCC of each device's gate net to the CCC of its
-channel has no cycle.  Their sweeps are solved rank by rank, each CCC once,
-keyed from the final levels of the ranks below (the rank-ordered compiled
-evaluation of COSMOS, Bryant et al., DAC 1987).  Jacobi rounds solve the
-rest: netlists with feedback, solves seeded by an earlier state
-(``solve_state(prev=...)``, ``simulate_pattern``) and callers that count
-settling rounds.  Each round closes every CCC of every active state on
-that state's own levels; states that reach a fixed point or a period-2
-cycle leave the active set.  On a netlist with ranks both give the same
-levels and masks, bit for bit.  Both work through large sweeps in chunks of
-states, so exhaustive truth tables and multi-thousand-state ripple carry
-sweeps stay cheap in memory.
+channel has no cycle.  Their sweeps are solved rank by rank, keyed from the
+final levels of the ranks below (the rank-ordered compiled evaluation of
+COSMOS, Bryant et al., DAC 1987), through a key -> row memo that lasts the
+whole sweep, so each chunk of states closes only the rows no earlier chunk
+met.  Jacobi rounds solve the rest: netlists with feedback, solves seeded
+by an earlier state (``solve_state(prev=...)``, ``simulate_pattern``) and
+callers that count settling rounds; states that reach a fixed point or a
+period-2 cycle leave early.  On a netlist with ranks both give the same
+levels and masks, bit for bit.
 
 Every exhaustive view of a netlist (truth table, decoded truth, truth
 signature, division counts, a net's image, full-swing lint) reads one
-:class:`Sweep`: the input codes, levels, drive masks and stable flags of a
-single batched solve over the input space, the product of the declared
-input domains.  A sweep under an assumption is the sweep of a netlist
-whose input domain is narrowed to it, which is what
-``passes.apply_assumption`` returns.  Level tuples of the input
-points are built only for the views that return them or name a point;
-decoded truth reads trits through per-encoding lookup arrays.  The swing
-lint is array work too, a widest-path (max-min) relaxation over the
-sweep's levels in the kernel's scatter style.
+:class:`Sweep` over the input space, the product of the declared input
+domains (narrowed, for a sweep under an assumption).  A ranked sweep stays
+factored, with no (states, nets) array: each CCC's rows with their drive
+masks, a row index by CCC and state, and level columns only for the
+drivers, the outputs and the gate nets, all a later rank reads.  Outputs
+gather their columns, rail reach and division counts per-row flags; an
+image is the union of rows, and the swing lint relaxes each row once.
 
 There is no compile cache.  Whoever solves builds the
 :class:`CompiledNetlist` and holds it: a :class:`Sweep` owns its compile,
@@ -51,6 +46,7 @@ caller lets go.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -81,18 +77,6 @@ _BIT_OF_CODE = np.array([_BIT_G, _BIT_H, _BIT_V, 0, 0], dtype=np.uint8)
 
 # States solved together; bounds the working arrays of a large sweep.
 _CHUNK = 2048
-
-# States per block of the swing lint.  Its (device, state) float64 arrays
-# dwarf the solver's int8 levels, and small blocks stay in cache: on the
-# 4-digit RCA, 128-state blocks peak near 10 MiB where _CHUNK blocks take
-# over 150 MiB, and they run about twice as fast.
-_LINT_BLOCK = 128
-
-
-def _take(table, rows, ccc, col):
-    """(states, len(col)) entries of a (column, row) table: entry j of a
-    state reads column col[j] in that state's row of CCC ccc[j]."""
-    return table[col, rows[:, ccc]]
 
 
 def conduction(polarity: Polarity, vt, gate: Level, vdd: float = 0.9) -> bool:
@@ -131,10 +115,10 @@ class SwingWarning(NamedTuple):
 class _Group(NamedTuple):
     """CCCs solved side by side on their local columns (see ``_partition``).
 
-    Index arrays named ``*_src`` pick the nets whose levels the group reads,
-    as columns of a (states, nets) level array.  ``out_net`` lists the
-    group's non-driver nets; each one reads local column ``out_col`` in its
-    CCC ``out_ccc``.
+    Arrays named ``*_src`` pick the nets the group reads, as columns of a
+    level array: every net for the Jacobi rounds, the nets ``kept`` for a
+    ranked sweep.  Each of the group's non-driver nets ``out_net`` reads
+    local column ``out_col`` in its CCC ``out_ccc``.
     """
 
     n_ccc: int
@@ -142,55 +126,32 @@ class _Group(NamedTuple):
     drv_cols: np.ndarray  # local columns holding a copy of a driver net
     drv_ccc: np.ndarray
     drv_src: np.ndarray
+    dev: np.ndarray  # netlist index of each device
     lut: np.ndarray  # (device, gate code) -> conducts
     dev_ccc: np.ndarray
     dev_src: np.ndarray  # gate nets
     steps: list  # closure scatter per channel direction
-    key_src: np.ndarray  # row-key digits, grouped by CCC between key_bounds
+    key_src: np.ndarray  # row-key digits, grouped by CCC
     key_weight: np.ndarray
-    key_bounds: np.ndarray
+    key_ccc: np.ndarray  # the CCCs with key digits, and where their digits start
+    key_first: np.ndarray
     key_offset: np.ndarray  # keeps the keys of different CCCs apart
     unkeyed: np.ndarray  # CCCs too wide to key: one row per state
     out_net: np.ndarray
     out_ccc: np.ndarray
     out_col: np.ndarray
 
-    def rows(self, src):
-        """Each state's row in every CCC, (states, CCCs), and the state each
-        row is solved on, (rows, CCCs).
-
-        Sorting the keys of all the group's CCCs at once groups them by CCC;
-        each distinct key becomes the next row of its CCC.
-        """
-        A, C = src.shape[0], self.n_ccc
-        # each CCC's digits sum to its key: cumulative sums differenced at
-        # the CCC bounds, offset so keys of different CCCs never meet
-        digits = src[:, self.key_src] * self.key_weight
-        sums = np.zeros((A, digits.shape[1] + 1), dtype=np.int64)
-        np.cumsum(digits, axis=1, out=sums[:, 1:])
-        bounds = self.key_bounds
-        keys = self.key_offset + sums[:, bounds[1:]] - sums[:, bounds[:-1]]
-        if self.unkeyed.size:
-            keys[:, self.unkeyed] += np.arange(A)[:, None]
-        flat = keys.ravel()
-        order = np.argsort(flat)
-        sorted_keys = flat[order]
-        first = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-        rep = order[first]
-        ccc = rep % C
-        row = np.arange(rep.size) - np.searchsorted(ccc, np.arange(C))[ccc]
-        rep_state = np.zeros((row.max() + 1, C), dtype=np.intp)
-        rep_state[row, ccc] = rep // C
-        rows = np.empty(flat.size, dtype=np.intp)
-        rows[order] = row[np.cumsum(first) - 1]
-        return rows.reshape(A, C), rep_state
-
-    def solve(self, src, rep_state):
-        """(local column, row) drive masks of the rows solved on the states
-        ``rep_state`` of ``src``."""
-        drv = src[rep_state[:, self.drv_ccc], self.drv_src]
-        gate = src[rep_state[:, self.dev_ccc], self.dev_src]
-        return self.closure(drv, gate)
+    def relax(self, x, w, join, meet):
+        """Fixed point of ``x`` (local column, row) along the channels: each
+        step joins every non-driver column with ``meet(x[source], w)`` over
+        the devices into it, ``w`` being (device, row)."""
+        steps = [(src, w[order], starts, tgt) for order, src, starts, tgt in self.steps]
+        while True:
+            before = x.copy()
+            for src, w_src, starts, tgt in steps:
+                x[tgt] = join(x[tgt], join.reduceat(meet(x[src], w_src), starts, axis=0))
+            if np.array_equal(x, before):
+                return x
 
     def closure(self, drv_codes, gate_codes):
         """Inner fixed point on the local columns: push driver levels along
@@ -198,13 +159,65 @@ class _Group(NamedTuple):
         masks = np.zeros((self.n_cols, drv_codes.shape[0]), dtype=np.uint8)
         masks[self.drv_cols] = _BIT_OF_CODE[drv_codes.T]
         on = self.lut[np.arange(self.lut.shape[0])[:, None], gate_codes.T]
-        steps = [(src, on[order], starts, group) for order, src, starts, group in self.steps]
-        while True:
-            before = masks.copy()
-            for src, on_src, starts, group in steps:
-                masks[group] |= np.bitwise_or.reduceat(masks[src] * on_src, starts, axis=0)
-            if np.array_equal(masks, before):
-                return masks
+        return self.relax(masks, on, np.bitwise_or, np.multiply)
+
+
+class _Rows:
+    """The rows of a group's CCCs met in a sweep of ``S`` states, and the
+    (CCCs, states) row ``index`` of those states, uint8 while it fits.
+
+    Row r of CCC c is column r of c's local columns in ``masks`` (drive
+    masks) and of c's devices in ``gates`` (gate codes).  A batch of new
+    rows takes new columns, slot j for the j-th new row of each CCC; a CCC
+    with fewer fills its slot with a row of a state of the batch, so every
+    row occurs in the sweep.  The memo (sorted ``keys``, ``key_row``) maps
+    each key met so far to its row, so a key is closed once per sweep.
+    """
+
+    def __init__(self, g: _Group, S: int):
+        self.g = g
+        self.index = np.zeros((g.n_ccc, S), dtype=np.uint8)
+        self.masks = np.zeros((g.n_cols, 0), dtype=np.uint8)
+        self.gates = np.zeros((g.dev.size, 0), dtype=np.int8)
+        # a sentinel above every key ends the memo: lookups land on an entry
+        self.keys = np.array([np.iinfo(np.int64).max])
+        self.key_row = np.zeros(1, dtype=np.intp)
+
+    def find(self, src, lo):
+        """Index and return each state's row in every CCC, (CCCs, states),
+        for the states ``lo``, ``lo + 1``, ... of the sweep, whose (nets,
+        states) levels ``src`` holds; new keys get new rows."""
+        g = self.g
+        A = src.shape[1]
+        # a CCC's key: the sum of its digits, offset apart from other CCCs'
+        keys = np.repeat(g.key_offset[:, None], A, axis=1)
+        digits = src[g.key_src] * g.key_weight[:, None]
+        keys[g.key_ccc] += np.add.reduceat(digits, g.key_first, axis=0)
+        if g.unkeyed.size:
+            keys[g.unkeyed] += lo + np.arange(A)
+        flat = keys.ravel()
+        at = np.searchsorted(self.keys, flat)
+        miss = np.flatnonzero(self.keys[at] != flat)
+        if miss.size:
+            # the sorted new keys ascend in CCC with the key offsets
+            new, first = np.unique(flat[miss], return_index=True)
+            ccc, state = np.divmod(miss[first], A)
+            j = np.arange(new.size) - np.searchsorted(ccc, ccc)
+            rep = np.zeros((j.max() + 1, g.n_ccc), dtype=np.intp)
+            rep[j, ccc] = state
+            gates = src[g.dev_src, rep[:, g.dev_ccc]]
+            masks = g.closure(src[g.drv_src, rep[:, g.drv_ccc]], gates)
+            keys = np.concatenate([self.keys, new])
+            order = keys.argsort(kind="stable")
+            self.keys = keys[order]
+            self.key_row = np.concatenate([self.key_row, self.masks.shape[1] + j])[order]
+            self.masks = np.concatenate([self.masks, masks], axis=1)
+            self.gates = np.concatenate([self.gates, gates.T], axis=1)
+            wide = np.promote_types(self.index.dtype, np.min_scalar_type(self.masks.shape[1] - 1))
+            self.index = self.index.astype(wide, copy=False)
+            at = np.searchsorted(self.keys, flat)
+        rows = self.index[:, lo : lo + A] = self.key_row[at].reshape(g.n_ccc, A)
+        return rows
 
 
 class CompiledNetlist:
@@ -216,19 +229,12 @@ class CompiledNetlist:
         self.index = {name: i for i, name in enumerate(self.nets)}
         self.n_nets = len(self.nets)
 
-        self.input_idx = np.array(
-            [self.index[name] for name in n.input_names], dtype=np.intp
-        )
-        self.output_idx = np.array(
-            [self.index[name] for name in n.output_names], dtype=np.intp
-        )
-        driver = np.zeros(self.n_nets, dtype=bool)
-        for rail in RAILS:
-            driver[self.index[rail]] = True
-        driver[self.input_idx] = True
-        self.is_driver = driver
-        self.driver_idx = np.flatnonzero(driver)
-        self.nondriver_idx = np.flatnonzero(~driver)
+        self.input_idx = np.array([self.index[x] for x in n.input_names], dtype=np.intp)
+        self.output_idx = np.array([self.index[x] for x in n.output_names], dtype=np.intp)
+        self.is_driver = np.zeros(self.n_nets, dtype=bool)
+        self.is_driver[[self.index[rail] for rail in RAILS] + self.input_idx.tolist()] = True
+        self.driver_idx = np.flatnonzero(self.is_driver)
+        self.nondriver_idx = np.flatnonzero(~self.is_driver)
         self.gnd_idx = self.index["GND"]
         self.vdd_idx = self.index["VDD"]
 
@@ -238,12 +244,8 @@ class CompiledNetlist:
         self.dev_a = np.array([self.index[d.source] for d in devs], dtype=np.intp)
         self.dev_b = np.array([self.index[d.drain] for d in devs], dtype=np.intp)
         self.dev_is_n = np.array([d.polarity is Polarity.N for d in devs], dtype=bool)
-        rows = {}
-        for d in devs:
-            if (d.polarity, d.vt) not in rows:
-                rows[d.polarity, d.vt] = [
-                    conduction(d.polarity, d.vt, lv, n.vdd) for lv in _LEVEL_OF_CODE
-                ]
+        kinds = {(d.polarity, d.vt) for d in devs}
+        rows = {k: [conduction(*k, lv, n.vdd) for lv in _LEVEL_OF_CODE] for k in kinds}
         lut = np.zeros((max(self.n_devices, 1), 5), dtype=bool)
         if devs:
             lut[: self.n_devices] = [rows[d.polarity, d.vt] for d in devs]
@@ -266,6 +268,9 @@ class CompiledNetlist:
         the device's channel.  Gates on drivers, or on nets that no channel
         touches (they read Z), add no edge.  It is None when the graph has a
         cycle, a CCC gating itself included.
+
+        ``kept`` lists the nets whose level columns a ranked sweep keeps:
+        the drivers, the outputs and the gate nets, all a later rank reads.
         """
         N = self.n_nets
         nd = ~self.is_driver
@@ -302,6 +307,9 @@ class CompiledNetlist:
         L = live.size
         gate = self.dev_gate[live]
         lut = self.dev_lut[live]
+        self.kept = np.unique(np.r_[self.driver_idx, self.output_idx, gate])
+        self._kept_col = np.full(N, -1, dtype=np.intp)
+        self._kept_col[self.kept] = np.arange(self.kept.size)
 
         # local columns: one per (CCC, net) pair, in CCC order
         cols, inv = np.unique(
@@ -325,12 +333,13 @@ class CompiledNetlist:
         # a CCC too wide to pack is keyed by state instead (no sharing)
         cap = (1 << 62) // C
         keyed = np.array([5 ** int(w) <= cap for w in width], dtype=bool)
-        span = [5 ** int(w) if k else _CHUNK for w, k in zip(width, keyed)]
+        span = [5 ** int(w) if k else cap for w, k in zip(width, keyed)]
         key_weight = np.where(keyed[key_ccc], 5 ** np.minimum(place, 26), 0)
         key_offset = np.cumsum([0] + span[:-1], dtype=np.int64)
 
-        def group(ks):
-            """The _Group of the kernel CCCs ``ks`` (ascending)."""
+        def group(ks, col):
+            """The _Group of the kernel CCCs ``ks`` (ascending), reading the
+            level columns ``col`` of the nets."""
             member = np.zeros(C, dtype=bool)
             member[ks] = True
             k_local = np.zeros(C, dtype=np.intp)
@@ -349,25 +358,26 @@ class CompiledNetlist:
                 if keep.size:
                     order = keep[np.argsort(tgt[keep], kind="stable")]
                     tgt_sorted = tgt[order]
-                    starts = np.flatnonzero(
-                        np.concatenate(([True], tgt_sorted[1:] != tgt_sorted[:-1]))
-                    )
+                    starts = np.flatnonzero(np.r_[True, tgt_sorted[1:] != tgt_sorted[:-1]])
                     steps.append((order, src[order], starts, tgt_sorted[starts]))
             ksel = np.flatnonzero(member[key_ccc])
+            first_ccc, first = np.unique(k_local[key_ccc[ksel]], return_index=True)
             osel = np.flatnonzero(member[net_k])
             return _Group(
                 n_ccc=ks.size,
                 n_cols=g_drv.size,
                 drv_cols=np.flatnonzero(g_drv),
                 drv_ccc=k_local[col_ccc[drv]],
-                drv_src=col_net[drv],
+                drv_src=col[col_net[drv]],
+                dev=live[dsel],
                 lut=lut[dsel],
                 dev_ccc=k_local[dev_k[dsel]],
-                dev_src=gate[dsel],
+                dev_src=col[gate[dsel]],
                 steps=steps,
-                key_src=key_net[ksel],
+                key_src=col[key_net[ksel]],
                 key_weight=key_weight[ksel],
-                key_bounds=np.append(np.searchsorted(key_ccc[ksel], ks), ksel.size),
+                key_ccc=first_ccc,
+                key_first=first,
                 key_offset=key_offset[ks],
                 unkeyed=np.flatnonzero(~keyed[ks]),
                 out_net=nd_idx[osel],
@@ -397,50 +407,43 @@ class CompiledNetlist:
 
     @cached_property
     def _all(self) -> _Group:
-        """Every CCC, for the Jacobi rounds."""
-        return self._group(np.arange(self._n_ccc))
+        """Every CCC, for the Jacobi rounds; reads every net."""
+        return self._group(np.arange(self._n_ccc), np.arange(self.n_nets))
 
     @cached_property
     def _ranks(self) -> list[_Group]:
-        """One group per CCC rank, lowest first."""
+        """One group per CCC rank, lowest first; reads the kept nets."""
         return [
-            self._group(np.flatnonzero(self.ccc_rank == r))
+            self._group(np.flatnonzero(self.ccc_rank == r), self._kept_col)
             for r in range(self.ccc_rank.max() + 1)
         ]
 
     # -- batched solves --------------------------------------------------
 
-    def _start(self, input_codes: np.ndarray):
-        """(levels, masks) of states before any solve: rails and inputs set,
-        every other net X."""
-        S = input_codes.shape[0]
-        lv = np.full((S, self.n_nets), CODE_X, dtype=np.int8)
-        lv[:, self.gnd_idx] = CODE_G
-        lv[:, self.vdd_idx] = CODE_V
-        if self.input_idx.size:
-            lv[:, self.input_idx] = input_codes
-        masks = np.zeros((S, self.n_nets), dtype=np.uint8)
-        masks[:, self.driver_idx] = _BIT_OF_CODE[lv[:, self.driver_idx]]
-        return lv, masks
-
     def solve_ranked(self, input_codes: np.ndarray):
         """Solve unseeded states rank by rank; needs ``ccc_rank``.
 
-        A CCC reads only the levels of CCCs of lower rank, which are final
-        by the time its rank comes, so each distinct row of a rank's CCCs is
-        closed once and the result is the unique fixed point that
-        ``solve_batch`` reaches.  Returns (levels, masks) as ``solve_batch``
-        does; every state is stable.
+        A CCC reads only the levels of CCCs of lower rank, final by the time
+        its rank comes, so each distinct row is closed once and the result is
+        the fixed point ``solve_batch`` reaches; every state is stable.
+        Returns the level columns of the nets ``kept``, (states, kept), and
+        the :class:`_Rows` of each rank.
         """
-        lv, masks = self._start(input_codes)
-        for lo in range(0, lv.shape[0], _CHUNK):
-            block, block_masks = lv[lo : lo + _CHUNK], masks[lo : lo + _CHUNK]
-            for g in self._ranks:
-                rows, rep = g.rows(block)
-                got = _take(g.solve(block, rep), rows, g.out_ccc, g.out_col)
-                block_masks[:, g.out_net] = got
-                block[:, g.out_net] = _MASK_TO_CODE[got]
-        return lv, masks
+        S = input_codes.shape[0]
+        lv = np.full((self.kept.size, S), CODE_X, dtype=np.int8)
+        col = self._kept_col
+        lv[col[self.gnd_idx]] = CODE_G
+        lv[col[self.vdd_idx]] = CODE_V
+        lv[col[self.input_idx]] = input_codes.T
+        tables = [_Rows(g, S) for g in self._ranks]
+        for lo in range(0, S, _CHUNK):
+            block = lv[:, lo : lo + _CHUNK]
+            for t in tables:
+                g, rows = t.g, t.find(block, lo)
+                dst = self._kept_col[g.out_net]
+                for k in np.flatnonzero(dst >= 0).tolist():
+                    block[dst[k]] = _MASK_TO_CODE[t.masks[g.out_col[k]]][rows[g.out_ccc[k]]]
+        return lv.T, tables
 
     def solve_batch(self, input_codes: np.ndarray, prev: np.ndarray | None = None):
         """Solve many input states at once by Jacobi rounds.
@@ -454,18 +457,21 @@ class CompiledNetlist:
         early, with the levels and masks of their last round).
         """
         nd = self.nondriver_idx
-        lv, masks = self._start(input_codes)
+        S = input_codes.shape[0]
+        lv = np.full((S, self.n_nets), CODE_X, dtype=np.int8)
+        lv[:, self.gnd_idx] = CODE_G
+        lv[:, self.vdd_idx] = CODE_V
+        lv[:, self.input_idx] = input_codes
         if prev is not None:
             lv[:, nd] = prev[:, nd]
-        S = lv.shape[0]
+        masks = np.zeros((S, self.n_nets), dtype=np.uint8)
+        masks[:, self.driver_idx] = _BIT_OF_CODE[lv[:, self.driver_idx]]
         rounds = np.zeros(S, dtype=np.int64)
         stable = np.zeros(S, dtype=bool)
         for lo in range(0, S, _CHUNK):
             part = slice(lo, lo + _CHUNK)
-            self._solve_chunk(
-                lv[part], masks[part], rounds[part], stable[part],
-                None if prev is None else prev[part][:, nd],
-            )
+            hold = None if prev is None else prev[part][:, nd]
+            self._solve_chunk(lv[part], masks[part], rounds[part], stable[part], hold)
         return lv, masks, rounds, stable
 
     def _solve_chunk(self, lv, masks, rounds, stable, hold):
@@ -561,24 +567,18 @@ class CompiledNetlist:
                 raise UnresolvableError(f"output {name!r} floats with no previous state")
 
     def result_from_state(self, lv_row, mask_row, rounds, from_scratch=True) -> SolveResult:
-        levels = {}
-        division = set()
-        floating = set()
-        for i, name in enumerate(self.nets):
-            code = lv_row[i]
-            levels[name] = _LEVEL_OF_CODE[code]
-            if (mask_row[i] & (_BIT_G | _BIT_V)) == (_BIT_G | _BIT_V):
-                division.add(name)
-            if not self.is_driver[i] and mask_row[i] == 0:
-                floating.add(name)
         if from_scratch:
             self.require_driven_outputs(lv_row)
+        both = _BIT_G | _BIT_V
         return SolveResult(
-            levels=levels,
-            division_events=frozenset(division),
-            floating=frozenset(floating),
+            levels=dict(zip(self.nets, map(_LEVEL_OF_CODE.__getitem__, lv_row.tolist()))),
+            division_events=self._names((mask_row & both) == both),
+            floating=self._names(~self.is_driver & (mask_row == 0)),
             settle_rounds=int(rounds),
         )
+
+    def _names(self, flags) -> frozenset[str]:
+        return frozenset(self.nets[i] for i in np.flatnonzero(flags).tolist())
 
 
 def _solve_one(cn: CompiledNetlist, codes, prev):
@@ -601,12 +601,18 @@ def solve_state(
     cn = CompiledNetlist(n)
     prev_codes = None
     if prev is not None:
-        prev_codes = np.array(
-            [[_CODE_OF_LEVEL[prev.levels.get(name, Level.Z)] for name in cn.nets]],
-            dtype=np.int8,
-        )
+        held = [_CODE_OF_LEVEL[prev.levels.get(x, Level.Z)] for x in cn.nets]
+        prev_codes = np.array([held], dtype=np.int8)
     lv, masks, rounds = _solve_one(cn, cn.codes_for_inputs(inputs), prev_codes)
     return cn.result_from_state(lv, masks, rounds, from_scratch=prev is None)
+
+
+def _input_axes(n: Netlist) -> list[np.ndarray]:
+    """Each input's level codes, ascending: the axes of the input space."""
+    return [
+        np.array(sorted(map(_CODE_OF_LEVEL.__getitem__, dom)), dtype=np.int8)
+        for _, dom in n.inputs
+    ]
 
 
 def _input_codes(n: Netlist) -> np.ndarray:
@@ -614,11 +620,8 @@ def _input_codes(n: Netlist) -> np.ndarray:
     :func:`input_space`: each earlier input's code repeats over all the
     combinations of the later ones."""
     codes = np.zeros((1, 0), dtype=np.int8)
-    for _, dom in n.inputs:
-        axis = np.array(sorted(map(_CODE_OF_LEVEL.__getitem__, dom)), dtype=np.int8)
-        codes = np.column_stack(
-            [np.repeat(codes, axis.size, axis=0), np.tile(axis, codes.shape[0])]
-        )
+    for axis in _input_axes(n):
+        codes = np.column_stack([np.repeat(codes, axis.size, axis=0), np.tile(axis, len(codes))])
     return codes
 
 
@@ -650,24 +653,27 @@ class Sweep:
     """One batched solve of a netlist over its input space, and its views.
 
     Holds the compiled netlist, the input ``codes`` (one row per point,
-    lexicographic in declared input order) and the levels, drive masks and
-    ``stable`` flags of the solve.  A netlist with CCC ranks is solved rank
-    by rank (:meth:`CompiledNetlist.solve_ranked`), every state stable; any
-    other takes the Jacobi rounds of ``solve_batch``.  Every exhaustive view
-    of a netlist reads a sweep, so a caller that needs several views of one
-    netlist solves it once and keeps the value.  Views that need every
-    state settled raise :class:`OscillationError` naming the first point
-    that is not.
+    lexicographic in declared input order) and the ``stable`` flags.  A
+    netlist with CCC ranks is solved rank by rank, every state stable, and
+    stays factored (:meth:`CompiledNetlist.solve_ranked`): ``rows`` holds
+    each rank's rows and row index, ``levels`` the columns of the nets
+    ``kept``.  Any other takes the Jacobi rounds of ``solve_batch`` and
+    holds (states, nets) ``levels`` and ``masks``, every net kept.  Views
+    that need every state settled raise :class:`OscillationError` naming
+    the first that is not.
     """
 
-    def __init__(self, n: Netlist):
-        self.cn = CompiledNetlist(n)
-        self.codes = _input_codes(n)
+    def __init__(self, n: Netlist | CompiledNetlist):
+        self.cn = n if isinstance(n, CompiledNetlist) else CompiledNetlist(n)
+        self.codes = _input_codes(self.cn.netlist)
+        self.stable = np.ones(len(self.codes), dtype=bool)
+        self.masks = self.rows = None
         if self.cn.ccc_rank is None:
+            self.kept = np.arange(self.cn.n_nets)
             self.levels, self.masks, _, self.stable = self.cn.solve_batch(self.codes)
         else:
-            self.levels, self.masks = self.cn.solve_ranked(self.codes)
-            self.stable = np.ones(len(self.codes), dtype=bool)
+            self.kept = self.cn.kept
+            self.levels, self.rows = self.cn.solve_ranked(self.codes)
 
     @cached_property
     def points(self) -> list[tuple[Level, ...]]:
@@ -682,11 +688,35 @@ class Sweep:
             bad = int(np.flatnonzero(~self.stable)[0])
             raise OscillationError(f"no fixed point at input point {self._point(bad)}")
 
+    def _row_of(self, i: int):
+        """(rows, place in ``out_net``) of non-driver net ``i``."""
+        for t in self.rows:
+            k = np.flatnonzero(t.g.out_net == i)
+            if k.size:
+                return t, k[0]
+
+    def _masks_of(self, nets) -> np.ndarray:
+        """(states, nets) drive masks of the named nets."""
+        idx = [self.cn.index[name] for name in nets]
+        if self.rows is None:
+            return self.masks[:, idx]
+        out = np.empty((len(self.codes), len(idx)), dtype=np.uint8)
+        for j, i in enumerate(idx):
+            if self.cn.is_driver[i]:
+                out[:, j] = _BIT_OF_CODE[self.levels[:, np.searchsorted(self.kept, i)]]
+            else:
+                t, k = self._row_of(i)
+                out[:, j] = t.masks[t.g.out_col[k], t.index[t.g.out_ccc[k]]]
+        return out
+
+    def _outputs(self) -> np.ndarray:
+        return self.levels[:, np.searchsorted(self.kept, self.cn.output_idx)]
+
     def _resolved_outputs(self) -> np.ndarray:
         """(states, outputs) level codes; raises :class:`UnresolvableError`
         naming the first output that is X or Z, in point order."""
         self._require_stable()
-        out = self.levels[:, self.cn.output_idx]
+        out = self._outputs()
         bad = (out == CODE_X) | (out == CODE_Z)
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
@@ -707,18 +737,14 @@ class Sweep:
         and an output level outside its encoding ``("level", code)``.
         """
         tables = [_TRIT_OF_CODE[enc].tolist() for _, enc in self.cn.netlist.outputs]
-        out = self.levels[:, self.cn.output_idx].tolist()
         sig = {}
-        for pt, ok, row in zip(self.points, self.stable.tolist(), out):
+        for pt, ok, row in zip(self.points, self.stable.tolist(), self._outputs().tolist()):
             if not ok:
                 sig[pt] = ("error", "OscillationError")
             elif CODE_X in row or CODE_Z in row:
                 sig[pt] = ("error", "UnresolvableError")
             else:
-                sig[pt] = tuple(
-                    t[code] if t[code] >= 0 else ("level", code)
-                    for code, t in zip(row, tables)
-                )
+                sig[pt] = tuple(t[c] if t[c] >= 0 else ("level", c) for c, t in zip(row, tables))
         return sig
 
     def decoded_truth(self) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -731,92 +757,91 @@ class Sweep:
         n = self.cn.netlist
         encs = [domain_encoding(dom) for _, dom in n.inputs] + [enc for _, enc in n.outputs]
         codes = np.column_stack([self.codes, self._resolved_outputs()])
-        trits = np.empty_like(codes)
-        for j, enc in enumerate(encs):
-            trits[:, j] = _TRIT_OF_CODE[enc][codes[:, j]]
+        table = np.array([_TRIT_OF_CODE[enc] for enc in encs]).reshape(len(encs), 5)
+        trits = table[np.arange(len(encs)), codes]
         bad = trits < 0
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
             decode(_LEVEL_OF_CODE[codes[i, j]], encs[j])  # raises DomainError
-        k = len(n.inputs)
-        return dict(zip(map(tuple, trits[:, :k].tolist()), map(tuple, trits[:, k:].tolist())))
+        # the points again, as trit tuples straight from the input axes
+        axes = [_TRIT_OF_CODE[enc][axis].tolist() for enc, axis in zip(encs, _input_axes(n))]
+        outs = trits[:, len(n.inputs) :].T.tolist()
+        return dict(zip(itertools.product(*axes), zip(*outs) if outs else itertools.repeat(())))
 
-    def rail_reach(self) -> tuple[np.ndarray, np.ndarray]:
-        """(states, nets) flags: whether GND, and whether VDD, drives each net."""
+    def rail_reach(self, nets) -> tuple[np.ndarray, np.ndarray]:
+        """(states, nets) flags: whether GND, and whether VDD, drives each of
+        the named nets."""
         self._require_stable()
-        return (self.masks & _BIT_G) != 0, (self.masks & _BIT_V) != 0
+        masks = self._masks_of(nets)
+        return (masks & _BIT_G) != 0, (masks & _BIT_V) != 0
 
     def image(self, net: str) -> frozenset[Level]:
         """The levels ``net`` takes over the swept states, unsettled states
-        included with the levels they stopped at."""
-        codes = np.unique(self.levels[:, self.cn.index[net]]).tolist()
-        return frozenset(_LEVEL_OF_CODE[code] for code in codes)
-
-    def division(self) -> np.ndarray:
-        """(states, nets) flags of voltage division: both rails drive the net."""
-        gnd, vdd = self.rail_reach()
-        return gnd & vdd
+        included with the levels they stopped at, or over its CCC's rows."""
+        i = self.cn.index[net]
+        if self.rows is None or self.cn.is_driver[i]:
+            codes = self.levels[:, np.searchsorted(self.kept, i)]
+        else:
+            t, k = self._row_of(i)
+            codes = _MASK_TO_CODE[t.masks[t.g.out_col[k]]]
+        return frozenset(_LEVEL_OF_CODE[code] for code in np.unique(codes).tolist())
 
     def division_counts(self, net: str | None = None) -> list[int]:
-        """Division events per state, of the whole netlist or of one net."""
-        div = self.division()
+        """Division events per state, of the whole netlist or of one net; a
+        ranked sweep counts per CCC row and adds up each state's rows."""
         if net is not None:
-            return div[:, self.cn.index[net]].astype(int).tolist()
-        return div.sum(axis=1).tolist()
+            gnd, vdd = self.rail_reach([net])
+            return (gnd & vdd)[:, 0].astype(int).tolist()
+        self._require_stable()
+        both = _BIT_G | _BIT_V
+        if self.rows is None:
+            return ((self.masks & both) == both).sum(axis=1).tolist()
+        total = np.zeros(len(self.codes), dtype=np.int64)
+        for t in self.rows:
+            g = t.g
+            per_row = np.zeros((g.n_ccc, t.masks.shape[1]), dtype=np.int64)
+            np.add.at(per_row, g.out_ccc, (t.masks[g.out_col] & both) == both)
+            total += per_row[np.arange(g.n_ccc)[:, None], t.index].sum(axis=0)
+        return total.tolist()
 
     def full_swing_lint(self) -> list[SwingWarning]:
         """Degraded rail passes; see :func:`full_swing_lint`.
 
-        A batched widest-path (max-min) relaxation per block of states, VDD
-        and GND targets side by side.  A path's width is the least cost of
-        its devices: the gate overdrive of a conducting wrong-polarity
-        device, ``inf`` for a conducting right-polarity one and ``-inf`` for
-        an off one.  Widths start at ``inf`` on the drivers at the target
-        level and ``-inf`` elsewhere, and no channel enters a driver net.  A
-        net at the target level is clean when its width is ``inf`` and a
-        suspect when it is finite; its headroom is the least width over the
-        states.
+        The closure's ``relax`` with max and min for or and and, once per
+        CCC row and for the VDD and GND targets side by side: a widest-path
+        relaxation.  A path's width is the least cost of its devices, the
+        gate overdrive of a conducting wrong-polarity device, ``inf`` for a
+        right-polarity one, ``-inf`` if off.  Widths start at ``inf`` on the
+        driver copies at the target level.  A net at that level with a
+        finite width is degraded; its headroom is the least over its rows.
+        A sweep without ranks first finds its rows from the settled levels.
         """
         self._require_stable()
         cn = self.cn
         n = cn.netlist
-        # arcs: device k entered at one channel end and left at the other,
-        # k for source -> drain and k + n_devices for drain -> source; only
-        # arcs into non-driver nets count.  Layer r holds the r-th arc into
-        # each net, so no layer scatters twice onto one net.
-        far = np.r_[cn.dev_b, cn.dev_a]
-        near = np.r_[cn.dev_a, cn.dev_b]
-        arcs = np.flatnonzero(~cn.is_driver[far])
-        arcs = arcs[np.argsort(far[arcs], kind="stable")]
-        rank = np.arange(arcs.size) - np.searchsorted(far[arcs], far[arcs])
-        layers = [arcs[rank == r] for r in range(rank.max(initial=-1) + 1)]
-        vt = np.array([d.vt.vt_volts for d in n.devices], dtype=float)[:, None]
+        tables = self.rows
+        if tables is None:
+            tables = [_Rows(cn._all, len(self.codes))]
+            for lo in range(0, len(self.codes), _CHUNK):
+                tables[0].find(self.levels[lo : lo + _CHUNK].T, lo)
+        vt = np.array([d.vt.vt_volts for d in n.devices], dtype=float)
         volts = np.array([0.0, n.vdd / 2, n.vdd, 0.0, 0.0])
-        is_n = cn.dev_is_n[:, None]
-        dev_range = np.arange(cn.n_devices)[:, None]
         worst = np.full((2, cn.n_nets), np.inf)
-        for lo in range(0, len(self.levels), _LINT_BLOCK):
-            # (net or device, state) arrays; the VDD target's states come
-            # first along axis 1, then the GND target's
-            lv = self.levels[lo : lo + _LINT_BLOCK].T
-            gate = lv[cn.dev_gate]
-            on = cn.dev_lut[dev_range, gate]
-            gv = volts[gate]
+        for t in tables:
+            g, R = t.g, t.masks.shape[1]
+            gv, dvt, is_n = volts[t.gates], vt[g.dev, None], cn.dev_is_n[g.dev, None]
             # the wrong polarity is N toward VDD and P toward GND
-            to_vdd = np.where(is_n, gv - vt, np.inf)
-            to_gnd = np.where(is_n, np.inf, (n.vdd - gv) - vt)
+            to_vdd = np.where(is_n, gv - dvt, np.inf)
+            to_gnd = np.where(is_n, np.inf, (n.vdd - gv) - dvt)
+            on = g.lut[np.arange(g.dev.size)[:, None], t.gates]
             cost = np.where(np.tile(on, 2), np.concatenate([to_vdd, to_gnd], axis=1), -np.inf)
+            lv = _MASK_TO_CODE[t.masks]
             at = np.concatenate([lv == CODE_V, lv == CODE_G], axis=1)
-            width = np.where(cn.is_driver[:, None] & at, np.inf, -np.inf)
-            steps = [(far[k], near[k], cost[k % cn.n_devices]) for k in layers]
-            while True:
-                before = width.copy()
-                for dst, src, c in steps:
-                    width[dst] = np.maximum(width[dst], np.minimum(width[src], c))
-                if np.array_equal(width, before):
-                    break
-            head = np.where(at & np.isfinite(width), width, np.inf)
-            worst = np.minimum(worst, head.reshape(cn.n_nets, 2, -1).min(axis=2).T)
+            width = np.full(at.shape, -np.inf)
+            width[g.drv_cols] = np.where(at[g.drv_cols], np.inf, -np.inf)
+            width = g.relax(width, cost, np.maximum, np.minimum)
+            head = np.where(at & np.isfinite(width), width, np.inf).reshape(g.n_cols, 2, R)
+            worst[:, g.out_net] = head[g.out_col].min(axis=2, initial=np.inf).T
         warnings = [
             SwingWarning(cn.nets[i], pol, float(worst[k, i]))
             for k, pol in enumerate((Polarity.N, Polarity.P))
@@ -920,9 +945,5 @@ def simulate_pattern(n: Netlist, rows: list[tuple[Level, ...]]):
 def trace_csv(n: Netlist, trace) -> str:
     """Render a simulation trace as CSV with one column per net."""
     nets = n.nets()
-    lines = ["step," + ",".join(nets)]
-    for row in trace:
-        lines.append(
-            str(row["step"]) + "," + ",".join(row[net].value for net in nets)
-        )
-    return "\n".join(lines) + "\n"
+    rows = (f"{row['step']}," + ",".join(row[net].value for net in nets) for row in trace)
+    return "\n".join(["step," + ",".join(nets), *rows]) + "\n"

@@ -260,7 +260,7 @@ def test_sti_swap_does_not_depend_on_device_ids(first):
     sti = ORDERED_STI.format(*(f"m{first + i}" for i in range(6)))
     n = parse(".input x binary\n.output z enc=binary\n" + sti
               + "m q0 p lvt g=y s=VDD d=z\nm q1 n lvt g=y s=z d=GND\n.end\n")
-    out, changed = _swap_carry_stis(n)
+    out, changed = _swap_carry_stis(CompiledNetlist(n))
     assert changed == 4
     pair = sorted((d.polarity.value, d.vt, d.source, d.drain)
                   for d in out.devices if d.gate == "x")
@@ -635,3 +635,27 @@ def test_resimplifying_a_simplified_cell_compiles_once(monkeypatch):
             twice, _ = simplify_pipeline(once, a, carry_net="carry")
         assert twice == once
         assert compiles == [once], style
+
+
+def test_simplify_compiles_each_netlist_once(monkeypatch):
+    # the re-encoded netlist is compiled once, for the STI search and its
+    # sweep alike, so a simplify compiles exactly the netlists it sweeps
+    a = AssumptionDomain("cin", HALFPAIR)
+    n = gen_tfa(StyleSpec(Style.TERNARY_CMOS, Completeness.COMPLETE))
+    calls = {"compile": 0, "sweep": 0}
+    compile_init, sweep_init = CompiledNetlist.__init__, Sweep.__init__
+
+    def compiled(self, n):
+        calls["compile"] += 1
+        compile_init(self, n)
+
+    def swept(self, n):
+        calls["sweep"] += 1
+        sweep_init(self, n)
+
+    monkeypatch.setattr(CompiledNetlist, "__init__", compiled)
+    monkeypatch.setattr(Sweep, "__init__", swept)
+    out, report = simplify_pipeline(n, a, carry_net="carry")
+    assert out != n and report.wired
+    # five sweeps, as before the compile was shared; six compiles then
+    assert calls == {"compile": 5, "sweep": 5}

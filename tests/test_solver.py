@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import heapq
 import itertools
 import random
@@ -46,6 +47,7 @@ from tritforge.solver import (
     CompiledNetlist,
     Sweep,
     _BIT_G,
+    _BIT_OF_CODE,
     _BIT_V,
     _CODE_OF_LEVEL,
     _LEVEL_OF_CODE,
@@ -446,10 +448,10 @@ def test_ccc_kernel_without_channels():
         assert _assert_matches_oracle(cn, codes, prev).all()
 
 
-def test_ccc_kernel_with_a_ccc_too_wide_to_key():
-    # a pass chain gated by 30 distinct nets: its row key would need 30+
-    # radix-5 digits, more than an int64 holds, so each state of a ranked
-    # sweep keys it alone
+def _too_wide(free=0):
+    """A pass chain gated by 30 distinct nets: its row key would need 30+
+    radix-5 digits, more than an int64 holds.  ``free`` more ternary inputs
+    drive nothing and multiply the states."""
     ternary = frozenset({Level.GND, Level.HALF, Level.VDD})
     devices = []
     for i in range(30):
@@ -458,7 +460,13 @@ def test_ccc_kernel_with_a_ccc_too_wide_to_key():
         devices.append(Device(f"n{i}", Polarity.N, ThresholdClass.MVT, src, f"g{i}", "GND"))
         devices.append(Device(f"s{i}", Polarity.N, ThresholdClass.LVT, f"g{i}", f"c{i}", f"c{i + 1}"))
     devices.append(Device("top", Polarity.P, ThresholdClass.LVT, "a", "VDD", "c0"))
-    n = Netlist(inputs=(("a", ternary), ("b", ternary)), devices=tuple(devices))
+    inputs = [(x, ternary) for x in ("a", "b", *(f"f{i}" for i in range(free)))]
+    return Netlist(inputs=tuple(inputs), devices=tuple(devices))
+
+
+def test_ccc_kernel_with_a_ccc_too_wide_to_key():
+    # each state of a ranked sweep keys the wide CCC alone
+    n = _too_wide()
     cn = CompiledNetlist(n)
     assert sorted(g.unkeyed.size for g in cn._ranks) == [0, 1]
     codes = _sweep_codes(n)
@@ -466,20 +474,75 @@ def test_ccc_kernel_with_a_ccc_too_wide_to_key():
     swept = Sweep(n)
     want = _dense_solve_batch(swept.cn, swept.codes)
     assert swept.stable.all() and want[3].all()
-    assert np.array_equal(swept.levels, want[0]) and np.array_equal(swept.masks, want[1])
+    levels, masks = _dense(swept)
+    assert np.array_equal(levels, want[0]) and np.array_equal(masks, want[1])
+
+
+def test_row_index_widens_past_256_rows(monkeypatch):
+    # 729 states, one row each in the wide CCC: the uint8 row index widens
+    # to uint16 in the middle of the sweep
+    monkeypatch.setattr(solver_mod, "_CHUNK", 100)
+    swept = Sweep(_too_wide(free=4))
+    assert {t.index.dtype for t in swept.rows} == {np.dtype(np.uint8), np.dtype(np.uint16)}
+    assert max(t.masks.shape[1] for t in swept.rows) == 729
+    want = swept.cn.solve_batch(swept.codes)
+    levels, masks = _dense(swept)
+    assert np.array_equal(levels, want[0]) and np.array_equal(masks, want[1])
 
 
 # -- ranked sweeps against the Jacobi rounds ---------------------------------
 
+def _dense(swept):
+    """(states, nets) levels and drive masks of a sweep; a ranked sweep's
+    are expanded from its rows and row index, and its kept level columns
+    must agree with them."""
+    if swept.rows is None:
+        return swept.levels, swept.masks
+    cn = swept.cn
+    S = len(swept.codes)
+    levels = np.full((S, cn.n_nets), CODE_X, dtype=np.int8)
+    masks = np.zeros((S, cn.n_nets), dtype=np.uint8)
+    drv = cn.driver_idx
+    levels[:, drv] = swept.levels[:, np.searchsorted(swept.kept, drv)]
+    masks[:, drv] = _BIT_OF_CODE[levels[:, drv]]
+    for t in swept.rows:
+        g = t.g
+        assert t.index.shape == (g.n_ccc, S) and (t.index < t.masks.shape[1]).all()
+        got = t.masks[g.out_col, t.index.T[:, g.out_ccc]]
+        masks[:, g.out_net] = got
+        levels[:, g.out_net] = _MASK_TO_CODE[got]
+    assert np.array_equal(swept.levels, levels[:, swept.kept])
+    return levels, masks
+
+
+def _views(swept):
+    """Every view of a sweep, errors compared by type and text."""
+    cn = swept.cn
+    return [
+        _outcome(swept.decoded_truth),
+        _outcome(swept.truth_signature),
+        _outcome(swept.division_counts),
+        [_outcome(swept.division_counts, net) for net in cn.nets],
+        _outcome(lambda: [a.tolist() for a in swept.rail_reach(cn.nets)]),
+        [swept.image(net) for net in cn.nets],
+        _outcome(swept.full_swing_lint),
+    ]
+
+
 def _assert_ranked_matches_jacobi(n):
     """Levels, masks and stable flags of the sweep equal those of the Jacobi
-    rounds bit for bit; returns whether the netlist has CCC ranks."""
+    rounds bit for bit, and so does every view; returns whether the netlist
+    has CCC ranks."""
     swept = Sweep(n)
-    want = swept.cn.solve_batch(swept.codes)
+    cn = CompiledNetlist(n)
+    cn.ccc_rank = None  # the same netlist through the Jacobi rounds
+    jacobi = Sweep(cn)
+    assert jacobi.rows is None
     assert np.array_equal(swept.codes, _sweep_codes(n))
-    assert np.array_equal(swept.stable, want[3])
-    for got, ref in zip((swept.levels, swept.masks), want[:2]):
+    assert np.array_equal(swept.stable, jacobi.stable)
+    for got, ref in zip(_dense(swept), (jacobi.levels, jacobi.masks)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert _views(swept) == _views(jacobi)
     return swept.cn.ccc_rank is not None
 
 
@@ -687,7 +750,8 @@ def _reference_lint(n):
     devices, and a heap-based widest-path search gives every other net at
     the rail level its best headroom."""
     sweep = Sweep(n)
-    cn, lv = sweep.cn, sweep.levels
+    cn = sweep.cn
+    lv = cn.solve_batch(sweep.codes)[0]
     worst = {}
     ends = list(zip(cn.dev_a.tolist(), cn.dev_b.tolist()))
     is_n = cn.dev_is_n.tolist()
@@ -815,12 +879,49 @@ def test_swing_lint_matches_reference_on_random_feedback_netlists():
 
 
 def test_swing_lint_across_state_blocks(monkeypatch):
-    # 27 states cut into blocks of 4: headrooms merge across blocks
-    monkeypatch.setattr(solver_mod, "_LINT_BLOCK", 4)
+    # 27 states cut into chunks of 5: headrooms merge across chunks and
+    # across rows that an earlier chunk already closed
+    monkeypatch.setattr(solver_mod, "_CHUNK", 5)
     for style in Style:
         cell = gen_tfa(StyleSpec(style, Completeness.COMPLETE))
         _assert_lint_matches_reference(cell)
         _assert_lint_matches_reference(gen_testbench(cell))
+
+
+def test_swing_lint_matches_reference_on_rca2():
+    spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
+                     carry_encoding=Encoding.FULL_VDD_HIGH)
+    assert _assert_lint_matches_reference(gen_rca(2, spec)) > 0
+
+
+def test_swing_lint_on_rca4_is_pinned():
+    # the warnings of the dense (states, nets) lint, recorded before the
+    # lint moved onto CCC rows
+    spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
+                     carry_encoding=Encoding.FULL_VDD_HIGH)
+    warnings = full_swing_lint(gen_rca(4, spec))
+    text = "\n".join(f"{w.net} {w.polarity.value} {w.headroom!r}" for w in warnings)
+    assert len(warnings) == 340
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "29d7a543db147ed9f94b2dc06a6be3163b1b8f09f686f05ba286b58485ab9a52")
+
+
+def test_rca5_sweep_is_exhaustive_in_bounded_memory():
+    # 118,098 states: the factored sweep keeps rows, a row index and a few
+    # level columns, never a (states, nets) array
+    spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
+                     carry_encoding=Encoding.FULL_VDD_HIGH)
+    swept = Sweep(gen_rca(5, spec))
+    truth = swept.decoded_truth()
+    assert len(truth) == 3 ** 10 * 2
+    for pt, val in truth.items():
+        a = sum(t * 3 ** i for i, t in enumerate(pt[:5]))
+        b = sum(t * 3 ** i for i, t in enumerate(pt[5:10]))
+        total = a + b + pt[10]
+        assert val == tuple(total // 3 ** i % 3 for i in range(5)) + (total // 243,), pt
+    held = [v for v in vars(swept).values() if isinstance(v, np.ndarray)]
+    held += [v for t in swept.rows for v in vars(t).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in held) < 16 * 2 ** 20
 
 
 # -- oracle: pattern simulation one solve_state per step ---------------------
