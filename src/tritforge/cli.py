@@ -3,11 +3,17 @@
 Exit codes: 0 success, 1 domain/data errors (diagnostic on stderr),
 2 usage errors (argparse's convention).  All outputs are deterministic
 for fixed inputs and flags.
+
+:func:`run` may be called any number of times in one process.  It builds
+the argument parser on its first call and reuses it: ``parse_args`` gives
+each call a fresh namespace, so no call sees another's flags.  Importing
+this module builds no parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -378,8 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# built on the first run() and kept for the process
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TritforgeError, OSError) as exc:

@@ -24,6 +24,7 @@ encoding's ``levels``, and level digits are trits of the standard encoding.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,16 @@ class Polarity(enum.Enum):
     N = "n"
     P = "p"
 
+
+# Device-line tokens, lower-cased, to their members: a dict lookup instead of
+# an enum constructor call per device.
+_POLARITY = {p.value: p for p in Polarity}
+_THRESHOLD = {t.value: t for t in ThresholdClass}
+
+# Every (polarity, threshold class) pair, the N classes first.  A device's
+# class number is its pair's position here; ``DEVICE_CLASSES.index`` finds it
+# by identity comparisons, where keying a dict by the pair hashes both enums.
+DEVICE_CLASSES = tuple(itertools.product(Polarity, ThresholdClass))
 
 # Reserved role tags consumed by the carry rebind pass.
 TAG_DIVIDER = "divider"
@@ -282,13 +293,11 @@ def parse(text: str, strict: bool = False) -> Netlist:
             dev_id = tokens[1]
             if dev_id in dev_ids:
                 raise NetlistSemanticError(f"duplicate device id {dev_id!r}", line=lineno)
-            try:
-                pol = Polarity(tokens[2].lower())
-            except ValueError:
+            pol = _POLARITY.get(tokens[2].lower())
+            if pol is None:
                 raise NetlistSyntaxError(f"bad polarity {tokens[2]!r}", line=lineno)
-            try:
-                vt = ThresholdClass(tokens[3].lower())
-            except ValueError:
+            vt = _THRESHOLD.get(tokens[3].lower())
+            if vt is None:
                 raise NetlistSyntaxError(f"bad threshold class {tokens[3]!r}", line=lineno)
             terms: dict[str, str] = {}
             tags: set[str] = set()

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .netlist import (
     ALWAYS_ON_GATE,
+    DEVICE_CLASSES,
     DOMAIN_BINARY,
     Device,
     Netlist,
@@ -132,8 +133,15 @@ def _cells_reading(cn: CompiledNetlist, x: str):
     """
     n = cn.netlist
     inputs = set(n.input_names)
+    # a device belongs to the CCC of its non-driver terminals (drivers read -1),
+    # so one pass over the devices groups every channel component
+    dev_ccc = np.maximum(cn.net_ccc[cn.dev_a], cn.net_ccc[cn.dev_b]).tolist()
+    cells: dict[int, list[Device]] = {}
+    for k, d in zip(dev_ccc, n.devices):
+        cells.setdefault(k, []).append(d)
+    net_ccc = cn.net_ccc.tolist()
     for y in sorted({d.gate for d in n.devices} - set(RAILS) - inputs):
-        devs = cn.channel_component(y)[1]
+        devs = cells.get(net_ccc[cn.index[y]], [])
         reads_x = all(d.gate in RAILS or d.gate == x for d in devs)
         if devs and reads_x and not any({d.source, d.drain} & inputs for d in devs):
             yield y, devs
@@ -242,9 +250,9 @@ def factor_parallel(n: Netlist):
     removed = 0
     out = []
     for d in n.devices:
-        key = (d.polarity, d.vt, d.gate, frozenset((d.source, d.drain)))
-        if key in seen:
-            kept = seen[key]
+        key = (DEVICE_CLASSES.index((d.polarity, d.vt)), d.gate, frozenset((d.source, d.drain)))
+        kept = seen.get(key)
+        if kept is not None:
             if d.tags - kept.tags:
                 merged = Device(
                     kept.id, kept.polarity, kept.vt, kept.gate, kept.source,

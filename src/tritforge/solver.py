@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, OscillationError, UnresolvableError
-from .netlist import Netlist, Polarity, RAILS, domain_encoding
+from .netlist import DEVICE_CLASSES, Netlist, Polarity, RAILS, domain_encoding
 from .trits import Encoding, Level, decode, level_volts
 
 # Internal level codes; X never survives a successful solve.
@@ -243,13 +243,15 @@ class CompiledNetlist:
         self.dev_gate = np.array([self.index[d.gate] for d in devs], dtype=np.intp)
         self.dev_a = np.array([self.index[d.source] for d in devs], dtype=np.intp)
         self.dev_b = np.array([self.index[d.drain] for d in devs], dtype=np.intp)
-        self.dev_is_n = np.array([d.polarity is Polarity.N for d in devs], dtype=bool)
-        kinds = {(d.polarity, d.vt) for d in devs}
-        rows = {k: [conduction(*k, lv, n.vdd) for lv in _LEVEL_OF_CODE] for k in kinds}
-        lut = np.zeros((max(self.n_devices, 1), 5), dtype=bool)
-        if devs:
-            lut[: self.n_devices] = [rows[d.polarity, d.vt] for d in devs]
-        self.dev_lut = lut
+        # conduction by gate level code, one row per device class that occurs
+        classes = [DEVICE_CLASSES.index((d.polarity, d.vt)) for d in devs]
+        self.dev_class = np.array(classes, dtype=np.intp)
+        self.dev_is_n = self.dev_class < len(DEVICE_CLASSES) // 2
+        table = np.zeros((len(DEVICE_CLASSES), 5), dtype=bool)
+        for k in set(classes):
+            table[k] = [conduction(*DEVICE_CLASSES[k], lv, n.vdd) for lv in _LEVEL_OF_CODE]
+        self.dev_lut = np.zeros((max(self.n_devices, 1), 5), dtype=bool)
+        self.dev_lut[: self.n_devices] = table[self.dev_class]
         self._partition()
 
     def _partition(self):
@@ -824,7 +826,7 @@ class Sweep:
             tables = [_Rows(cn._all, len(self.codes))]
             for lo in range(0, len(self.codes), _CHUNK):
                 tables[0].find(self.levels[lo : lo + _CHUNK].T, lo)
-        vt = np.array([d.vt.vt_volts for d in n.devices], dtype=float)
+        vt = np.array([vt.vt_volts for _, vt in DEVICE_CLASSES])[cn.dev_class]
         volts = np.array([0.0, n.vdd / 2, n.vdd, 0.0, 0.0])
         worst = np.full((2, cn.n_nets), np.inf)
         for t in tables:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tritforge.cli as cli
 from tritforge.cli import run
 
 
@@ -205,3 +210,59 @@ def test_truth_expectation_mismatch_exits_1(tmp_path, capsys):
                     + STI_OF_A.format(y="carry") + ".end\n")
     assert run(["truth", str(cell), "--expect", "table2-complete"]) == 1
     assert "truth mismatch on 25 of 27 points" in capsys.readouterr().err
+
+
+def _outcome(argv, capsys, out_dir):
+    """Exit code, stdout, stderr and the files in ``out_dir`` after one command."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_reused_parser_gives_what_a_fresh_one_gives(tmp_path, capsys):
+    cell = tmp_path / "cell.tn"
+    assert run(["gen", "tfa", "--style", "ntpt", "--complete", "-o", str(cell)]) == 0
+    sequence = [
+        ["gen", "tfa", "--style", "quantum"],
+        ["truth", str(cell)],
+        ["truth", str(cell), "--format", "json"],
+        ["truth", str(cell)],
+        ["gen", "tfa", "--style", "mux", "--partial"],
+        ["gen", "tfa", "--style", "mux", "--complete"],
+        ["simplify", str(cell), "--assume", "cin=01", "--rebind-carry", "carry",
+         "--report", "{dir}/r.json"],
+        ["simplify", str(cell), "--assume", "cin=01", "--rebind-carry", "carry"],
+    ]
+    outcomes = {}
+    for fresh in (True, False):
+        out_dir = tmp_path / ("fresh" if fresh else "reused")
+        out_dir.mkdir()
+        cli._parser.cache_clear()
+        outcomes[fresh] = []
+        for argv in sequence:
+            if fresh:  # each command runs first, on a parser of its own
+                cli._parser.cache_clear()
+            argv = [a.format(dir=out_dir) for a in argv]
+            outcomes[fresh].append(_outcome(argv, capsys, out_dir))
+        assert cli._parser.cache_info().misses == 1
+    assert outcomes[False] == outcomes[True]
+    assert [o[0] for o in outcomes[True]] == [2, 0, 0, 0, 0, 0, 0, 0]
+    assert outcomes[True][1][1] == outcomes[True][3][1] != outcomes[True][2][1]
+    assert outcomes[True][4][1] != outcomes[True][5][1]
+    assert list(outcomes[True][6][3]) == list(outcomes[True][7][3]) == ["r.json"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(a)\n"
+        "import tritforge.cli\n"
+        "assert not built, built\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=600,
+                   env=dict(os.environ, PYTHONPATH=str(src)))

@@ -110,6 +110,26 @@ def test_syntax_errors_carry_line_numbers():
         parse(".end\nm x p hvt g=a s=VDD d=y\n")
 
 
+def test_device_tokens_are_case_insensitive():
+    n = parse(".output y\nM m0 N LVT G=VDD S=y D=GND\nm m1 P uLvT g=GND s=VDD d=y\n.end\n")
+    assert [(d.polarity, d.vt) for d in n.devices] == [
+        (Polarity.N, ThresholdClass.LVT), (Polarity.P, ThresholdClass.ULVT)]
+
+
+@pytest.mark.parametrize("text,message,line", [
+    (".output y\nm m0 x lvt g=VDD s=y d=GND\n.end\n", "line 2: bad polarity 'x'", 2),
+    (".output y\nm m0 X LVT g=VDD s=y d=GND\n", "line 2: bad polarity 'X'", 2),
+    (".output y\n\nm m0 n svt g=VDD s=y d=GND\n.end\n",
+     "line 3: bad threshold class 'svt'", 3),
+    (".output y\nm m0 N sVt g=VDD s=y d=GND\n", "line 2: bad threshold class 'sVt'", 2),
+])
+def test_bad_device_tokens_name_the_token_and_line(text, message, line):
+    # messages and line numbers as recorded before device tokens were table-driven
+    with pytest.raises(NetlistSyntaxError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line) == (message, line)
+
+
 def test_semantic_errors():
     with pytest.raises(NetlistSemanticError):
         parse(".input VDD ternary\n.end\n")

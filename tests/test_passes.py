@@ -41,6 +41,7 @@ from tritforge.netlist import (
 from tritforge.passes import (
     AssumptionDomain,
     PassReport,
+    _cells_reading,
     _swap_carry_stis,
     _tracked_complements,
     apply_assumption,
@@ -385,6 +386,36 @@ def test_channel_component_matches_walk():
         cn = CompiledNetlist(n)
         for net in n.nets():  # drivers included
             assert cn.channel_component(net) == _walk_component(n, net), net
+
+
+def _reference_cells_reading(cn, x):
+    """``_cells_reading`` as first written: one channel component per gate net."""
+    n = cn.netlist
+    inputs = set(n.input_names)
+    for y in sorted({d.gate for d in n.devices} - set(RAILS) - inputs):
+        devs = cn.channel_component(y)[1]
+        reads_x = all(d.gate in RAILS or d.gate == x for d in devs)
+        if devs and reads_x and not any({d.source, d.drain} & inputs for d in devs):
+            yield y, devs
+
+
+def test_cells_reading_matches_per_net_components():
+    from test_solver import _random_feedback_netlist, _random_static_netlist
+
+    rng = random.Random(SEED)
+    makers = (_random_netlist, _random_static_netlist, _random_gated_netlist,
+              _random_feedback_netlist)
+    netlists = [gen_tfa(StyleSpec(style, completeness, cascade=cascade))
+                for style in Style for completeness in Completeness for cascade in Cascade]
+    netlists += [makers[i % 4](rng) for i in range(400)]
+    found = 0
+    for n in netlists:
+        cn = CompiledNetlist(n)
+        for x in n.input_names:
+            got = list(_cells_reading(cn, x))
+            assert got == list(_reference_cells_reading(cn, x)), (n.title, x)
+            found += len(got)
+    assert found > 100
 
 
 # -- ports never merge into a rail -------------------------------------------

@@ -97,6 +97,23 @@ def test_conduction_thresholds():
     assert not conduction(Polarity.P, mvt, Level.VDD)
 
 
+def test_compiled_conduction_table_matches_per_device_conduction():
+    from test_passes import _random_gated_netlist, _random_netlist
+
+    rng = random.Random(4242)
+    makers = (_random_netlist, _random_static_netlist, _random_gated_netlist,
+              _random_feedback_netlist)
+    netlists = list(_generated_cells()) + [makers[i % 4](rng) for i in range(200)]
+    for n in netlists + [Netlist(outputs=(("y", Encoding.STANDARD),))]:
+        for vdd in (0.9, 0.6, 1.2):
+            cn = CompiledNetlist(replace(n, vdd=vdd))
+            lut = [[conduction(d.polarity, d.vt, lv, vdd) for lv in _LEVEL_OF_CODE]
+                   for d in n.devices]
+            # a netlist without devices keeps one all-off row
+            assert cn.dev_lut.tolist() == (lut or [[False] * 5]), (n.title, vdd)
+            assert cn.dev_is_n.tolist() == [d.polarity is Polarity.N for d in n.devices]
+
+
 def test_sti_truth_table():
     assert decoded_truth(STI) == {(0,): (2,), (1,): (1,), (2,): (0,)}
 
