@@ -38,7 +38,7 @@ from .netlist import (
     ThresholdClass,
     domain_encoding,
 )
-from .solver import CompiledNetlist, Sweep, conduction
+from .solver import _CODE_OF_LEVEL, CompiledNetlist, Sweep
 from .synth import Builder
 from .trits import Encoding, STABLE_LEVELS
 
@@ -87,10 +87,12 @@ def _merge_nets(n: Netlist, unions: list, removed_ids: set, vt_map: dict) -> Net
             x = parent[x]
         return x
 
+    ports = set(n.input_names + n.output_names)
+
     def priority(net):
         if net in RAILS:
             return 3
-        if net in n.input_names or net in n.output_names:
+        if net in ports:
             return 2
         return 1
 
@@ -102,17 +104,18 @@ def _merge_nets(n: Netlist, unions: list, removed_ids: set, vt_map: dict) -> Net
             raise NetlistSemanticError("a wire replacement would short the rails")
         keep, drop = sorted((ru, rv), key=lambda x: (-priority(x), x))
         parent[drop] = keep
-    if any(find(name) in RAILS for name in n.input_names + n.output_names):
+    if any(find(name) in RAILS for name in ports):
         raise NetlistSemanticError("a wire replacement would tie a port to a rail")
 
+    # a device that no merge renames and no remap touches is kept as it is
     devices = []
     for d in n.devices:
         if d.id in removed_ids:
             continue
-        vt = vt_map.get(d.id, d.vt)
-        devices.append(
-            Device(d.id, d.polarity, vt, find(d.gate), find(d.source), find(d.drain), d.tags)
-        )
+        if d.id in vt_map or not parent.keys().isdisjoint((d.gate, d.source, d.drain)):
+            vt = vt_map.get(d.id, d.vt)
+            d = Device(d.id, d.polarity, vt, find(d.gate), find(d.source), find(d.drain), d.tags)
+        devices.append(d)
     inputs = tuple((find(name), dom) for name, dom in n.inputs)
     outputs = tuple((find(name), enc) for name, enc in n.outputs)
     loads = tuple((find(net), f) for net, f in n.loads)
@@ -164,9 +167,9 @@ def _tracked_complements(swept: Sweep, x: str) -> dict[str, frozenset]:
 
 def _narrow(n: Netlist, a: AssumptionDomain) -> Netlist:
     """``n`` with the assumed input's domain narrowed to the assumption."""
-    if a.net not in n.nets():
-        raise UnknownNetError(f"no net named {a.net!r}")
-    if a.net not in n.input_names:
+    if a.net not in n.input_names:  # the nets are listed only for the error
+        if a.net not in n.nets():
+            raise UnknownNetError(f"no net named {a.net!r}")
         raise NonInputAssumptionError(f"{a.net!r} is not a declared input")
     inputs = tuple((x, frozenset(a.levels) if x == a.net else dom) for x, dom in n.inputs)
     return replace(n, inputs=inputs)
@@ -186,18 +189,16 @@ def _assume(swept: Sweep, a: AssumptionDomain):
 
     unions, removed, vt_map = [], set(), {}
     report = PassReport()
-    for d in n.devices:
-        if d.gate == a.net:
-            gate_levels = a.levels
-        elif d.gate in tracked:
-            gate_levels = tracked[d.gate]
-        else:
+    inputs = set(n.input_names)
+    codes = {y: [_CODE_OF_LEVEL[v] for v in lvs] for y, lvs in {**tracked, a.net: a.levels}.items()}
+    for d, conducts in zip(n.devices, swept.cn.dev_lut.tolist()):  # conduction by code
+        if d.gate not in codes:
             continue
-        states = [conduction(d.polarity, d.vt, lv, n.vdd) for lv in gate_levels]
+        states = [conducts[c] for c in codes[d.gate]]
         if all(states):
             # an input clamps its node; merging it into its neighbour would
             # silently erase the driver, so keep such devices as they are
-            if {d.source, d.drain} & set(n.input_names):
+            if {d.source, d.drain} & inputs:
                 continue
             removed.add(d.id)
             unions.append((d.source, d.drain))
@@ -219,21 +220,21 @@ def prune_dead(n: Netlist):
     live device makes its gate net live in turn.  Inputs, outputs, and
     rails always survive.
     """
+    touching: dict[str, list] = {}
+    for d in n.devices:
+        touching.setdefault(d.source, []).append(d)
+        touching.setdefault(d.drain, []).append(d)
     live_nets = set(n.output_names)
     live_devs: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for d in n.devices:
-            if d.id in live_devs:
-                continue
-            if d.source in live_nets or d.drain in live_nets:
+    work = list(live_nets)
+    while work:
+        for d in touching.get(work.pop(), ()):
+            if d.id not in live_devs:
                 live_devs.add(d.id)
                 for net in (d.source, d.drain, d.gate):
                     if net not in RAILS and net not in live_nets:
                         live_nets.add(net)
-                        changed = True
-                changed = True
+                        work.append(net)
     devices = tuple(d for d in n.devices if d.id in live_devs)
     report = PassReport(pruned=len(n.devices) - len(devices))
     loads = tuple((net, f) for net, f in n.loads if net in live_nets or net in n.output_names)

@@ -26,6 +26,10 @@ callers that count settling rounds; states that reach a fixed point or a
 period-2 cycle leave early.  On a netlist with ranks both give the same
 levels and masks, bit for bit.
 
+A compile lays the kernel out once, in rank order: CCCs, local columns,
+devices, key digits, closure scatter and non-driver nets all run rank by
+rank, so each rank's group is a set of slices of shared arrays.
+
 Every exhaustive view of a netlist (truth table, decoded truth, truth
 signature, division counts, a net's image, full-swing lint) reads one
 :class:`Sweep` over the input space, the product of the declared input
@@ -49,7 +53,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -78,6 +82,9 @@ _BIT_OF_CODE = np.array([_BIT_G, _BIT_H, _BIT_V, 0, 0], dtype=np.uint8)
 # States solved together; bounds the working arrays of a large sweep.
 _CHUNK = 2048
 
+# Bit offsets of the 21 rows that the closure packs into a uint64 word.
+_LANE_SHIFT = np.arange(21, dtype=np.uint64) * 3
+
 
 def conduction(polarity: Polarity, vt, gate: Level, vdd: float = 0.9) -> bool:
     """Whether a device conducts for the given gate level.
@@ -92,6 +99,12 @@ def conduction(polarity: Polarity, vt, gate: Level, vdd: float = 0.9) -> bool:
     if polarity is Polarity.N:
         return gv >= vt.vt_volts
     return (vdd - gv) >= vt.vt_volts
+
+
+@cache
+def _conduction_row(k: int, vdd: float) -> tuple[bool, ...]:
+    """``conduction`` of device class ``k`` at each level code."""
+    return tuple(conduction(*DEVICE_CLASSES[k], lv, vdd) for lv in _LEVEL_OF_CODE)
 
 
 @dataclass
@@ -117,8 +130,9 @@ class _Group(NamedTuple):
 
     Arrays named ``*_src`` pick the nets the group reads, as columns of a
     level array: every net for the Jacobi rounds, the nets ``kept`` for a
-    ranked sweep.  Each of the group's non-driver nets ``out_net`` reads
-    local column ``out_col`` in its CCC ``out_ccc``.
+    ranked sweep.  Channel end e runs device ``sc_dev[e]`` from ``sc_src[e]``
+    into its run's ``sc_tgt`` (runs start at ``sc_starts``); net ``out_net``
+    reads column ``out_col`` of CCC ``out_ccc``.
     """
 
     n_ccc: int
@@ -130,7 +144,10 @@ class _Group(NamedTuple):
     lut: np.ndarray  # (device, gate code) -> conducts
     dev_ccc: np.ndarray
     dev_src: np.ndarray  # gate nets
-    steps: list  # closure scatter per channel direction
+    sc_dev: np.ndarray
+    sc_src: np.ndarray
+    sc_starts: np.ndarray
+    sc_tgt: np.ndarray
     key_src: np.ndarray  # row-key digits, grouped by CCC
     key_weight: np.ndarray
     key_ccc: np.ndarray  # the CCCs with key digits, and where their digits start
@@ -140,26 +157,30 @@ class _Group(NamedTuple):
     out_net: np.ndarray
     out_ccc: np.ndarray
     out_col: np.ndarray
+    put_dst: np.ndarray  # the kept out nets: kept column, CCC, local column
+    put_ccc: np.ndarray
+    put_col: np.ndarray
 
     def relax(self, x, w, join, meet):
-        """Fixed point of ``x`` (local column, row) along the channels: each
-        step joins every non-driver column with ``meet(x[source], w)`` over
-        the devices into it, ``w`` being (device, row)."""
-        steps = [(src, w[order], starts, tgt) for order, src, starts, tgt in self.steps]
+        """Fixed point of ``x`` (column, row) joining targets with meet(x[source], w)."""
+        w = w[self.sc_dev]
         while True:
-            before = x.copy()
-            for src, w_src, starts, tgt in steps:
-                x[tgt] = join(x[tgt], join.reduceat(meet(x[src], w_src), starts, axis=0))
-            if np.array_equal(x, before):
+            old = x[self.sc_tgt]
+            new = join(old, join.reduceat(meet(x[self.sc_src], w), self.sc_starts, axis=0))
+            if (new == old).all():
                 return x
+            x[self.sc_tgt] = new
 
     def closure(self, drv_codes, gate_codes):
-        """Inner fixed point on the local columns: push driver levels along
-        conducting channels.  Returns (local column, row) drive masks."""
-        masks = np.zeros((self.n_cols, drv_codes.shape[0]), dtype=np.uint8)
-        masks[self.drv_cols] = _BIT_OF_CODE[drv_codes.T]
-        on = self.lut[np.arange(self.lut.shape[0])[:, None], gate_codes.T]
-        return self.relax(masks, on, np.bitwise_or, np.multiply)
+        """Drive masks (column, row); rows packed 21 per uint64, 3 bits each."""
+        R, C, D = drv_codes.shape[0], self.n_cols, self.lut.shape[0]
+        W = -(-R // 21)
+        x = np.zeros((C + D, W * 21), dtype=np.uint64)
+        x[self.drv_cols, :R] = _BIT_OF_CODE[drv_codes.T]
+        x[C:, :R] = self.lut[np.arange(D)[:, None], gate_codes.T] * 7
+        x = (x.reshape(C + D, W, 21) << _LANE_SHIFT).sum(axis=2, dtype=np.uint64)
+        x = self.relax(x[:C], x[C:], np.bitwise_or, np.bitwise_and)
+        return ((x[:, :, None] >> _LANE_SHIFT) & 7).reshape(C, W * 21)[:, :R].astype(np.uint8)
 
 
 class _Rows:
@@ -197,26 +218,31 @@ class _Rows:
             keys[g.unkeyed] += lo + np.arange(A)
         flat = keys.ravel()
         at = np.searchsorted(self.keys, flat)
-        miss = np.flatnonzero(self.keys[at] != flat)
+        rows, miss = self.key_row[at], np.flatnonzero(self.keys[at] != flat)
         if miss.size:
             # the sorted new keys ascend in CCC with the key offsets
-            new, first = np.unique(flat[miss], return_index=True)
-            ccc, state = np.divmod(miss[first], A)
+            order = miss[np.argsort(flat[miss], kind="stable")]
+            key = flat[order]
+            lead = np.concatenate(([True], key[1:] != key[:-1]))
+            new, (ccc, state) = key[lead], np.divmod(order[lead], A)
             j = np.arange(new.size) - np.searchsorted(ccc, ccc)
             rep = np.zeros((j.max() + 1, g.n_ccc), dtype=np.intp)
             rep[j, ccc] = state
             gates = src[g.dev_src, rep[:, g.dev_ccc]]
             masks = g.closure(src[g.drv_src, rep[:, g.drv_ccc]], gates)
-            keys = np.concatenate([self.keys, new])
-            order = keys.argsort(kind="stable")
-            self.keys = keys[order]
-            self.key_row = np.concatenate([self.key_row, self.masks.shape[1] + j])[order]
+            j += self.masks.shape[1]
+            rows[order] = j[np.cumsum(lead) - 1]
+            if lo + A < self.index.shape[1]:  # the memo serves later chunks only
+                keys = np.concatenate([self.keys, new])
+                order = keys.argsort(kind="stable")
+                self.keys = keys[order]
+                self.key_row = np.concatenate([self.key_row, j])[order]
             self.masks = np.concatenate([self.masks, masks], axis=1)
             self.gates = np.concatenate([self.gates, gates.T], axis=1)
-            wide = np.promote_types(self.index.dtype, np.min_scalar_type(self.masks.shape[1] - 1))
-            self.index = self.index.astype(wide, copy=False)
-            at = np.searchsorted(self.keys, flat)
-        rows = self.index[:, lo : lo + A] = self.key_row[at].reshape(g.n_ccc, A)
+            if (R := self.masks.shape[1]) > 256:
+                wide = np.promote_types(self.index.dtype, np.min_scalar_type(R - 1))
+                self.index = self.index.astype(wide, copy=False)
+        rows = self.index[:, lo : lo + A] = rows.reshape(g.n_ccc, A)
         return rows
 
 
@@ -249,21 +275,18 @@ class CompiledNetlist:
         self.dev_is_n = self.dev_class < len(DEVICE_CLASSES) // 2
         table = np.zeros((len(DEVICE_CLASSES), 5), dtype=bool)
         for k in set(classes):
-            table[k] = [conduction(*DEVICE_CLASSES[k], lv, n.vdd) for lv in _LEVEL_OF_CODE]
+            table[k] = _conduction_row(k, n.vdd)
         self.dev_lut = np.zeros((max(self.n_devices, 1), 5), dtype=bool)
         self.dev_lut[: self.n_devices] = table[self.dev_class]
         self._partition()
 
     def _partition(self):
-        """Split the non-driver nets into CCCs, lay them out and rank them.
+        """Split the non-driver nets into CCCs, rank them and lay them out.
 
         ``net_ccc`` labels every non-driver net with its CCC (drivers get -1).
-        The kernel numbers the CCCs that have devices and gives each one
-        local columns: its own nets plus a private copy of each driver net
-        its channels touch, so one closure over the local columns solves
-        several CCCs side by side.  A CCC's row key packs the level codes of
-        its key nets (the gate nets and driver terminals of its devices,
-        rails aside) in mixed radix 5.
+        Each CCC with devices gets local columns, its nets and a copy of each
+        driver its channels touch, and a row key: the codes of its gate nets
+        and driver terminals (rails aside) in radix 5.
 
         ``ccc_rank`` is each kernel CCC's rank: the longest path to it along
         the edges that run from the CCC of a device's gate net to the CCC of
@@ -271,8 +294,10 @@ class CompiledNetlist:
         touches (they read Z), add no edge.  It is None when the graph has a
         cycle, a CCC gating itself included.
 
-        ``kept`` lists the nets whose level columns a ranked sweep keeps:
-        the drivers, the outputs and the gate nets, all a later rank reads.
+        The layout is one set of arrays in rank order: CCCs, local columns,
+        devices, key digits, closure scatter and non-driver nets.  ``_all``
+        reads it whole; each group of ``_ranks`` is one rank's slices of it,
+        reading the ``kept`` nets.  ``_out_rank``/``_out_place`` locate nets.
         """
         N = self.n_nets
         nd = ~self.is_driver
@@ -283,142 +308,123 @@ class CompiledNetlist:
         # non-driver nets; each net ends labelled by one net of its CCC
         label = np.arange(N)
         both = nd[a] & nd[b]
-        ea, eb = a[both], b[both]
+        ea, eb = np.concatenate([a[both], b[both]]), np.concatenate([b[both], a[both]])
         while True:
             new = label.copy()
-            lo = np.minimum(label[ea], label[eb])
-            np.minimum.at(new, ea, lo)
-            np.minimum.at(new, eb, lo)
+            np.minimum.at(new, ea, label[eb])
             new = new[new]
-            if np.array_equal(new, label):
+            if (new == label).all():
                 break
             label = new
         self.net_ccc = np.full(N, -1, dtype=np.intp)
         self.net_ccc[nd] = np.unique(label[nd], return_inverse=True)[1]
 
-        # devices with a non-driver terminal, numbered by CCC among those;
-        # a net that no channel touches joins CCC 0 in a column of its own,
-        # which no device drives, so it always reads mask 0
+        # the kernel (``ker``): devices with a non-driver end; untouched nets join CCC 0
         live = np.flatnonzero(nd[a] | nd[b])
-        anchor = np.where(nd[a[live]], a[live], b[live])
-        ccc_ids, dev_k = np.unique(self.net_ccc[anchor], return_inverse=True)
-        nd_ccc = self.net_ccc[nd_idx]
-        touched = np.isin(nd_ccc, ccc_ids)
-        net_k = np.where(touched, np.searchsorted(ccc_ids, nd_ccc), 0)
-        C = max(ccc_ids.size, 1)
+        la, lb = a[live], b[live]
+        anchor = self.net_ccc[np.where(nd[la], la, lb)]
+        has = np.bincount(anchor, minlength=nd_idx.size + 1) > 0
+        kid = np.cumsum(has) - 1
+        C = max(int(kid[-1]) + 1, 1)
+        ker = np.full(N, -1, dtype=np.intp)
+        ker[nd_idx] = np.where(has, kid, -1)[self.net_ccc[nd_idx]]
+        dev_k, gate = kid[anchor], self.dev_gate[live]
+
+        # a CCC takes the next rank once every CCC gating it has one; cycles get none
+        src = ker[gate]
+        src, dst = src[src >= 0], dev_k[src >= 0]
+        rank = np.full(C, -1, dtype=np.intp)
+        waiting = np.bincount(dst, minlength=C)
+        while (front := (waiting == 0) & (rank < 0)).any():
+            rank[front] = rank.max() + 1
+            waiting -= np.bincount(dst[front[src]], minlength=C)
+        rank *= (ranked := rank.min() >= 0)  # without ranks, one run of every CCC
+
+        # CCCs numbered by rank; devices and non-driver nets by rank, then netlist
+        order = np.argsort(rank, kind="stable")
+        rank, renum = rank[order], np.argsort(order)
+        self.ccc_rank = rank if ranked else None
+        dev_k = renum[dev_k]
+        order = np.argsort(rank[dev_k], kind="stable")
+        live, dev_k, gate, la, lb = live[order], dev_k[order], gate[order], la[order], lb[order]
+        net_k = renum[np.maximum(ker[nd_idx], 0)]
+        order = np.argsort(rank[net_k], kind="stable")
+        out_net, out_k = nd_idx[order], net_k[order]
         L = live.size
-        gate = self.dev_gate[live]
-        lut = self.dev_lut[live]
-        self.kept = np.unique(np.r_[self.driver_idx, self.output_idx, gate])
-        self._kept_col = np.full(N, -1, dtype=np.intp)
-        self._kept_col[self.kept] = np.arange(self.kept.size)
+        self.kept = np.unique(np.concatenate([self.driver_idx, self.output_idx, gate]))
+        kcol = self._kept_col = np.full(N, -1, dtype=np.intp)
+        kcol[self.kept] = np.arange(self.kept.size)
 
         # local columns: one per (CCC, net) pair, in CCC order
-        cols, inv = np.unique(
-            np.r_[dev_k * N + a[live], dev_k * N + b[live], net_k * N + nd_idx],
-            return_inverse=True,
-        )
+        ends = np.concatenate([dev_k * N + la, dev_k * N + lb, out_k * N + out_net])
+        cols, inv = np.unique(ends, return_inverse=True)
         col_ccc, col_net = np.divmod(cols, N)
         col_drv = self.is_driver[col_net]
-        loc_a, loc_b, out_col = inv[:L], inv[L : 2 * L], inv[2 * L :]
+        drv = np.flatnonzero(col_drv)
 
         # row keys: one radix-5 digit per non-rail key net of each CCC
-        # (return_index keeps np.unique on its sorting path; the hash path
-        # loads numpy.ma, a megabyte of resident memory)
-        digits = np.unique(np.r_[dev_k * N + gate, cols[col_drv]], return_index=True)[0]
+        digits = np.sort(np.concatenate([dev_k * N + gate, cols[drv]]))
         key_ccc, key_net = np.divmod(digits, N)
-        keep = ~np.isin(key_net, (self.gnd_idx, self.vdd_idx))
+        keep = (key_net != self.gnd_idx) & (key_net != self.vdd_idx)
+        keep[1:] &= digits[1:] != digits[:-1]
         key_ccc, key_net = key_ccc[keep], key_net[keep]
         bounds = np.searchsorted(key_ccc, np.arange(C + 1))
-        width = np.diff(bounds)
+        width = bounds[1:] - bounds[:-1]
         place = np.arange(key_ccc.size) - bounds[key_ccc]
         # a CCC too wide to pack is keyed by state instead (no sharing)
         cap = (1 << 62) // C
-        keyed = np.array([5 ** int(w) <= cap for w in width], dtype=bool)
-        span = [5 ** int(w) if k else cap for w, k in zip(width, keyed)]
+        span = 5 ** np.minimum(width, 26)  # exact in int64, as 5 ** 27 > 2 ** 62
+        keyed = (width <= 26) & (span <= cap)
         key_weight = np.where(keyed[key_ccc], 5 ** np.minimum(place, 26), 0)
-        key_offset = np.cumsum([0] + span[:-1], dtype=np.int64)
+        span = np.where(keyed, span, cap)
+        key_offset = np.cumsum(span) - span
+        firsts = np.flatnonzero(width)  # the CCCs with key digits
+        unkeyed = np.flatnonzero(~keyed)
 
-        def group(ks, col):
-            """The _Group of the kernel CCCs ``ks`` (ascending), reading the
-            level columns ``col`` of the nets."""
-            member = np.zeros(C, dtype=bool)
-            member[ks] = True
-            k_local = np.zeros(C, dtype=np.intp)
-            k_local[ks] = np.arange(ks.size)
-            csel = member[col_ccc]
-            local = np.cumsum(csel) - 1
-            g_drv = col_drv[csel]
-            drv = np.flatnonzero(csel & col_drv)
-            dsel = np.flatnonzero(member[dev_k])
-            ga, gb = local[loc_a[dsel]], local[loc_b[dsel]]
-            # per-direction groupings for duplicate-free scatter of
-            # drive-mask contributions (bitwise_or.reduceat over sorted targets)
-            steps = []
-            for tgt, src in ((ga, gb), (gb, ga)):
-                keep = np.flatnonzero(~g_drv[tgt])
-                if keep.size:
-                    order = keep[np.argsort(tgt[keep], kind="stable")]
-                    tgt_sorted = tgt[order]
-                    starts = np.flatnonzero(np.r_[True, tgt_sorted[1:] != tgt_sorted[:-1]])
-                    steps.append((order, src[order], starts, tgt_sorted[starts]))
-            ksel = np.flatnonzero(member[key_ccc])
-            first_ccc, first = np.unique(k_local[key_ccc[ksel]], return_index=True)
-            osel = np.flatnonzero(member[net_k])
-            return _Group(
-                n_ccc=ks.size,
-                n_cols=g_drv.size,
-                drv_cols=np.flatnonzero(g_drv),
-                drv_ccc=k_local[col_ccc[drv]],
-                drv_src=col[col_net[drv]],
-                dev=live[dsel],
-                lut=lut[dsel],
-                dev_ccc=k_local[dev_k[dsel]],
-                dev_src=col[gate[dsel]],
-                steps=steps,
-                key_src=col[key_net[ksel]],
-                key_weight=key_weight[ksel],
-                key_ccc=first_ccc,
-                key_first=first,
-                key_offset=key_offset[ks],
-                unkeyed=np.flatnonzero(~keyed[ks]),
-                out_net=nd_idx[osel],
-                out_ccc=k_local[net_k[osel]],
-                out_col=local[out_col[osel]],
-            )
+        # the closure's scatter: both ends of each channel into a non-driver column
+        tgt = inv[: 2 * L]
+        into = np.flatnonzero(~col_drv[tgt])
+        into = into[np.argsort(tgt[into], kind="stable")]
+        other, tgt = inv[(into + L) % max(2 * L, 1)], tgt[into]
+        starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+        ent = col_ccc[tgt]  # the CCC of each channel end
 
-        # CCC ranks by relaxation: in a DAG the longest path has at most C-1
-        # edges, so C rounds settle it unless there is a cycle
-        gate_k = np.full(N, -1, dtype=np.intp)
-        gate_k[nd_idx[touched]] = net_k[touched]
-        src = gate_k[gate]
-        edge = src >= 0
-        src, dst = src[edge], dev_k[edge]
-        rank = np.zeros(C, dtype=np.intp)
-        for _ in range(C):
-            new = rank.copy()
-            np.maximum.at(new, dst, rank[src] + 1)
-            if np.array_equal(new, rank):
-                break
-            rank = new
-        else:
-            rank = None
-        self.ccc_rank = rank
-        self._n_ccc = C
-        self._group = group
+        def local(ccc):  # each item's place in its rank's run, for items of the CCCs ccc
+            return np.arange(len(ccc)) - np.searchsorted(rank[ccc], rank[ccc])
 
-    @cached_property
-    def _all(self) -> _Group:
-        """Every CCC, for the Jacobi rounds; reads every net."""
-        return self._group(np.arange(self._n_ccc), np.arange(self.n_nets))
-
-    @cached_property
-    def _ranks(self) -> list[_Group]:
-        """One group per CCC rank, lowest first; reads the kept nets."""
-        return [
-            self._group(np.flatnonzero(self.ccc_rank == r), self._kept_col)
-            for r in range(self.ccc_rank.max() + 1)
-        ]
+        cl, ol, out_col = local(np.arange(C)), local(col_ccc), inv[2 * L :]
+        put = np.flatnonzero(kcol[out_net] >= 0)
+        # item kind (by CCC): field -> (kernel values, numbering in a rank or None)
+        kinds = (
+            (col_ccc[drv], dict(drv_cols=(drv, ol), drv_ccc=(col_ccc[drv], cl),
+                                drv_src=(col_net[drv], kcol))),
+            (dev_k, dict(dev=(live, None), lut=(self.dev_lut[live], None), dev_ccc=(dev_k, cl),
+                         dev_src=(gate, kcol))),
+            (key_ccc, dict(key_src=(key_net, kcol), key_weight=(key_weight, None))),
+            (firsts, dict(key_ccc=(firsts, cl), key_first=(bounds[firsts], local(key_ccc)))),
+            (np.arange(C), dict(key_offset=(key_offset, None))),
+            (unkeyed, dict(unkeyed=(unkeyed, cl))),
+            (ent, dict(sc_dev=(into % max(L, 1), local(dev_k)), sc_src=(other, ol))),
+            (ent[starts], dict(sc_starts=(starts, local(ent)), sc_tgt=(tgt[starts], ol))),
+            (out_k, dict(out_net=(out_net, None), out_ccc=(out_k, cl), out_col=(out_col, ol))),
+            (out_k[put], dict(put_dst=(kcol[out_net[put]], None), put_ccc=(out_k[put], cl),
+                              put_col=(out_col[put], ol))),
+        )
+        self._all = _Group(C, cols.size, **{f: v for _, fs in kinds for f, (v, _) in fs.items()})
+        self._out_rank, self._out_place = np.full((2, N), -1, dtype=np.intp)
+        self._out_rank[out_net], self._out_place[out_net] = rank[out_k], local(out_k)
+        if not ranked:
+            return
+        edges = np.arange(1, rank[-1] + 1)
+        parts = {"n_ccc": np.bincount(rank).tolist(),
+                 "n_cols": np.bincount(rank[col_ccc], minlength=edges.size + 1).tolist()}
+        for ccc, fields in kinds:
+            at = np.searchsorted(rank[ccc], edges).tolist()
+            runs = list(zip([0, *at], [*at, len(ccc)]))
+            for f, (v, num) in fields.items():
+                v = v if num is None else num[v]
+                parts[f] = [v[i:j] for i, j in runs]
+        self._ranks = [_Group._make(g) for g in zip(*(parts[f] for f in _Group._fields))]
 
     # -- batched solves --------------------------------------------------
 
@@ -442,9 +448,8 @@ class CompiledNetlist:
             block = lv[:, lo : lo + _CHUNK]
             for t in tables:
                 g, rows = t.g, t.find(block, lo)
-                dst = self._kept_col[g.out_net]
-                for k in np.flatnonzero(dst >= 0).tolist():
-                    block[dst[k]] = _MASK_TO_CODE[t.masks[g.out_col[k]]][rows[g.out_ccc[k]]]
+                codes = _MASK_TO_CODE[t.masks[g.put_col]]  # the kept out nets, in one gather
+                block[g.put_dst] = codes[np.arange(len(codes))[:, None], rows[g.put_ccc]]
         return lv.T, tables
 
     def solve_batch(self, input_codes: np.ndarray, prev: np.ndarray | None = None):
@@ -458,7 +463,7 @@ class CompiledNetlist:
         4·n_nets rounds, or that fell into a period-2 cycle (those stop
         early, with the levels and masks of their last round).
         """
-        nd = self.nondriver_idx
+        nd = self._all.out_net  # the non-driver nets, in the order _round returns them
         S = input_codes.shape[0]
         lv = np.full((S, self.n_nets), CODE_X, dtype=np.int8)
         lv[:, self.gnd_idx] = CODE_G
@@ -486,7 +491,7 @@ class CompiledNetlist:
         differing from the last (a period-2 cycle, which the deterministic
         round map never leaves).
         """
-        nd = self.nondriver_idx
+        nd = self._all.out_net
         act = np.arange(lv.shape[0])
         cur = lv.copy()
         for r in range(max(4 * self.n_nets, 8)):
@@ -520,8 +525,8 @@ class CompiledNetlist:
         """One Jacobi round over the states of full levels ``lv``.
 
         Returns the states' drive masks and new levels of the non-driver
-        nets, both (states, nets).  A net that nothing drives keeps its
-        charge from the non-driver levels ``hold``, if given.
+        nets, both (states, nets) in ``out_net`` order.  A net that nothing
+        drives keeps its charge from the non-driver levels ``hold``, if given.
         """
         g = self._all
         table = g.closure(lv[:, g.drv_src], lv[:, g.dev_src])[g.out_col].T
@@ -690,13 +695,6 @@ class Sweep:
             bad = int(np.flatnonzero(~self.stable)[0])
             raise OscillationError(f"no fixed point at input point {self._point(bad)}")
 
-    def _row_of(self, i: int):
-        """(rows, place in ``out_net``) of non-driver net ``i``."""
-        for t in self.rows:
-            k = np.flatnonzero(t.g.out_net == i)
-            if k.size:
-                return t, k[0]
-
     def _masks_of(self, nets) -> np.ndarray:
         """(states, nets) drive masks of the named nets."""
         idx = [self.cn.index[name] for name in nets]
@@ -707,7 +705,7 @@ class Sweep:
             if self.cn.is_driver[i]:
                 out[:, j] = _BIT_OF_CODE[self.levels[:, np.searchsorted(self.kept, i)]]
             else:
-                t, k = self._row_of(i)
+                t, k = self.rows[self.cn._out_rank[i]], self.cn._out_place[i]
                 out[:, j] = t.masks[t.g.out_col[k], t.index[t.g.out_ccc[k]]]
         return out
 
@@ -784,7 +782,7 @@ class Sweep:
         if self.rows is None or self.cn.is_driver[i]:
             codes = self.levels[:, np.searchsorted(self.kept, i)]
         else:
-            t, k = self._row_of(i)
+            t, k = self.rows[self.cn._out_rank[i]], self.cn._out_place[i]
             codes = _MASK_TO_CODE[t.masks[t.g.out_col[k]]]
         return frozenset(_LEVEL_OF_CODE[code] for code in np.unique(codes).tolist())
 

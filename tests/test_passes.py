@@ -690,3 +690,112 @@ def test_simplify_compiles_each_netlist_once(monkeypatch):
     assert out != n and report.wired
     # five sweeps, as before the compile was shared; six compiles then
     assert calls == {"compile": 5, "sweep": 5}
+
+
+# -- pass rewrites against the forms first written --------------------------------
+
+
+def _reference_merge_nets(n, unions, removed_ids, vt_map):
+    """_merge_nets as first written: every surviving device rebuilt."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    def priority(net):
+        return 3 if net in RAILS else 2 if net in n.input_names + n.output_names else 1
+
+    for u, v in unions:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            continue
+        if ru in RAILS and rv in RAILS:
+            raise NetlistSemanticError("a wire replacement would short the rails")
+        keep, drop = sorted((ru, rv), key=lambda x: (-priority(x), x))
+        parent[drop] = keep
+    if any(find(name) in RAILS for name in n.input_names + n.output_names):
+        raise NetlistSemanticError("a wire replacement would tie a port to a rail")
+    devices = tuple(
+        Device(d.id, d.polarity, vt_map.get(d.id, d.vt), find(d.gate), find(d.source),
+               find(d.drain), d.tags)
+        for d in n.devices if d.id not in removed_ids
+    )
+    return replace(n, inputs=tuple((find(x), dom) for x, dom in n.inputs),
+                   outputs=tuple((find(x), enc) for x, enc in n.outputs), devices=devices,
+                   loads=tuple((find(x), f) for x, f in n.loads), extra_nets=frozenset())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TritforgeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _tfa_cells():
+    """The 16 complete and partial full adders."""
+    for style, completeness, cascade in itertools.product(Style, Completeness, Cascade):
+        yield gen_tfa(StyleSpec(style, completeness, cascade=cascade))
+
+
+def test_merge_nets_matches_rebuilding_every_device(monkeypatch):
+    import tritforge.passes as passes_mod
+
+    merge = passes_mod._merge_nets
+    kept = []
+
+    def both(n, unions, removed_ids, vt_map):
+        got = _outcome(merge, n, unions, removed_ids, vt_map)
+        assert got == _outcome(_reference_merge_nets, n, unions, removed_ids, vt_map)
+        if not isinstance(got, tuple):
+            kept.append(len(set(got.devices) & set(n.devices)))
+        return merge(n, unions, removed_ids, vt_map)
+
+    monkeypatch.setattr(passes_mod, "_merge_nets", both)
+    for n in _tfa_cells():
+        for a in _assumptions(n):
+            apply_assumption(n, a)
+        # the carry re-encoding merges the nets its dividers bridged
+        simplify_pipeline(n, AssumptionDomain("cin", HALFPAIR), carry_net="carry")
+    rng = random.Random(SEED)
+    for _ in range(300):
+        n = _random_gated_netlist(rng)
+        for a in _assumptions(n):
+            _outcome(apply_assumption, n, a)
+    assert len(kept) > 1000 and sum(kept) > 10000
+
+
+def _reference_prune_dead(n):
+    """prune_dead as first written: rescan every device until no net turns live."""
+    live_nets = set(n.output_names)
+    live_devs = set()
+    changed = True
+    while changed:
+        changed = False
+        for d in n.devices:
+            if d.id not in live_devs and (d.source in live_nets or d.drain in live_nets):
+                live_devs.add(d.id)
+                live_nets.update({d.source, d.drain, d.gate} - set(RAILS))
+                changed = True
+    devices = tuple(d for d in n.devices if d.id in live_devs)
+    loads = tuple((x, f) for x, f in n.loads if x in live_nets or x in n.output_names)
+    return (replace(n, devices=devices, loads=loads, extra_nets=frozenset()),
+            PassReport(pruned=len(n.devices) - len(devices)))
+
+
+def test_prune_dead_matches_the_rescanning_loop():
+    netlists = []
+    for n in _tfa_cells():
+        netlists += [n, apply_assumption(n, AssumptionDomain("cin", HALFPAIR))[0]]
+    rng = random.Random(SEED)
+    for i in range(300):
+        netlists.append((_random_netlist, _random_gated_netlist)[i % 2](rng))
+    pruned = 0
+    for n in netlists:
+        got = prune_dead(n)
+        assert got == _reference_prune_dead(n)
+        pruned += got[1].pruned
+    assert pruned > 300

@@ -5,6 +5,7 @@ import itertools
 import random
 import weakref
 from dataclasses import replace
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
@@ -585,6 +586,232 @@ def test_ranked_sweep_matches_jacobi_on_random_netlists(monkeypatch, chunk):
     for i in range(800):
         ranked += _assert_ranked_matches_jacobi(makers[i % 4](rng))
     assert 400 < ranked < 800  # both paths run
+
+
+# -- oracle: one group built per CCC rank ------------------------------------
+
+
+class _OracleGroup(NamedTuple):
+    """A rank's CCCs as first laid out: the kernel numbered in CCC order and
+    a group selected from it per rank, its closure scatter one step per
+    channel direction, its rows unpacked."""
+
+    n_ccc: int
+    n_cols: int
+    drv_cols: np.ndarray
+    drv_ccc: np.ndarray
+    drv_src: np.ndarray
+    dev: np.ndarray
+    lut: np.ndarray
+    dev_ccc: np.ndarray
+    dev_src: np.ndarray
+    steps: list
+    key_src: np.ndarray
+    key_weight: np.ndarray
+    key_ccc: np.ndarray
+    key_first: np.ndarray
+    key_offset: np.ndarray
+    unkeyed: np.ndarray
+    out_net: np.ndarray
+    out_ccc: np.ndarray
+    out_col: np.ndarray
+
+    def closure(self, drv_codes, gate_codes):
+        x = np.zeros((self.n_cols, drv_codes.shape[0]), dtype=np.uint8)
+        x[self.drv_cols] = _BIT_OF_CODE[drv_codes.T]
+        on = self.lut[np.arange(self.lut.shape[0])[:, None], gate_codes.T]
+        steps = [(src, on[order], starts, tgt) for order, src, starts, tgt in self.steps]
+        while True:
+            before = x.copy()
+            for src, w, starts, tgt in steps:
+                x[tgt] |= np.bitwise_or.reduceat(x[src] * w, starts, axis=0)
+            if np.array_equal(x, before):
+                return x
+
+
+def _oracle_rank_groups(cn):
+    """The groups of ``cn``'s CCC ranks, one selection of the kernel each."""
+    N, nd, nd_idx = cn.n_nets, ~cn.is_driver, cn.nondriver_idx
+    a, b = cn.dev_a, cn.dev_b
+    live = np.flatnonzero(nd[a] | nd[b])
+    anchor = np.where(nd[a[live]], a[live], b[live])
+    ccc_ids, dev_k = np.unique(cn.net_ccc[anchor], return_inverse=True)
+    nd_ccc = cn.net_ccc[nd_idx]
+    touched = np.isin(nd_ccc, ccc_ids)
+    net_k = np.where(touched, np.searchsorted(ccc_ids, nd_ccc), 0)
+    C = max(ccc_ids.size, 1)
+    L = live.size
+    gate, lut = cn.dev_gate[live], cn.dev_lut[live]
+    cols, inv = np.unique(
+        np.r_[dev_k * N + a[live], dev_k * N + b[live], net_k * N + nd_idx],
+        return_inverse=True,
+    )
+    col_ccc, col_net = np.divmod(cols, N)
+    col_drv = cn.is_driver[col_net]
+    loc_a, loc_b, out_col = inv[:L], inv[L : 2 * L], inv[2 * L :]
+    digits = np.unique(np.r_[dev_k * N + gate, cols[col_drv]])
+    key_ccc, key_net = np.divmod(digits, N)
+    keep = ~np.isin(key_net, (cn.gnd_idx, cn.vdd_idx))
+    key_ccc, key_net = key_ccc[keep], key_net[keep]
+    bounds = np.searchsorted(key_ccc, np.arange(C + 1))
+    width = np.diff(bounds)
+    place = np.arange(key_ccc.size) - bounds[key_ccc]
+    cap = (1 << 62) // C
+    keyed = np.array([5 ** int(w) <= cap for w in width], dtype=bool)
+    span = [5 ** int(w) if k else cap for w, k in zip(width, keyed)]
+    key_weight = np.where(keyed[key_ccc], 5 ** np.minimum(place, 26), 0)
+    key_offset = np.cumsum([0] + span[:-1], dtype=np.int64)
+
+    def group(ks, col):
+        member = np.zeros(C, dtype=bool)
+        member[ks] = True
+        k_local = np.zeros(C, dtype=np.intp)
+        k_local[ks] = np.arange(ks.size)
+        csel = member[col_ccc]
+        local = np.cumsum(csel) - 1
+        g_drv = col_drv[csel]
+        drv = np.flatnonzero(csel & col_drv)
+        dsel = np.flatnonzero(member[dev_k])
+        ga, gb = local[loc_a[dsel]], local[loc_b[dsel]]
+        steps = []
+        for tgt, src in ((ga, gb), (gb, ga)):
+            keep = np.flatnonzero(~g_drv[tgt])
+            if keep.size:
+                order = keep[np.argsort(tgt[keep], kind="stable")]
+                tgt_sorted = tgt[order]
+                starts = np.flatnonzero(np.r_[True, tgt_sorted[1:] != tgt_sorted[:-1]])
+                steps.append((order, src[order], starts, tgt_sorted[starts]))
+        ksel = np.flatnonzero(member[key_ccc])
+        first_ccc, first = np.unique(k_local[key_ccc[ksel]], return_index=True)
+        osel = np.flatnonzero(member[net_k])
+        return _OracleGroup(
+            ks.size, g_drv.size, np.flatnonzero(g_drv), k_local[col_ccc[drv]],
+            col[col_net[drv]], live[dsel], lut[dsel], k_local[dev_k[dsel]], col[gate[dsel]],
+            steps, col[key_net[ksel]], key_weight[ksel], first_ccc, first, key_offset[ks],
+            np.flatnonzero(~keyed[ks]), nd_idx[osel], k_local[net_k[osel]], local[out_col[osel]],
+        )
+
+    # ranks by relaxation: C rounds settle a DAG's longest paths
+    gate_k = np.full(N, -1, dtype=np.intp)
+    gate_k[nd_idx[touched]] = net_k[touched]
+    src = gate_k[gate]
+    src, dst = src[src >= 0], dev_k[src >= 0]
+    rank = np.zeros(C, dtype=np.intp)
+    for _ in range(C):
+        new = rank.copy()
+        np.maximum.at(new, dst, rank[src] + 1)
+        if np.array_equal(new, rank):
+            break
+        rank = new
+    else:
+        return None
+    return [group(np.flatnonzero(rank == r), cn._kept_col) for r in range(rank.max() + 1)]
+
+
+def _oracle_solve_ranked(cn, codes):
+    """``solve_ranked`` on the groups of ``_oracle_rank_groups``, each rank's
+    kept nets written one at a time."""
+    S = codes.shape[0]
+    lv = np.full((cn.kept.size, S), CODE_X, dtype=np.int8)
+    col = cn._kept_col
+    lv[col[cn.gnd_idx]], lv[col[cn.vdd_idx]] = CODE_G, CODE_V
+    lv[col[cn.input_idx]] = codes.T
+    tables = [solver_mod._Rows(g, S) for g in _oracle_rank_groups(cn)]
+    for lo in range(0, S, solver_mod._CHUNK):
+        block = lv[:, lo : lo + solver_mod._CHUNK]
+        for t in tables:
+            g, rows = t.g, t.find(block, lo)
+            dst = col[g.out_net]
+            for k in np.flatnonzero(dst >= 0).tolist():
+                block[dst[k]] = _MASK_TO_CODE[t.masks[g.out_col[k]]][rows[g.out_ccc[k]]]
+    return lv.T, tables
+
+
+def _channels(g):
+    """(device, source column, target column) of each channel a group's
+    closure scatters, sorted."""
+    if isinstance(g, _OracleGroup):
+        ends = [(order, src, np.repeat(tgt, np.diff(np.r_[starts, order.size])))
+                for order, src, starts, tgt in g.steps]
+    else:
+        runs = np.diff(np.r_[g.sc_starts, g.sc_dev.size])
+        ends = [(g.sc_dev, g.sc_src, np.repeat(g.sc_tgt, runs))]
+    return sorted(zip(*(np.concatenate(e).tolist() for e in zip(*ends)))) if ends else []
+
+
+# key_offset aside: its offsets count only the spans of the rank's own CCCs
+_SAME_FIELDS = ("n_ccc", "n_cols", "drv_cols", "drv_ccc", "drv_src", "dev", "lut", "dev_ccc",
+                "dev_src", "key_src", "key_weight", "key_ccc", "key_first", "unkeyed",
+                "out_net", "out_ccc", "out_col")
+
+
+def _assert_layout_matches_oracle(n):
+    """Each rank's group equals the one the oracle selects, and the ranked
+    solve gives the same levels, rows, row index, drive masks and gate
+    codes; returns whether the netlist has ranks."""
+    cn = CompiledNetlist(n)
+    want_groups = _oracle_rank_groups(cn)
+    assert (want_groups is None) == (cn.ccc_rank is None)
+    if want_groups is None:
+        return False
+    assert len(cn._ranks) == len(want_groups)
+    for g, w in zip(cn._ranks, want_groups):
+        for f in _SAME_FIELDS:
+            assert np.array_equal(getattr(g, f), getattr(w, f)), f
+        assert _channels(g) == _channels(w)
+    # every rank's arrays are runs of one shared array per field
+    for f in _SAME_FIELDS[2:] + ("key_offset", "sc_dev", "sc_src", "sc_starts", "sc_tgt"):
+        assert len({id(getattr(g, f).base) for g in cn._ranks}) == 1, f
+    codes = _sweep_codes(n)
+    lv, tables = cn.solve_ranked(codes)
+    want_lv, want = _oracle_solve_ranked(cn, codes)
+    assert np.array_equal(lv, want_lv)
+    for t, w in zip(tables, want):
+        for got, ref in ((t.index, w.index), (t.masks, w.masks), (t.gates, w.gates)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    return True
+
+
+@pytest.mark.parametrize("chunk", [2048, 5])
+def test_rank_layout_matches_per_rank_groups(monkeypatch, chunk):
+    from test_passes import _random_gated_netlist, _random_netlist
+
+    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
+                     carry_encoding=Encoding.FULL_VDD_HIGH)
+    for n in [*_generated_cells(), gen_rca(3, spec)]:
+        assert _assert_layout_matches_oracle(n), n.title
+    # the random netlists of test_ranked_sweep_matches_jacobi_on_random_netlists
+    rng = random.Random(606 + chunk)
+    makers = (_random_netlist, _random_static_netlist, _random_gated_netlist,
+              _random_feedback_netlist)
+    ranked = sum(_assert_layout_matches_oracle(makers[i % 4](rng)) for i in range(800))
+    assert 400 < ranked < 800
+
+
+def test_rows_per_rank_on_rca4_match_per_rank_groups():
+    spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
+                     carry_encoding=Encoding.FULL_VDD_HIGH)
+    cn = CompiledNetlist(gen_rca(4, spec))
+    codes = _sweep_codes(cn.netlist)
+    _, tables = cn.solve_ranked(codes)
+    _, want = _oracle_solve_ranked(cn, codes)
+    assert [t.masks.shape[1] for t in tables] == [w.masks.shape[1] for w in want]
+
+
+def test_ranked_sweep_finds_rows_once_per_rank_and_chunk(monkeypatch):
+    # the layout is built with the compile; a sweep makes one find per rank
+    # and chunk of states, and builds no group
+    monkeypatch.setattr(solver_mod, "_CHUNK", 7)
+    finds = []
+    find = solver_mod._Rows.find
+    monkeypatch.setattr(solver_mod._Rows, "find", lambda t, src, lo: finds.append(lo) or find(t, src, lo))
+    cn = CompiledNetlist(gen_tfa(StyleSpec(Style.DEC_ENC, Completeness.COMPLETE)))
+    ranks = cn._ranks
+    monkeypatch.setattr(solver_mod, "_Group", None)  # a group built now would fail
+    Sweep(cn)
+    assert cn._ranks is ranks
+    assert len(finds) == len(ranks) * 4  # 27 states in chunks of 7
 
 
 FEEDBACK = parse(
