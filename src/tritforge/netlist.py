@@ -27,7 +27,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import NetlistSemanticError, NetlistSyntaxError
 from .trits import DEFAULT_VDD, Encoding, Level, decode, encode
@@ -156,7 +155,7 @@ class Netlist:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "devices", tuple(sorted(self.devices, key=attrgetter("id")))
+            self, "devices", tuple(sorted(self.devices, key=lambda d: d.id))
         )
         object.__setattr__(self, "loads", tuple(sorted(self.loads)))
 

@@ -38,7 +38,7 @@ from .netlist import (
     ThresholdClass,
     domain_encoding,
 )
-from .solver import _CODE_OF_LEVEL, CompiledNetlist, Sweep
+from .solver import CompiledNetlist, Sweep
 from .synth import Builder
 from .trits import Encoding, STABLE_LEVELS
 
@@ -167,9 +167,9 @@ def _tracked_complements(swept: Sweep, x: str) -> dict[str, frozenset]:
 
 def _narrow(n: Netlist, a: AssumptionDomain) -> Netlist:
     """``n`` with the assumed input's domain narrowed to the assumption."""
-    if a.net not in n.input_names:  # the nets are listed only for the error
-        if a.net not in n.nets():
-            raise UnknownNetError(f"no net named {a.net!r}")
+    if a.net not in n.nets():
+        raise UnknownNetError(f"no net named {a.net!r}")
+    if a.net not in n.input_names:
         raise NonInputAssumptionError(f"{a.net!r} is not a declared input")
     inputs = tuple((x, frozenset(a.levels) if x == a.net else dom) for x, dom in n.inputs)
     return replace(n, inputs=inputs)
@@ -189,16 +189,18 @@ def _assume(swept: Sweep, a: AssumptionDomain):
 
     unions, removed, vt_map = [], set(), {}
     report = PassReport()
-    inputs = set(n.input_names)
-    codes = {y: [_CODE_OF_LEVEL[v] for v in lvs] for y, lvs in {**tracked, a.net: a.levels}.items()}
-    for d, conducts in zip(n.devices, swept.cn.dev_lut.tolist()):  # conduction by code
-        if d.gate not in codes:
+    for k, d in enumerate(n.devices):
+        if d.gate == a.net:
+            gate_levels = a.levels
+        elif d.gate in tracked:
+            gate_levels = tracked[d.gate]
+        else:
             continue
-        states = [conducts[c] for c in codes[d.gate]]
+        states = swept.cn.conducts(k, gate_levels)
         if all(states):
             # an input clamps its node; merging it into its neighbour would
             # silently erase the driver, so keep such devices as they are
-            if {d.source, d.drain} & inputs:
+            if {d.source, d.drain} & set(n.input_names):
                 continue
             removed.add(d.id)
             unions.append((d.source, d.drain))

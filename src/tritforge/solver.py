@@ -28,7 +28,9 @@ levels and masks, bit for bit.
 
 A compile lays the kernel out once, in rank order: CCCs, local columns,
 devices, key digits, closure scatter and non-driver nets all run rank by
-rank, so each rank's group is a set of slices of shared arrays.
+rank, so each rank's group is a set of slices of shared arrays.  The
+closure packs 21 rows into each uint64 word once a batch has a few rows;
+a one-state Jacobi round stays unpacked.
 
 Every exhaustive view of a netlist (truth table, decoded truth, truth
 signature, division counts, a net's image, full-swing lint) reads one
@@ -82,8 +84,9 @@ _BIT_OF_CODE = np.array([_BIT_G, _BIT_H, _BIT_V, 0, 0], dtype=np.uint8)
 # States solved together; bounds the working arrays of a large sweep.
 _CHUNK = 2048
 
-# Bit offsets of the 21 rows that the closure packs into a uint64 word.
-_LANE_SHIFT = np.arange(21, dtype=np.uint64) * 3
+# From this many rows on, the closure packs 21 rows into each uint64 word.
+_PACK_ROWS = 4
+_LANE_SHIFT = np.arange(21, dtype=np.uint64) * 3  # bit offset of each packed row
 
 
 def conduction(polarity: Polarity, vt, gate: Level, vdd: float = 0.9) -> bool:
@@ -102,9 +105,9 @@ def conduction(polarity: Polarity, vt, gate: Level, vdd: float = 0.9) -> bool:
 
 
 @cache
-def _conduction_row(k: int, vdd: float) -> tuple[bool, ...]:
-    """``conduction`` of device class ``k`` at each level code."""
-    return tuple(conduction(*DEVICE_CLASSES[k], lv, vdd) for lv in _LEVEL_OF_CODE)
+def _conduction_table(vdd: float) -> np.ndarray:
+    """:func:`conduction` of each device class (rows) at each level code."""
+    return np.array([[conduction(*k, lv, vdd) for lv in _LEVEL_OF_CODE] for k in DEVICE_CLASSES])
 
 
 @dataclass
@@ -125,14 +128,37 @@ class SwingWarning(NamedTuple):
     headroom: float
 
 
+class _Step(NamedTuple):
+    """A closure's scatter: channel end e runs device ``dev[e]`` from column
+    ``src[e]`` into its run's target column ``tgt``; the ends are sorted by
+    target, and runs start at ``starts``."""
+
+    dev: np.ndarray
+    src: np.ndarray
+    starts: np.ndarray
+    tgt: np.ndarray
+
+    def split(self):
+        """The same ends as two steps: the first end into each target, then
+        the rest.  A reduceat pays for each end past the first of its run,
+        so on the wide float rows of the swing lint two steps of short runs
+        relax faster than one of long runs."""
+        rest = np.ones(self.dev.size, dtype=bool)
+        rest[self.starts] = False
+        rest = np.flatnonzero(rest)
+        tgt = np.repeat(self.tgt, np.diff(self.starts, append=self.dev.size))[rest]
+        starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+        first = _Step(self.dev[self.starts], self.src[self.starts], np.arange(self.tgt.size), self.tgt)
+        return first, _Step(self.dev[rest], self.src[rest], starts, tgt[starts])
+
+
 class _Group(NamedTuple):
     """CCCs solved side by side on their local columns (see ``_partition``).
 
     Arrays named ``*_src`` pick the nets the group reads, as columns of a
     level array: every net for the Jacobi rounds, the nets ``kept`` for a
-    ranked sweep.  Channel end e runs device ``sc_dev[e]`` from ``sc_src[e]``
-    into its run's ``sc_tgt`` (runs start at ``sc_starts``); net ``out_net``
-    reads column ``out_col`` of CCC ``out_ccc``.
+    ranked sweep.  Net ``out_net`` reads local column ``out_col`` in its
+    CCC ``out_ccc``.
     """
 
     n_ccc: int
@@ -144,10 +170,7 @@ class _Group(NamedTuple):
     lut: np.ndarray  # (device, gate code) -> conducts
     dev_ccc: np.ndarray
     dev_src: np.ndarray  # gate nets
-    sc_dev: np.ndarray
-    sc_src: np.ndarray
-    sc_starts: np.ndarray
-    sc_tgt: np.ndarray
+    scatter: _Step  # both ends of every channel
     key_src: np.ndarray  # row-key digits, grouped by CCC
     key_weight: np.ndarray
     key_ccc: np.ndarray  # the CCCs with key digits, and where their digits start
@@ -161,26 +184,48 @@ class _Group(NamedTuple):
     put_ccc: np.ndarray
     put_col: np.ndarray
 
-    def relax(self, x, w, join, meet):
-        """Fixed point of ``x`` (column, row) joining targets with meet(x[source], w)."""
-        w = w[self.sc_dev]
-        while True:
-            old = x[self.sc_tgt]
-            new = join(old, join.reduceat(meet(x[self.sc_src], w), self.sc_starts, axis=0))
-            if (new == old).all():
-                return x
-            x[self.sc_tgt] = new
+    def relax(self, x, w, join, meet, steps):
+        """Fixed point of ``x`` (local column, row) along the channels: each
+        of the ``steps`` in turn joins every non-driver column with
+        ``meet(x[source], w)`` over the devices into it, ``w`` being
+        (device, row)."""
+        steps = [(s.src, w[s.dev], s.starts, s.tgt) for s in steps if s.tgt.size]
+        changed = True
+        while changed:
+            changed = False
+            for src, w_src, starts, tgt in steps:
+                old = x[tgt]
+                new = join(old, join.reduceat(meet(x[src], w_src), starts, axis=0))
+                if not (new == old).all():
+                    x[tgt] = new
+                    changed = True
+        return x
 
     def closure(self, drv_codes, gate_codes):
-        """Drive masks (column, row); rows packed 21 per uint64, 3 bits each."""
+        """Inner fixed point on the local columns: push driver levels along
+        conducting channels.  Returns (local column, row) drive masks.
+
+        From ``_PACK_ROWS`` rows on, the rows are packed 21 to a uint64
+        word, 3 mask bits each, so one or and one and move 21 rows; with
+        fewer rows the packing costs more than it saves.
+        """
         R, C, D = drv_codes.shape[0], self.n_cols, self.lut.shape[0]
+        on = self.lut[np.arange(D)[:, None], gate_codes.T]
+        if R < _PACK_ROWS:
+            masks = np.zeros((C, R), dtype=np.uint8)
+            masks[self.drv_cols] = _BIT_OF_CODE[drv_codes.T]
+            return self.relax(masks, on, np.bitwise_or, np.multiply, [self.scatter])
         W = -(-R // 21)
-        x = np.zeros((C + D, W * 21), dtype=np.uint64)
-        x[self.drv_cols, :R] = _BIT_OF_CODE[drv_codes.T]
-        x[C:, :R] = self.lut[np.arange(D)[:, None], gate_codes.T] * 7
-        x = (x.reshape(C + D, W, 21) << _LANE_SHIFT).sum(axis=2, dtype=np.uint64)
-        x = self.relax(x[:C], x[C:], np.bitwise_or, np.bitwise_and)
-        return ((x[:, :, None] >> _LANE_SHIFT) & 7).reshape(C, W * 21)[:, :R].astype(np.uint8)
+        x = np.zeros((C + D, W, 21), dtype=np.uint64)
+        rows = x.reshape(C + D, W * 21)
+        rows[self.drv_cols, :R] = _BIT_OF_CODE[drv_codes.T]
+        rows[C:, :R] = on * 7
+        x <<= _LANE_SHIFT  # in place: one uint64 array at a time
+        x, w = np.split(x.sum(axis=2, dtype=np.uint64), [C])
+        x = self.relax(x, w, np.bitwise_or, np.bitwise_and, [self.scatter])
+        x = x[:, :, None] >> _LANE_SHIFT
+        x &= 7
+        return x.reshape(C, W * 21)[:, :R].astype(np.uint8)
 
 
 class _Rows:
@@ -192,7 +237,9 @@ class _Rows:
     rows takes new columns, slot j for the j-th new row of each CCC; a CCC
     with fewer fills its slot with a row of a state of the batch, so every
     row occurs in the sweep.  The memo (sorted ``keys``, ``key_row``) maps
-    each key met so far to its row, so a key is closed once per sweep.
+    each key met so far to its row, so a key is closed once per sweep; it
+    serves only later chunks, so the last chunk's new keys never enter it
+    and after a sweep it is not complete.
     """
 
     def __init__(self, g: _Group, S: int):
@@ -273,11 +320,8 @@ class CompiledNetlist:
         classes = [DEVICE_CLASSES.index((d.polarity, d.vt)) for d in devs]
         self.dev_class = np.array(classes, dtype=np.intp)
         self.dev_is_n = self.dev_class < len(DEVICE_CLASSES) // 2
-        table = np.zeros((len(DEVICE_CLASSES), 5), dtype=bool)
-        for k in set(classes):
-            table[k] = _conduction_row(k, n.vdd)
         self.dev_lut = np.zeros((max(self.n_devices, 1), 5), dtype=bool)
-        self.dev_lut[: self.n_devices] = table[self.dev_class]
+        self.dev_lut[: self.n_devices] = _conduction_table(n.vdd)[self.dev_class]
         self._partition()
 
     def _partition(self):
@@ -297,7 +341,7 @@ class CompiledNetlist:
         The layout is one set of arrays in rank order: CCCs, local columns,
         devices, key digits, closure scatter and non-driver nets.  ``_all``
         reads it whole; each group of ``_ranks`` is one rank's slices of it,
-        reading the ``kept`` nets.  ``_out_rank``/``_out_place`` locate nets.
+        reading the ``kept`` nets (see ``_rank_groups``).
         """
         N = self.n_nets
         nd = ~self.is_driver
@@ -381,50 +425,91 @@ class CompiledNetlist:
         firsts = np.flatnonzero(width)  # the CCCs with key digits
         unkeyed = np.flatnonzero(~keyed)
 
-        # the closure's scatter: both ends of each channel into a non-driver column
+        # the closure's scatter: both ends of each channel into a non-driver
+        # column, by target column (so by rank)
         tgt = inv[: 2 * L]
         into = np.flatnonzero(~col_drv[tgt])
         into = into[np.argsort(tgt[into], kind="stable")]
         other, tgt = inv[(into + L) % max(2 * L, 1)], tgt[into]
         starts = np.flatnonzero(np.diff(tgt, prepend=-1))
-        ent = col_ccc[tgt]  # the CCC of each channel end
 
-        def local(ccc):  # each item's place in its rank's run, for items of the CCCs ccc
-            return np.arange(len(ccc)) - np.searchsorted(rank[ccc], rank[ccc])
-
-        cl, ol, out_col = local(np.arange(C)), local(col_ccc), inv[2 * L :]
+        out_col = inv[2 * L :]
         put = np.flatnonzero(kcol[out_net] >= 0)
-        # item kind (by CCC): field -> (kernel values, numbering in a rank or None)
-        kinds = (
-            (col_ccc[drv], dict(drv_cols=(drv, ol), drv_ccc=(col_ccc[drv], cl),
-                                drv_src=(col_net[drv], kcol))),
-            (dev_k, dict(dev=(live, None), lut=(self.dev_lut[live], None), dev_ccc=(dev_k, cl),
-                         dev_src=(gate, kcol))),
-            (key_ccc, dict(key_src=(key_net, kcol), key_weight=(key_weight, None))),
-            (firsts, dict(key_ccc=(firsts, cl), key_first=(bounds[firsts], local(key_ccc)))),
-            (np.arange(C), dict(key_offset=(key_offset, None))),
-            (unkeyed, dict(unkeyed=(unkeyed, cl))),
-            (ent, dict(sc_dev=(into % max(L, 1), local(dev_k)), sc_src=(other, ol))),
-            (ent[starts], dict(sc_starts=(starts, local(ent)), sc_tgt=(tgt[starts], ol))),
-            (out_k, dict(out_net=(out_net, None), out_ccc=(out_k, cl), out_col=(out_col, ol))),
-            (out_k[put], dict(put_dst=(kcol[out_net[put]], None), put_ccc=(out_k[put], cl),
-                              put_col=(out_col[put], ol))),
+        self._all = _Group(
+            n_ccc=C, n_cols=cols.size,
+            drv_cols=drv, drv_ccc=col_ccc[drv], drv_src=col_net[drv],
+            dev=live, lut=self.dev_lut[live], dev_ccc=dev_k, dev_src=gate,
+            scatter=_Step(into % max(L, 1), other, starts, tgt[starts]),
+            key_src=key_net, key_weight=key_weight, key_ccc=firsts, key_first=bounds[firsts],
+            key_offset=key_offset, unkeyed=unkeyed,
+            out_net=out_net, out_ccc=out_k, out_col=out_col,
+            put_dst=kcol[out_net[put]], put_ccc=out_k[put], put_col=out_col[put],
         )
-        self._all = _Group(C, cols.size, **{f: v for _, fs in kinds for f, (v, _) in fs.items()})
-        self._out_rank, self._out_place = np.full((2, N), -1, dtype=np.intp)
-        self._out_rank[out_net], self._out_place[out_net] = rank[out_k], local(out_k)
-        if not ranked:
-            return
-        edges = np.arange(1, rank[-1] + 1)
-        parts = {"n_ccc": np.bincount(rank).tolist(),
-                 "n_cols": np.bincount(rank[col_ccc], minlength=edges.size + 1).tolist()}
-        for ccc, fields in kinds:
-            at = np.searchsorted(rank[ccc], edges).tolist()
-            runs = list(zip([0, *at], [*at, len(ccc)]))
-            for f, (v, num) in fields.items():
-                v = v if num is None else num[v]
-                parts[f] = [v[i:j] for i, j in runs]
-        self._ranks = [_Group._make(g) for g in zip(*(parts[f] for f in _Group._fields))]
+        if ranked:
+            self._rank_groups(rank, col_ccc, key_ccc)
+
+    def _rank_groups(self, rank, col_ccc, key_ccc):
+        """``_ranks``, one ``_Group`` per rank: the rank's run of every array
+        of ``_all``, and ``_out_rank``/``_out_place``, each non-driver net's
+        rank and place in its group's ``out_net``.
+
+        ``rank``, ``col_ccc`` and ``key_ccc`` give the rank of each kernel
+        CCC and the CCC of each local column and key digit.  A group numbers
+        its CCCs, local columns, devices, channel ends and key digits from
+        the first of its rank's run, and its ``*_src`` arrays read the
+        ``kept`` nets.
+        """
+        g, kcol = self._all, self._kept_col
+        ranks = np.arange(rank[-1] + 2)
+
+        def starts(ccc):
+            """Where each rank's run of the items of CCCs ``ccc`` starts, and the end."""
+            return np.searchsorted(rank[ccc], ranks)
+
+        def runs(at):
+            at = at.tolist()
+            return [slice(i, j) for i, j in zip(at, at[1:])]
+
+        # the first CCC, local column, device, channel end and key digit of
+        # each rank; an item refers to items of its own CCC, so of its own rank
+        s, end_ccc = g.scatter, g.dev_ccc[g.scatter.dev]  # an end's CCC is its device's
+        ccc0, col0, dev0 = starts(np.arange(g.n_ccc)), starts(col_ccc), starts(g.dev_ccc)
+        end0, key0 = starts(end_ccc), starts(key_ccc)
+        r = rank[end_ccc]
+        run_rank = r[s.starts]
+        sc = _Step(s.dev - dev0[r], s.src - col0[r], s.starts - end0[run_rank], s.tgt - col0[run_rank])
+        r = rank[g.drv_ccc]
+        drv_cols, drv_ccc, drv_src = g.drv_cols - col0[r], g.drv_ccc - ccc0[r], kcol[g.drv_src]
+        dev_ccc, dev_src = g.dev_ccc - ccc0[rank[g.dev_ccc]], kcol[g.dev_src]
+        key_src, r = kcol[g.key_src], rank[g.key_ccc]
+        key_ccc_l, key_first = g.key_ccc - ccc0[r], g.key_first - key0[r]
+        unkeyed = g.unkeyed - ccc0[rank[g.unkeyed]]
+        out_rank = rank[g.out_ccc]
+        out_ccc, out_col = g.out_ccc - ccc0[out_rank], g.out_col - col0[out_rank]
+        out0 = starts(g.out_ccc)
+        r = rank[g.put_ccc]
+        put_ccc, put_col = g.put_ccc - ccc0[r], g.put_col - col0[r]
+        groups = []
+        for c, col, dr, d, e, t, k, f, u, o, p in zip(
+            runs(ccc0), runs(col0), runs(starts(g.drv_ccc)), runs(dev0), runs(end0),
+            runs(np.searchsorted(run_rank, ranks)), runs(key0), runs(starts(g.key_ccc)),
+            runs(starts(g.unkeyed)), runs(out0), runs(starts(g.put_ccc)),
+        ):
+            groups.append(_Group(
+                n_ccc=c.stop - c.start, n_cols=col.stop - col.start,
+                drv_cols=drv_cols[dr], drv_ccc=drv_ccc[dr], drv_src=drv_src[dr],
+                dev=g.dev[d], lut=g.lut[d], dev_ccc=dev_ccc[d], dev_src=dev_src[d],
+                scatter=_Step(sc.dev[e], sc.src[e], sc.starts[t], sc.tgt[t]),
+                key_src=key_src[k], key_weight=g.key_weight[k],
+                key_ccc=key_ccc_l[f], key_first=key_first[f],
+                key_offset=g.key_offset[c], unkeyed=unkeyed[u],
+                out_net=g.out_net[o], out_ccc=out_ccc[o], out_col=out_col[o],
+                put_dst=g.put_dst[p], put_ccc=put_ccc[p], put_col=put_col[p],
+            ))
+        self._ranks = groups
+        self._out_rank, self._out_place = np.full((2, self.n_nets), -1, dtype=np.intp)
+        self._out_rank[g.out_net] = out_rank
+        self._out_place[g.out_net] = np.arange(out_rank.size) - out0[out_rank]
 
     # -- batched solves --------------------------------------------------
 
@@ -536,6 +621,10 @@ class CompiledNetlist:
         return table, levels
 
     # -- helpers --------------------------------------------------------
+
+    def conducts(self, device: int, levels) -> list[bool]:
+        """Whether the netlist's ``device``-th device conducts at each gate level of ``levels``."""
+        return [bool(self.dev_lut[device, _CODE_OF_LEVEL[lv]]) for lv in levels]
 
     def channel_component(self, start: str):
         """Nets joined to ``start`` by channels, not crossing driver nets,
@@ -839,7 +928,7 @@ class Sweep:
             at = np.concatenate([lv == CODE_V, lv == CODE_G], axis=1)
             width = np.full(at.shape, -np.inf)
             width[g.drv_cols] = np.where(at[g.drv_cols], np.inf, -np.inf)
-            width = g.relax(width, cost, np.maximum, np.minimum)
+            width = g.relax(width, cost, np.maximum, np.minimum, g.scatter.split())
             head = np.where(at & np.isfinite(width), width, np.inf).reshape(g.n_cols, 2, R)
             worst[:, g.out_net] = head[g.out_col].min(axis=2, initial=np.inf).T
         warnings = [

@@ -727,15 +727,11 @@ def _oracle_solve_ranked(cn, codes):
     return lv.T, tables
 
 
-def _channels(g):
-    """(device, source column, target column) of each channel a group's
-    closure scatters, sorted."""
-    if isinstance(g, _OracleGroup):
-        ends = [(order, src, np.repeat(tgt, np.diff(np.r_[starts, order.size])))
-                for order, src, starts, tgt in g.steps]
-    else:
-        runs = np.diff(np.r_[g.sc_starts, g.sc_dev.size])
-        ends = [(g.sc_dev, g.sc_src, np.repeat(g.sc_tgt, runs))]
+def _channels(steps):
+    """(device, source column, target column) of each channel end the
+    ``steps`` scatter, sorted: (devices, sources, starts, targets) each."""
+    ends = [(dev, src, np.repeat(tgt, np.diff(np.r_[starts, dev.size])))
+            for dev, src, starts, tgt in steps if dev.size]
     return sorted(zip(*(np.concatenate(e).tolist() for e in zip(*ends)))) if ends else []
 
 
@@ -758,10 +754,13 @@ def _assert_layout_matches_oracle(n):
     for g, w in zip(cn._ranks, want_groups):
         for f in _SAME_FIELDS:
             assert np.array_equal(getattr(g, f), getattr(w, f)), f
-        assert _channels(g) == _channels(w)
+        assert _channels([g.scatter]) == _channels(w.steps)
+        assert _channels(g.scatter.split()) == _channels([g.scatter])
     # every rank's arrays are runs of one shared array per field
-    for f in _SAME_FIELDS[2:] + ("key_offset", "sc_dev", "sc_src", "sc_starts", "sc_tgt"):
+    for f in _SAME_FIELDS[2:] + ("key_offset",):
         assert len({id(getattr(g, f).base) for g in cn._ranks}) == 1, f
+    for f in solver_mod._Step._fields:
+        assert len({id(getattr(g.scatter, f).base) for g in cn._ranks}) == 1, f
     codes = _sweep_codes(n)
     lv, tables = cn.solve_ranked(codes)
     want_lv, want = _oracle_solve_ranked(cn, codes)
@@ -797,6 +796,27 @@ def test_rows_per_rank_on_rca4_match_per_rank_groups():
     _, tables = cn.solve_ranked(codes)
     _, want = _oracle_solve_ranked(cn, codes)
     assert [t.masks.shape[1] for t in tables] == [w.masks.shape[1] for w in want]
+
+
+def test_packed_closure_matches_unpacked_closure(monkeypatch):
+    # row counts on both sides of _PACK_ROWS, and across a word boundary
+    from test_passes import _random_gated_netlist
+
+    rng = random.Random(77)
+    cells = [*_generated_cells(), *(_random_gated_netlist(rng) for _ in range(60))]
+    for n in cells:
+        cn = CompiledNetlist(n)
+        for g in [cn._all, *(cn._ranks if cn.ccc_rank is not None else [])]:
+            for R in (1, 3, 4, 21, 22, 50):
+                drv = np.array([[rng.randrange(3) for _ in g.drv_src] for _ in range(R)], np.int8)
+                gates = np.array([[rng.randrange(5) for _ in g.dev_src] for _ in range(R)], np.int8)
+                drv, gates = drv.reshape(R, -1), gates.reshape(R, -1)
+                monkeypatch.setattr(solver_mod, "_PACK_ROWS", 1)
+                packed = g.closure(drv, gates)
+                monkeypatch.setattr(solver_mod, "_PACK_ROWS", 10**9)
+                unpacked = g.closure(drv, gates)
+                assert packed.dtype == unpacked.dtype == np.uint8
+                assert np.array_equal(packed, unpacked), n.title
 
 
 def test_ranked_sweep_finds_rows_once_per_rank_and_chunk(monkeypatch):
