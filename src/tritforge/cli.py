@@ -37,7 +37,7 @@ from .generate import (
     pattern_to_text,
 )
 from .netlist import parse, parse_domain, serialize, validate
-from .passes import AssumptionDomain, simplify_pipeline
+from .passes import REFUSALS, AssumptionDomain, PassReport, simplify
 from .solver import (
     decoded_truth,
     full_swing_lint,
@@ -200,7 +200,12 @@ def _cmd_truth(args) -> int:
 def _cmd_simplify(args) -> int:
     n = _read_netlist(args.netlist)
     assumption = _parse_assumption(args.assume)
-    out, report = simplify_pipeline(n, assumption, carry_net=args.rebind_carry)
+    try:
+        out, report = simplify(n, assumption, carry_net=args.rebind_carry)
+    except REFUSALS as exc:
+        print(f"tritforge: simplify refused ({type(exc).__name__}: {exc}); "
+              "output is the input unchanged", file=sys.stderr)
+        out, report = n, PassReport()
     _write(args.output, serialize(out), args.force)
     if args.report:
         _write(args.report, report.to_json() + "\n", args.force)

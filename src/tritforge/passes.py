@@ -414,7 +414,10 @@ def _swap_carry_stis(cn: CompiledNetlist):
     return replace(n, devices=tuple(devices), extra_nets=frozenset()), changed
 
 
-def simplify_pipeline(n: Netlist, a: AssumptionDomain, carry_net: str | None = None, *old):
+REFUSALS = (EquivalenceCheckFailedError, NetlistSemanticError)  # see simplify
+
+
+def simplify(n: Netlist, a: AssumptionDomain, carry_net: str | None = None):
     """assumption → prune → factor to a fixpoint, then, when ``carry_net``
     names an output, its re-encoding at the full supply and the same
     fixpoint again.
@@ -424,12 +427,11 @@ def simplify_pipeline(n: Netlist, a: AssumptionDomain, carry_net: str | None = N
     sweep serves the next round, the re-encoding and the final check.
 
     Decoded-truth equivalence over the assumed domain is a hard
-    postcondition; if it fails the original netlist is returned untouched.
+    postcondition.  Rather than return a netlist that shorts the rails or
+    changes behaviour it raises one of ``REFUSALS``: the error of a merge
+    or of the re-encoding, or :class:`EquivalenceCheckFailedError` when the
+    truth changed.
     """
-    if isinstance(carry_net, bool):
-        # the older positional form (rebind, carry_net), which
-        # bench/baselines.py still calls
-        carry_net = old[0] if carry_net else None
     swept = Sweep(_narrow(n, a))
     before = swept.truth_signature()
 
@@ -446,17 +448,24 @@ def simplify_pipeline(n: Netlist, a: AssumptionDomain, carry_net: str | None = N
                 return swept, report
             swept = Sweep(cur)
 
-    try:
-        swept, report = fixpoint(swept, PassReport())
-        # already at the full supply: nothing left to re-encode
-        done = dict(swept.cn.netlist.outputs).get(carry_net) is Encoding.FULL_VDD_HIGH
-        if carry_net is not None and not done:
-            r, swept = _rebind(swept, carry_net)
-            swept, report = fixpoint(swept, report + r)
-    except (EquivalenceCheckFailedError, NetlistSemanticError):
-        # refuse rather than emit a netlist that shorts the rails or
-        # changes behaviour; the caller gets the input back untouched
-        return n, PassReport()
+    swept, report = fixpoint(swept, PassReport())
+    # already at the full supply: nothing left to re-encode
+    done = dict(swept.cn.netlist.outputs).get(carry_net) is Encoding.FULL_VDD_HIGH
+    if carry_net is not None and not done:
+        r, swept = _rebind(swept, carry_net)
+        swept, report = fixpoint(swept, report + r)
     if swept.truth_signature() != before:
-        return n, PassReport()
+        raise EquivalenceCheckFailedError("the truth over the assumed domain changed")
     return swept.cn.netlist, report
+
+
+def simplify_pipeline(n: Netlist, a: AssumptionDomain, carry_net: str | None = None, *old):
+    """:func:`simplify`, but a refusal returns the input and an empty report."""
+    if isinstance(carry_net, bool):
+        # the older positional form (rebind, carry_net), which
+        # bench/baselines.py still calls
+        carry_net = old[0] if carry_net else None
+    try:
+        return simplify(n, a, carry_net)
+    except REFUSALS:
+        return n, PassReport()

@@ -11,43 +11,39 @@ The core is batched and works per channel-connected component (CCC): a
 maximal group of non-driver nets joined by device channels, where the rails
 and the inputs are the drivers (Bryant, IEEE Trans. Computers 1984).  A
 CCC's drive masks depend only on its key nets, the gate nets and driver
-nets its devices touch, so a CCC is closed once per distinct row of their
-levels.
+nets its devices touch; held charge enters after the closure.  So both
+solvers close CCCs in one place, a key -> row memo (:class:`_Rows`).
 
 Most netlists, every generated one among them, have CCC ranks: the graph
 with an edge from the CCC of each device's gate net to the CCC of its
 channel has no cycle.  Their sweeps are solved rank by rank, keyed from the
 final levels of the ranks below (the rank-ordered compiled evaluation of
-COSMOS, Bryant et al., DAC 1987), through a key -> row memo that lasts the
-whole sweep, so each chunk of states closes only the rows no earlier chunk
-met.  Jacobi rounds solve the rest: netlists with feedback, solves seeded
-by an earlier state (``solve_state(prev=...)``, ``simulate_pattern``) and
-callers that count settling rounds; states that reach a fixed point or a
-period-2 cycle leave early.  On a netlist with ranks both give the same
-levels and masks, bit for bit.
+COSMOS, Bryant et al., DAC 1987), a memo per rank.  Jacobi rounds solve the
+rest: netlists with feedback, solves seeded by an earlier state
+(``solve_state(prev=...)``, ``simulate_pattern``, whose memo lasts all its
+steps) and callers that count settling rounds.  Each round looks every
+moving state's rows up in a memo of the whole netlist; states that reach a
+fixed point or a period-2 cycle leave early.  On a netlist with ranks both
+give the same levels and masks, bit for bit.
 
 A compile lays the kernel out once, in rank order: CCCs, local columns,
 devices, key digits, closure scatter and non-driver nets all run rank by
 rank, so each rank's group is a set of slices of shared arrays.  The
-closure packs 21 rows into each uint64 word once a batch has a few rows;
-a one-state Jacobi round stays unpacked.
+closure packs 21 rows into each uint64 word once it closes a few rows.
 
 Every exhaustive view of a netlist (truth table, decoded truth, truth
 signature, division counts, a net's image, full-swing lint) reads one
 :class:`Sweep` over the input space, the product of the declared input
-domains (narrowed, for a sweep under an assumption).  A ranked sweep stays
-factored, with no (states, nets) array: each CCC's rows with their drive
-masks, a row index by CCC and state, and level columns only for the
-drivers, the outputs and the gate nets, all a later rank reads.  Outputs
+domains (narrowed, for a sweep under an assumption).  A sweep stays
+factored, with no (states, nets) mask array: each CCC's rows with their
+drive masks, a row index by CCC and state, and level columns, of every net
+after Jacobi rounds, else only of the nets a later rank reads.  Outputs
 gather their columns, rail reach and division counts per-row flags; an
 image is the union of rows, and the swing lint relaxes each row once.
 
-There is no compile cache.  Whoever solves builds the
-:class:`CompiledNetlist` and holds it: a :class:`Sweep` owns its compile,
-``solve_state`` compiles for its one state, and ``simulate_pattern``
-compiles once and steps through int8 level arrays, building the Level-dict
-trace only when it returns.  Nothing keeps a netlist alive after its
-caller lets go.
+There is no compile cache: a :class:`Sweep` owns its
+:class:`CompiledNetlist`, and ``solve_state`` and ``simulate_pattern``
+build their own, so nothing keeps a netlist alive after its caller lets go.
 """
 
 from __future__ import annotations
@@ -229,17 +225,16 @@ class _Group(NamedTuple):
 
 
 class _Rows:
-    """The rows of a group's CCCs met in a sweep of ``S`` states, and the
-    (CCCs, states) row ``index`` of those states, uint8 while it fits.
+    """The rows of a group's CCCs met in a solve of ``S`` states, and the
+    (CCCs, states) ``index`` of each state's latest rows, uint8 while it fits.
 
     Row r of CCC c is column r of c's local columns in ``masks`` (drive
     masks) and of c's devices in ``gates`` (gate codes).  A batch of new
     rows takes new columns, slot j for the j-th new row of each CCC; a CCC
-    with fewer fills its slot with a row of a state of the batch, so every
-    row occurs in the sweep.  The memo (sorted ``keys``, ``key_row``) maps
-    each key met so far to its row, so a key is closed once per sweep; it
-    serves only later chunks, so the last chunk's new keys never enter it
-    and after a sweep it is not complete.
+    with fewer fills its slot with a row of a state of the batch.  The memo
+    (sorted ``keys``, ``key_row``) maps every key met so far to its row, so
+    a key is closed once.  A CCC too wide to key takes a fresh key, and so
+    a new row, at every find.
     """
 
     def __init__(self, g: _Group, S: int):
@@ -251,9 +246,9 @@ class _Rows:
         self.keys = np.array([np.iinfo(np.int64).max])
         self.key_row = np.zeros(1, dtype=np.intp)
 
-    def find(self, src, lo):
-        """Index and return each state's row in every CCC, (CCCs, states),
-        for the states ``lo``, ``lo + 1``, ... of the sweep, whose (nets,
+    def find(self, src, states):
+        """Index and return the row of each state in every CCC, (CCCs,
+        states), for the ``states`` (a slice or index array) whose (nets,
         states) levels ``src`` holds; new keys get new rows."""
         g = self.g
         A = src.shape[1]
@@ -261,8 +256,8 @@ class _Rows:
         keys = np.repeat(g.key_offset[:, None], A, axis=1)
         digits = src[g.key_src] * g.key_weight[:, None]
         keys[g.key_ccc] += np.add.reduceat(digits, g.key_first, axis=0)
-        if g.unkeyed.size:
-            keys[g.unkeyed] += lo + np.arange(A)
+        if g.unkeyed.size:  # counted from the rows so far: each find adds A or more
+            keys[g.unkeyed] += self.masks.shape[1] + np.arange(A)
         flat = keys.ravel()
         at = np.searchsorted(self.keys, flat)
         rows, miss = self.key_row[at], np.flatnonzero(self.keys[at] != flat)
@@ -279,17 +274,15 @@ class _Rows:
             masks = g.closure(src[g.drv_src, rep[:, g.drv_ccc]], gates)
             j += self.masks.shape[1]
             rows[order] = j[np.cumsum(lead) - 1]
-            if lo + A < self.index.shape[1]:  # the memo serves later chunks only
-                keys = np.concatenate([self.keys, new])
-                order = keys.argsort(kind="stable")
-                self.keys = keys[order]
-                self.key_row = np.concatenate([self.key_row, j])[order]
+            keys = np.concatenate([self.keys, new])
+            order = keys.argsort(kind="stable")
+            self.keys, self.key_row = keys[order], np.concatenate([self.key_row, j])[order]
             self.masks = np.concatenate([self.masks, masks], axis=1)
             self.gates = np.concatenate([self.gates, gates.T], axis=1)
             if (R := self.masks.shape[1]) > 256:
                 wide = np.promote_types(self.index.dtype, np.min_scalar_type(R - 1))
                 self.index = self.index.astype(wide, copy=False)
-        rows = self.index[:, lo : lo + A] = rows.reshape(g.n_ccc, A)
+        rows = self.index[:, states] = rows.reshape(g.n_ccc, A)
         return rows
 
 
@@ -450,8 +443,7 @@ class CompiledNetlist:
 
     def _rank_groups(self, rank, col_ccc, key_ccc):
         """``_ranks``, one ``_Group`` per rank: the rank's run of every array
-        of ``_all``, and ``_out_rank``/``_out_place``, each non-driver net's
-        rank and place in its group's ``out_net``.
+        of ``_all``.
 
         ``rank``, ``col_ccc`` and ``key_ccc`` give the rank of each kernel
         CCC and the CCC of each local column and key digit.  A group numbers
@@ -484,16 +476,15 @@ class CompiledNetlist:
         key_src, r = kcol[g.key_src], rank[g.key_ccc]
         key_ccc_l, key_first = g.key_ccc - ccc0[r], g.key_first - key0[r]
         unkeyed = g.unkeyed - ccc0[rank[g.unkeyed]]
-        out_rank = rank[g.out_ccc]
-        out_ccc, out_col = g.out_ccc - ccc0[out_rank], g.out_col - col0[out_rank]
-        out0 = starts(g.out_ccc)
+        r = rank[g.out_ccc]
+        out_ccc, out_col = g.out_ccc - ccc0[r], g.out_col - col0[r]
         r = rank[g.put_ccc]
         put_ccc, put_col = g.put_ccc - ccc0[r], g.put_col - col0[r]
         groups = []
         for c, col, dr, d, e, t, k, f, u, o, p in zip(
             runs(ccc0), runs(col0), runs(starts(g.drv_ccc)), runs(dev0), runs(end0),
             runs(np.searchsorted(run_rank, ranks)), runs(key0), runs(starts(g.key_ccc)),
-            runs(starts(g.unkeyed)), runs(out0), runs(starts(g.put_ccc)),
+            runs(starts(g.unkeyed)), runs(starts(g.out_ccc)), runs(starts(g.put_ccc)),
         ):
             groups.append(_Group(
                 n_ccc=c.stop - c.start, n_cols=col.stop - col.start,
@@ -507,9 +498,6 @@ class CompiledNetlist:
                 put_dst=g.put_dst[p], put_ccc=put_ccc[p], put_col=put_col[p],
             ))
         self._ranks = groups
-        self._out_rank, self._out_place = np.full((2, self.n_nets), -1, dtype=np.intp)
-        self._out_rank[g.out_net] = out_rank
-        self._out_place[g.out_net] = np.arange(out_rank.size) - out0[out_rank]
 
     # -- batched solves --------------------------------------------------
 
@@ -532,57 +520,75 @@ class CompiledNetlist:
         for lo in range(0, S, _CHUNK):
             block = lv[:, lo : lo + _CHUNK]
             for t in tables:
-                g, rows = t.g, t.find(block, lo)
+                g, rows = t.g, t.find(block, slice(lo, lo + _CHUNK))
                 codes = _MASK_TO_CODE[t.masks[g.put_col]]  # the kept out nets, in one gather
                 block[g.put_dst] = codes[np.arange(len(codes))[:, None], rows[g.put_ccc]]
         return lv.T, tables
 
-    def solve_batch(self, input_codes: np.ndarray, prev: np.ndarray | None = None):
+    def solve_batch(self, input_codes: np.ndarray, prev: np.ndarray | None = None, rows=None):
         """Solve many input states at once by Jacobi rounds.
 
         input_codes: (S, n_inputs) level codes.
         prev:        optional (S, n_nets) seed levels for transition solves.
+        rows:        optional :class:`_Rows` of ``_all`` for S states, whose
+                     memo an earlier solve may have filled; its index ends
+                     with each state's rows of its last round.
 
         Returns (levels, masks, rounds, stable) arrays; ``stable`` is False
         for states that failed to reach a fixed point within the budget of
         4·n_nets rounds, or that fell into a period-2 cycle (those stop
         early, with the levels and masks of their last round).
         """
-        nd = self._all.out_net  # the non-driver nets, in the order _round returns them
+        g = self._all
+        nd = g.out_net  # the non-driver nets
         S = input_codes.shape[0]
+        t = _Rows(g, S) if rows is None else rows
         lv = np.full((S, self.n_nets), CODE_X, dtype=np.int8)
         lv[:, self.gnd_idx] = CODE_G
         lv[:, self.vdd_idx] = CODE_V
         lv[:, self.input_idx] = input_codes
         if prev is not None:
             lv[:, nd] = prev[:, nd]
-        masks = np.zeros((S, self.n_nets), dtype=np.uint8)
-        masks[:, self.driver_idx] = _BIT_OF_CODE[lv[:, self.driver_idx]]
         rounds = np.zeros(S, dtype=np.int64)
         stable = np.zeros(S, dtype=bool)
         for lo in range(0, S, _CHUNK):
             part = slice(lo, lo + _CHUNK)
             hold = None if prev is None else prev[part][:, nd]
-            self._solve_chunk(lv[part], masks[part], rounds[part], stable[part], hold)
+            self._solve_chunk(t, lo, lv[part], rounds[part], stable[part], hold)
+        masks = np.zeros((S, self.n_nets), dtype=np.uint8)
+        masks[:, self.driver_idx] = _BIT_OF_CODE[lv[:, self.driver_idx]]
+        masks[:, nd] = t.masks[g.out_col[:, None], t.index[g.out_ccc]].T
         return lv, masks, rounds, stable
 
-    def _solve_chunk(self, lv, masks, rounds, stable, hold):
-        """Jacobi rounds over one chunk of states, filling the outputs in place.
+    def _solve_chunk(self, t, lo, lv, rounds, stable, hold):
+        """Jacobi rounds over the chunk of states from ``lo``, filling the
+        outputs in place and the rows ``t``.
 
-        Each round closes every CCC of each active state on that state's own
-        levels.  A state leaves the active set when a round leaves it
-        unchanged (a fixed point, which it keeps forever) or, from the third
-        round on, when its levels repeat those of two rounds back while
-        differing from the last (a period-2 cycle, which the deterministic
-        round map never leaves).
+        Each round finds each active state's CCC rows from its own levels; a
+        net that nothing drives keeps its charge from ``hold``, if given.  A
+        state leaves the active set when a round leaves it unchanged (a fixed
+        point, which it keeps forever) or, from the third round on, when its
+        levels repeat those of two rounds back while differing from the last
+        (a period-2 cycle, which the deterministic round map never leaves).
+        One round past the budget tells which states still move.
         """
-        nd = self._all.out_net
+        g = self._all
+        nd = g.out_net
         act = np.arange(lv.shape[0])
         cur = lv.copy()
-        for r in range(max(4 * self.n_nets, 8)):
-            table, new = self._round(cur, hold)
+        budget = max(4 * self.n_nets, 8)
+        for r in range(budget + 1):
+            rows = t.find(cur.T, lo + act)
+            table = t.masks[g.out_col[:, None], rows[g.out_ccc]].T
+            new = _MASK_TO_CODE[table]
+            if hold is not None:
+                new = np.where((table == 0) & (hold <= CODE_V), hold, new)
             last = cur[:, nd]
             changed = (new != last).any(axis=1)
+            if r == budget:
+                lv[act[:, None], nd] = last
+                stable[act] = ~changed
+                return
             rounds[act] += changed
             done = ~changed
             if r >= 2:
@@ -590,7 +596,6 @@ class CompiledNetlist:
             if done.any():
                 idx = act[done]
                 lv[idx[:, None], nd] = new[done]
-                masks[idx[:, None], nd] = table[done]
                 stable[idx] = ~changed[done]
                 keep = ~done
                 act, cur, new, last = act[keep], cur[keep], new[keep], last[keep]
@@ -600,25 +605,6 @@ class CompiledNetlist:
                     return
             back = last
             cur[:, nd] = new
-        # one more recompute to identify which states are still moving
-        table, new = self._round(cur, hold)
-        lv[act[:, None], nd] = cur[:, nd]
-        masks[act[:, None], nd] = table
-        stable[act] = ~(new != cur[:, nd]).any(axis=1)
-
-    def _round(self, lv, hold):
-        """One Jacobi round over the states of full levels ``lv``.
-
-        Returns the states' drive masks and new levels of the non-driver
-        nets, both (states, nets) in ``out_net`` order.  A net that nothing
-        drives keeps its charge from the non-driver levels ``hold``, if given.
-        """
-        g = self._all
-        table = g.closure(lv[:, g.drv_src], lv[:, g.dev_src])[g.out_col].T
-        levels = _MASK_TO_CODE[table]
-        if hold is not None:
-            levels = np.where((table == 0) & (hold <= CODE_V), hold, levels)
-        return table, levels
 
     # -- helpers --------------------------------------------------------
 
@@ -677,10 +663,10 @@ class CompiledNetlist:
         return frozenset(self.nets[i] for i in np.flatnonzero(flags).tolist())
 
 
-def _solve_one(cn: CompiledNetlist, codes, prev):
-    """Solve one state of input ``codes``, seeded by the (1, nets) levels
-    ``prev`` when given; raise :class:`OscillationError` if it does not settle."""
-    lv, masks, rounds, stable = cn.solve_batch(codes[None, :], prev)
+def _solve_one(cn: CompiledNetlist, codes, prev, rows=None):
+    """Solve one state of input ``codes``, ``prev`` and ``rows`` as for
+    ``solve_batch``; raise :class:`OscillationError` if it does not settle."""
+    lv, masks, rounds, stable = cn.solve_batch(codes[None, :], prev, rows)
     if not stable[0]:
         raise OscillationError(f"no fixed point within {4 * cn.n_nets} rounds")
     return lv[0], masks[0], rounds[0]
@@ -749,54 +735,51 @@ class Sweep:
     """One batched solve of a netlist over its input space, and its views.
 
     Holds the compiled netlist, the input ``codes`` (one row per point,
-    lexicographic in declared input order) and the ``stable`` flags.  A
-    netlist with CCC ranks is solved rank by rank, every state stable, and
-    stays factored (:meth:`CompiledNetlist.solve_ranked`): ``rows`` holds
-    each rank's rows and row index, ``levels`` the columns of the nets
-    ``kept``.  Any other takes the Jacobi rounds of ``solve_batch`` and
-    holds (states, nets) ``levels`` and ``masks``, every net kept.  Views
-    that need every state settled raise :class:`OscillationError` naming
-    the first that is not.
+    lexicographic in declared input order), the ``stable`` flags and the
+    factored solve: ``rows``, the :class:`_Rows` of each group, and
+    ``levels``, the level columns of the nets ``kept``.  With CCC ranks a
+    group is a rank (:meth:`CompiledNetlist.solve_ranked`), every state is
+    stable and the nets kept are those a later rank reads.  Any other
+    netlist takes the Jacobi rounds of ``solve_batch`` in one group, ``_all``,
+    and keeps every net: a state stopped by the round budget keeps its
+    levels from before the last recompute.  Views that need every state
+    settled raise :class:`OscillationError` naming the first that is not.
     """
 
     def __init__(self, n: Netlist | CompiledNetlist):
-        self.cn = n if isinstance(n, CompiledNetlist) else CompiledNetlist(n)
-        self.codes = _input_codes(self.cn.netlist)
+        self.cn = cn = n if isinstance(n, CompiledNetlist) else CompiledNetlist(n)
+        self.codes = _input_codes(cn.netlist)
         self.stable = np.ones(len(self.codes), dtype=bool)
-        self.masks = self.rows = None
-        if self.cn.ccc_rank is None:
-            self.kept = np.arange(self.cn.n_nets)
-            self.levels, self.masks, _, self.stable = self.cn.solve_batch(self.codes)
+        if cn.ccc_rank is None:
+            self.kept, self.rows = np.arange(cn.n_nets), [_Rows(cn._all, len(self.codes))]
+            self.levels, _, _, self.stable = cn.solve_batch(self.codes, rows=self.rows[0])
         else:
-            self.kept = self.cn.kept
-            self.levels, self.rows = self.cn.solve_ranked(self.codes)
+            self.kept = cn.kept
+            self.levels, self.rows = cn.solve_ranked(self.codes)
 
     @cached_property
     def points(self) -> list[tuple[Level, ...]]:
         """The input level tuple of each state."""
         return _level_tuples(self.codes)
 
-    def _point(self, i: int) -> tuple[Level, ...]:
-        return _level_tuples(self.codes[i : i + 1])[0]
-
     def _require_stable(self):
         if not self.stable.all():
             bad = int(np.flatnonzero(~self.stable)[0])
-            raise OscillationError(f"no fixed point at input point {self._point(bad)}")
+            raise OscillationError(f"no fixed point at input point {self.points[bad]}")
 
-    def _masks_of(self, nets) -> np.ndarray:
-        """(states, nets) drive masks of the named nets."""
-        idx = [self.cn.index[name] for name in nets]
-        if self.rows is None:
-            return self.masks[:, idx]
-        out = np.empty((len(self.codes), len(idx)), dtype=np.uint8)
-        for j, i in enumerate(idx):
-            if self.cn.is_driver[i]:
-                out[:, j] = _BIT_OF_CODE[self.levels[:, np.searchsorted(self.kept, i)]]
-            else:
-                t, k = self.rows[self.cn._out_rank[i]], self.cn._out_place[i]
-                out[:, j] = t.masks[t.g.out_col[k], t.index[t.g.out_ccc[k]]]
-        return out
+    @cached_property
+    def _place(self) -> np.ndarray:
+        """(group in ``rows``, place in its ``out_net``) of each non-driver net."""
+        place = np.full((2, self.cn.n_nets), -1, dtype=np.intp)
+        for r, t in enumerate(self.rows):
+            place[0, t.g.out_net], place[1, t.g.out_net] = r, np.arange(t.g.out_net.size)
+        return place
+
+    def _net_rows(self, i: int):
+        """Net ``i``'s drive mask in each row of its CCC, and each state's row."""
+        r, k = self._place[:, i].tolist()
+        t = self.rows[r]
+        return t.masks[t.g.out_col[k]], t.index[t.g.out_ccc[k]]
 
     def _outputs(self) -> np.ndarray:
         return self.levels[:, np.searchsorted(self.kept, self.cn.output_idx)]
@@ -810,7 +793,7 @@ class Sweep:
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
             name = self.cn.netlist.output_names[j]
-            raise UnresolvableError(f"output {name!r} unresolved at input {self._point(i)}")
+            raise UnresolvableError(f"output {name!r} unresolved at input {self.points[i]}")
         return out
 
     def truth_table(self) -> dict[tuple[Level, ...], tuple[Level, ...]]:
@@ -861,30 +844,34 @@ class Sweep:
         """(states, nets) flags: whether GND, and whether VDD, drives each of
         the named nets."""
         self._require_stable()
-        masks = self._masks_of(nets)
+        masks = np.empty((len(self.codes), len(nets)), dtype=np.uint8)
+        for j, i in enumerate(self.cn.index[name] for name in nets):
+            if self.cn.is_driver[i]:
+                masks[:, j] = _BIT_OF_CODE[self.levels[:, np.searchsorted(self.kept, i)]]
+            else:
+                rows, index = self._net_rows(i)
+                masks[:, j] = rows[index]
         return (masks & _BIT_G) != 0, (masks & _BIT_V) != 0
 
     def image(self, net: str) -> frozenset[Level]:
         """The levels ``net`` takes over the swept states, unsettled states
-        included with the levels they stopped at, or over its CCC's rows."""
+        included with the levels they stopped at: its level column if the
+        sweep keeps it, else its CCC's rows (every one some state's)."""
         i = self.cn.index[net]
-        if self.rows is None or self.cn.is_driver[i]:
+        if i in self.kept:
             codes = self.levels[:, np.searchsorted(self.kept, i)]
         else:
-            t, k = self.rows[self.cn._out_rank[i]], self.cn._out_place[i]
-            codes = _MASK_TO_CODE[t.masks[t.g.out_col[k]]]
+            codes = _MASK_TO_CODE[self._net_rows(i)[0]]
         return frozenset(_LEVEL_OF_CODE[code] for code in np.unique(codes).tolist())
 
     def division_counts(self, net: str | None = None) -> list[int]:
-        """Division events per state, of the whole netlist or of one net; a
-        ranked sweep counts per CCC row and adds up each state's rows."""
+        """Division events per state, of the whole netlist or of one net,
+        counted per CCC row and added up over each state's rows."""
         if net is not None:
             gnd, vdd = self.rail_reach([net])
             return (gnd & vdd)[:, 0].astype(int).tolist()
         self._require_stable()
         both = _BIT_G | _BIT_V
-        if self.rows is None:
-            return ((self.masks & both) == both).sum(axis=1).tolist()
         total = np.zeros(len(self.codes), dtype=np.int64)
         for t in self.rows:
             g = t.g
@@ -902,21 +889,16 @@ class Sweep:
         gate overdrive of a conducting wrong-polarity device, ``inf`` for a
         right-polarity one, ``-inf`` if off.  Widths start at ``inf`` on the
         driver copies at the target level.  A net at that level with a
-        finite width is degraded; its headroom is the least over its rows.
-        A sweep without ranks first finds its rows from the settled levels.
+        finite width is degraded; its headroom is the least over the rows
+        that some state ended in (a Jacobi memo also holds earlier rounds').
         """
         self._require_stable()
         cn = self.cn
         n = cn.netlist
-        tables = self.rows
-        if tables is None:
-            tables = [_Rows(cn._all, len(self.codes))]
-            for lo in range(0, len(self.codes), _CHUNK):
-                tables[0].find(self.levels[lo : lo + _CHUNK].T, lo)
         vt = np.array([vt.vt_volts for _, vt in DEVICE_CLASSES])[cn.dev_class]
         volts = np.array([0.0, n.vdd / 2, n.vdd, 0.0, 0.0])
         worst = np.full((2, cn.n_nets), np.inf)
-        for t in tables:
+        for t in self.rows:
             g, R = t.g, t.masks.shape[1]
             gv, dvt, is_n = volts[t.gates], vt[g.dev, None], cn.dev_is_n[g.dev, None]
             # the wrong polarity is N toward VDD and P toward GND
@@ -930,7 +912,10 @@ class Sweep:
             width[g.drv_cols] = np.where(at[g.drv_cols], np.inf, -np.inf)
             width = g.relax(width, cost, np.maximum, np.minimum, g.scatter.split())
             head = np.where(at & np.isfinite(width), width, np.inf).reshape(g.n_cols, 2, R)
-            worst[:, g.out_net] = head[g.out_col].min(axis=2, initial=np.inf).T
+            ended = np.zeros((g.n_ccc, R), dtype=bool)
+            ended[np.arange(g.n_ccc)[:, None], t.index] = True
+            head = np.where(ended[g.out_ccc, None], head[g.out_col], np.inf)
+            worst[:, g.out_net] = head.min(axis=2, initial=np.inf).T
         warnings = [
             SwingWarning(cn.nets[i], pol, float(worst[k, i]))
             for k, pol in enumerate((Polarity.N, Polarity.P))
@@ -1002,6 +987,7 @@ def simulate_pattern(n: Netlist, rows: list[tuple[Level, ...]]):
     if not rows:
         raise DomainError("pattern must contain at least one vector")
     cn = CompiledNetlist(n)
+    memo = _Rows(cn._all, 1)  # a CCC row met at any step is closed once
     steps = len(rows)
     levels = np.empty((steps, cn.n_nets), dtype=np.int8)
     masks = np.empty((steps, cn.n_nets), dtype=np.uint8)
@@ -1009,7 +995,7 @@ def simulate_pattern(n: Netlist, rows: list[tuple[Level, ...]]):
     for step, row in enumerate(rows):
         codes = cn.codes_for_inputs(dict(zip(n.input_names, row)))
         prev = levels[step - 1 : step] if step else None
-        levels[step], masks[step], rounds[step] = _solve_one(cn, codes, prev)
+        levels[step], masks[step], rounds[step] = _solve_one(cn, codes, prev, memo)
         if not step:
             cn.require_driven_outputs(levels[0])
     divisions = ((masks & (_BIT_G | _BIT_V)) == (_BIT_G | _BIT_V)).sum(axis=1)

@@ -27,3 +27,14 @@ def test_cli_pipeline_pass_matches_the_goldens(tmp_path, monkeypatch):
     assert workload.check(outputs) == (48, 0)
     attempted, failed = workload.check(workload.corrupt(outputs))
     assert attempted == 48 and failed >= 1
+
+
+def test_cell_metrics_pass_matches_the_goldens(tmp_path, monkeypatch):
+    # the metrics JSON and trace CSV bytes of all four testbenches at seed 0
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    goldens = json.loads((BENCH / "goldens.json").read_text())
+    workload = _workloads().CellMetrics(0, goldens, tmp_path)
+    outputs, _ = workload.run_pass()
+    assert workload.check(outputs) == (2812, 0)
+    attempted, failed = workload.check(workload.corrupt(outputs))
+    assert attempted == 2812 and failed >= 1

@@ -483,6 +483,27 @@ def test_rebind_carry_with_a_divider_terminal_nothing_else_touches(tmp_path, cap
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("cell_text,argv,error", [
+    (DANGLING_DIVIDER, ["--assume", "a=012", "--rebind-carry", "y"], "EquivalenceCheckFailedError"),
+    (None, ["--assume", "a=0"], "NetlistSemanticError"),
+], ids=["dangling-divider", "tha-a0"])
+def test_simplify_names_its_refusal_on_stderr(tmp_path, capsys, cell_text, argv, error):
+    # a refusal still exits 0 with the input and an all-zero report, but
+    # says so in one line
+    cell, slim, report = tmp_path / "cell.tn", tmp_path / "slim.tn", tmp_path / "r.json"
+    if cell_text is None:
+        assert run(["gen", "tha", "--style", "ternary-cmos", "-o", str(cell)]) == 0
+    else:
+        cell.write_text(cell_text)
+    capsys.readouterr()
+    assert run(["simplify", str(cell), *argv, "-o", str(slim), "--report", str(report)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"tritforge: simplify refused ({error}: ")
+    assert err.endswith("); output is the input unchanged\n") and err.count("\n") == 1
+    assert slim.read_text() == serialize(parse(cell.read_text()))
+    assert report.read_text() == PassReport().to_json() + "\n"
+
+
 def test_rebind_carry_re_encodes_a_carry_left_without_dividers(tmp_path):
     # a = 0 prunes the mux half adder's carry generator, dividers and all,
     # and leaves the carry at 0 on every row: with no divider and no

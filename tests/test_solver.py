@@ -496,6 +496,23 @@ def test_ccc_kernel_with_a_ccc_too_wide_to_key():
     assert np.array_equal(levels, want[0]) and np.array_equal(masks, want[1])
 
 
+@pytest.mark.parametrize("free", [0, 4])
+def test_jacobi_rounds_with_a_ccc_too_wide_to_key(free):
+    # each round keys the wide CCC afresh: a key by state number would find
+    # the state's row of an earlier round
+    n = _too_wide(free)
+    ranked = Sweep(n)
+    cn = CompiledNetlist(n)
+    cn.ccc_rank = None
+    assert cn._all.unkeyed.size == 1
+    got = cn.solve_batch(ranked.codes)
+    want = _dense_solve_batch(cn, ranked.codes)
+    assert want[3].all() and want[2].max() > 1
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert _views(Sweep(cn)) == _views(ranked)
+
+
 def test_row_index_widens_past_256_rows(monkeypatch):
     # 729 states, one row each in the wide CCC: the uint8 row index widens
     # to uint16 in the middle of the sweep
@@ -513,9 +530,9 @@ def test_row_index_widens_past_256_rows(monkeypatch):
 def _dense(swept):
     """(states, nets) levels and drive masks of a sweep; a ranked sweep's
     are expanded from its rows and row index, and its kept level columns
-    must agree with them."""
-    if swept.rows is None:
-        return swept.levels, swept.masks
+    must agree with them.  A Jacobi sweep's masks are those of solve_batch."""
+    if swept.cn.ccc_rank is None:
+        return swept.levels, swept.cn.solve_batch(swept.codes)[1]
     cn = swept.cn
     S = len(swept.codes)
     levels = np.full((S, cn.n_nets), CODE_X, dtype=np.int8)
@@ -555,10 +572,10 @@ def _assert_ranked_matches_jacobi(n):
     cn = CompiledNetlist(n)
     cn.ccc_rank = None  # the same netlist through the Jacobi rounds
     jacobi = Sweep(cn)
-    assert jacobi.rows is None
+    assert len(jacobi.rows) == 1 and jacobi.rows[0].g is cn._all
     assert np.array_equal(swept.codes, _sweep_codes(n))
     assert np.array_equal(swept.stable, jacobi.stable)
-    for got, ref in zip(_dense(swept), (jacobi.levels, jacobi.masks)):
+    for got, ref in zip(_dense(swept), (jacobi.levels, cn.solve_batch(jacobi.codes)[1])):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert _views(swept) == _views(jacobi)
     return swept.cn.ccc_rank is not None
@@ -720,7 +737,7 @@ def _oracle_solve_ranked(cn, codes):
     for lo in range(0, S, solver_mod._CHUNK):
         block = lv[:, lo : lo + solver_mod._CHUNK]
         for t in tables:
-            g, rows = t.g, t.find(block, lo)
+            g, rows = t.g, t.find(block, slice(lo, lo + solver_mod._CHUNK))
             dst = col[g.out_net]
             for k in np.flatnonzero(dst >= 0).tolist():
                 block[dst[k]] = _MASK_TO_CODE[t.masks[g.out_col[k]]][rows[g.out_ccc[k]]]
