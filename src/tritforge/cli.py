@@ -44,7 +44,7 @@ from .solver import (
     simulate_pattern,
     trace_csv,
 )
-from .trits import CARRY_NAMES, Encoding, full_add_complete, full_add_partial
+from .trits import CARRY_NAMES, full_add_complete, full_add_partial
 
 
 def _write(path: str | None, text: str, force: bool) -> None:
@@ -79,9 +79,8 @@ def _add_style_flags(p, carry_default="half"):
                    default=Cascade.DIRECT.value)
 
 
-def _add_out_flags(p, required=False):
-    p.add_argument("-o", "--output", default=None, required=required,
-                   metavar="FILE")
+def _add_out_flags(p):
+    p.add_argument("-o", "--output", default=None, metavar="FILE")
     p.add_argument("--force", action="store_true",
                    help="overwrite an existing output file")
 
@@ -117,13 +116,7 @@ def _cmd_gen(args) -> int:
     elif args.what == "tha":
         net = gen_tha(Style(args.style), CARRY_NAMES[args.carry])
     elif args.what == "rca":
-        spec = StyleSpec(
-            style=Style(args.style),
-            completeness=Completeness.PARTIAL,
-            carry_encoding=Encoding.FULL_VDD_HIGH,
-            cascade=Cascade(args.cascade),
-        )
-        net = gen_rca(args.digits, spec)
+        net = gen_rca(args.digits, _spec_from_args(args))
     elif args.what == "testbench":
         net = gen_testbench(_read_netlist(args.cell))
     elif args.what == "pattern":
@@ -320,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_style_flags(g, carry_default="vdd")
     g.add_argument("--digits", type=int, default=4)
     _add_out_flags(g)
-    g.set_defaults(func=_cmd_gen)
+    g.set_defaults(partial=True, func=_cmd_gen)
 
     g = gsub.add_parser("testbench", help="wrap a cell with buffers and loads")
     g.add_argument("cell")

@@ -119,25 +119,20 @@ def _sum_of(terms, pt):
     return sum(t.trit(lv) for t, lv in zip(terms, pt))
 
 
-def _carry_gate(builder, terms, func, out, enc):
-    """Carry generator at the requested output encoding, tagged for rebind."""
-    nets = [t.net for t in terms]
-    doms = [t.domain for t in terms]
-    tags = (TAG_CARRY_GEN,)
-    if enc is Encoding.FULL_VDD_HIGH:
-        build_binary_gate(builder, nets, doms, func, out, tags)
-    else:
-        build_ternary_gate(builder, nets, doms, func, out, tags)
+def _gate(builder, terms, func, out, enc, tags=()):
+    """Gate for func over the terms at the output encoding: the binary gate
+    at the full supply, the ternary gate otherwise."""
+    build = build_binary_gate if enc is Encoding.FULL_VDD_HIGH else build_ternary_gate
+    build(builder, [t.net for t in terms], [t.domain for t in terms], func, out, tags)
 
 
 # -- style: single-supply ternary CMOS -----------------------------------
 
 
 def _adder_ternary_cmos(builder, terms, sum_out, carry_out, carry_enc):
-    nets = [t.net for t in terms]
-    doms = [t.domain for t in terms]
-    build_ternary_gate(builder, nets, doms, lambda pt: _sum_of(terms, pt) % 3, sum_out)
-    _carry_gate(builder, terms, lambda pt: _sum_of(terms, pt) // 3, carry_out, carry_enc)
+    _gate(builder, terms, lambda pt: _sum_of(terms, pt) % 3, sum_out, Encoding.STANDARD)
+    _gate(builder, terms, lambda pt: _sum_of(terms, pt) // 3, carry_out, carry_enc,
+          (TAG_CARRY_GEN,))
 
 
 # -- style: NT/PT function pairs -----------------------------------------
@@ -150,19 +145,17 @@ def _ntpt_output(builder, terms, func, out, enc, tags=()):
     where func >= 1; where they disagree the always-on pair divides to the
     half level.
     """
-    nets = [t.net for t in terms]
-    doms = [t.domain for t in terms]
-    values = {func(pt) for pt in itertools.product(*[t.levels() for t in terms])}
-    if enc is Encoding.FULL_VDD_HIGH:
-        build_binary_gate(builder, nets, doms, func, out, tags)
+    binary = Encoding.FULL_VDD_HIGH
+    if enc is binary:
+        _gate(builder, terms, func, out, enc, tags)
         return
-    if values <= {0, 1}:
+    if {func(pt) for pt in itertools.product(*[t.levels() for t in terms])} <= {0, 1}:
         lo = "GND"
     else:
         lo = builder.net("nt")
-        build_binary_gate(builder, nets, doms, lambda pt: 1 if func(pt) == 2 else 0, lo, tags)
+        _gate(builder, terms, lambda pt: 1 if func(pt) == 2 else 0, lo, binary, tags)
     hi = builder.net("pt")
-    build_binary_gate(builder, nets, doms, lambda pt: 1 if func(pt) >= 1 else 0, hi, tags)
+    _gate(builder, terms, lambda pt: 1 if func(pt) >= 1 else 0, hi, binary, tags)
     builder.divider(lo, out, hi, tags)
 
 
@@ -190,13 +183,8 @@ def _indicators(builder, term: _Term):
             pos = term.net  # the signal is already its own '1' indicator
         else:
             pos = builder.net(f"{term.net}.is{v}")
-            build_binary_gate(
-                builder,
-                [term.net],
-                [term.domain],
-                lambda pt, want=lv: 1 if pt[0] is want else 0,
-                pos,
-            )
+            _gate(builder, [term], lambda pt, want=lv: 1 if pt[0] is want else 0, pos,
+                  Encoding.FULL_VDD_HIGH)
         ind[v] = (pos, builder.companion(pos, "binv"))
     return ind
 
@@ -231,11 +219,7 @@ def _line_for(builder, term, values, enc, cache, tags=()):
                 cache[("halfrail", enc)] = net
     else:
         net = builder.net("ln")
-        func = lambda pt: values[term.trit(pt[0])]
-        if enc is Encoding.FULL_VDD_HIGH:
-            build_binary_gate(builder, [term.net], [term.domain], func, net, tags)
-        else:
-            build_ternary_gate(builder, [term.net], [term.domain], func, net, tags)
+        _gate(builder, [term], lambda pt: values[term.trit(pt[0])], net, enc, tags)
     cache[key] = net
     return net
 
@@ -311,40 +295,34 @@ def _adder_decenc(builder, terms, sum_out, carry_out, carry_enc):
 
 
 def _onehot_encoder(builder, value_of, ctrl_nets, out, enc, tags=()):
-    """Drive a ternary/binary output from one-hot binary controls."""
+    """Drive an output from one-hot binary controls.
+
+    A control pulls up where its value is the one held at VDD (1 at the
+    full supply, 2 otherwise) and down where it is 0.  A ternary output
+    reaches the half level through an always-on divider, conditioned on
+    value >= 1 above and value <= 1 below.
+    """
     LVT = ThresholdClass.LVT
-    dtags = frozenset(tags) | {TAG_DIVIDER}
-    if enc is Encoding.FULL_VDD_HIGH:
-        hi = {k for k, v in value_of.items() if v == 1}
-        lo = {k for k, v in value_of.items() if v == 0}
-        for k in sorted(hi):
-            builder.add(Polarity.P, LVT, builder.companion(ctrl_nets[k], "binv"), "VDD", out, tags)
-        for k in sorted(lo):
-            builder.add(Polarity.N, LVT, ctrl_nets[k], out, "GND", tags)
-        return
-    strong_hi = {k for k, v in value_of.items() if v == 2}
-    strong_lo = {k for k, v in value_of.items() if v == 0}
-    mid = {k for k, v in value_of.items() if v == 1}
-    for k in sorted(strong_hi):
-        builder.add(Polarity.P, LVT, builder.companion(ctrl_nets[k], "binv"), "VDD", out, tags)
-    for k in sorted(strong_lo):
-        builder.add(Polarity.N, LVT, ctrl_nets[k], out, "GND", tags)
-    if mid:
-        up = {k for k, v in value_of.items() if v >= 1}
-        dn = {k for k, v in value_of.items() if v <= 1}
-        if up == set(value_of):
-            m = "VDD"
-        else:
-            m = builder.net("e")
-            for k in sorted(up):
-                builder.add(Polarity.P, LVT, builder.companion(ctrl_nets[k], "binv"), "VDD", m, tags)
+
+    def pull(polarity, node, keep):
+        # one LVT device from node to the rail per control whose value passes keep
+        for k in sorted(k for k, v in value_of.items() if keep(v)):
+            if polarity is Polarity.P:
+                gate = builder.companion(ctrl_nets[k], "binv")
+                builder.add(polarity, LVT, gate, "VDD", node, tags)
+            else:
+                builder.add(polarity, LVT, ctrl_nets[k], node, "GND", tags)
+        return node
+
+    high = 1 if enc is Encoding.FULL_VDD_HIGH else 2
+    values = set(value_of.values())
+    pull(Polarity.P, out, lambda v: v == high)
+    pull(Polarity.N, out, lambda v: v == 0)
+    if high == 2 and 1 in values:
+        dtags = frozenset(tags) | {TAG_DIVIDER}
+        m = pull(Polarity.P, builder.net("e"), lambda v: v >= 1) if 0 in values else "VDD"
         builder.always_on(Polarity.N, m, out, dtags)
-        if dn == set(value_of):
-            m2 = "GND"
-        else:
-            m2 = builder.net("e")
-            for k in sorted(dn):
-                builder.add(Polarity.N, LVT, ctrl_nets[k], m2, "GND", tags)
+        m2 = pull(Polarity.N, builder.net("e"), lambda v: v <= 1) if 2 in values else "GND"
         builder.always_on(Polarity.P, out, m2, dtags)
 
 
@@ -379,13 +357,8 @@ def _build_cell(builder, spec: StyleSpec, a, b, c, sum_out, carry_out):
     build(builder, terms[:2], s1, c1, tha_enc)
     build(builder, [_Term(s1, Encoding.STANDARD), terms[2]], sum_out, c2, tha_enc)
     combine = [_Term(c1, tha_enc), _Term(c2, tha_enc)]
-    _carry_gate(
-        builder,
-        combine,
-        lambda pt: _sum_of(combine, pt),
-        carry_out,
-        carry_enc,
-    )
+    _gate(builder, combine, lambda pt: _sum_of(combine, pt), carry_out, carry_enc,
+          (TAG_CARRY_GEN,))
 
 
 def gen_tfa(spec: StyleSpec) -> Netlist:

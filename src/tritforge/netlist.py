@@ -425,8 +425,6 @@ def validate(n: Netlist) -> list[Diagnostic]:
     for name in n.nets():
         if name not in known:
             diags.append(Diagnostic("dangling-net", f"net {name!r} is connected to nothing"))
-    for name in n.extra_nets:
-        diags.append(Diagnostic("dangling-net", f"net {name!r} is connected to nothing"))
 
     return diags
 

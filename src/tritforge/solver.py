@@ -294,6 +294,7 @@ class CompiledNetlist:
         self.nets = n.nets()
         self.index = {name: i for i, name in enumerate(self.nets)}
         self.n_nets = len(self.nets)
+        self.round_budget = 4 * self.n_nets  # Jacobi rounds; the two rails make it >= 8
 
         self.input_idx = np.array([self.index[x] for x in n.input_names], dtype=np.intp)
         self.output_idx = np.array([self.index[x] for x in n.output_names], dtype=np.intp)
@@ -535,8 +536,8 @@ class CompiledNetlist:
                      with each state's rows of its last round.
 
         Returns (levels, masks, rounds, stable) arrays; ``stable`` is False
-        for states that failed to reach a fixed point within the budget of
-        4·n_nets rounds, or that fell into a period-2 cycle (those stop
+        for states that failed to reach a fixed point within the
+        ``round_budget`` rounds, or that fell into a period-2 cycle (those stop
         early, with the levels and masks of their last round).
         """
         g = self._all
@@ -576,8 +577,7 @@ class CompiledNetlist:
         nd = g.out_net
         act = np.arange(lv.shape[0])
         cur = lv.copy()
-        budget = max(4 * self.n_nets, 8)
-        for r in range(budget + 1):
+        for r in range(self.round_budget + 1):
             rows = t.find(cur.T, lo + act)
             table = t.masks[g.out_col[:, None], rows[g.out_ccc]].T
             new = _MASK_TO_CODE[table]
@@ -585,7 +585,7 @@ class CompiledNetlist:
                 new = np.where((table == 0) & (hold <= CODE_V), hold, new)
             last = cur[:, nd]
             changed = (new != last).any(axis=1)
-            if r == budget:
+            if r == self.round_budget:
                 lv[act[:, None], nd] = last
                 stable[act] = ~changed
                 return
@@ -668,7 +668,7 @@ def _solve_one(cn: CompiledNetlist, codes, prev, rows=None):
     ``solve_batch``; raise :class:`OscillationError` if it does not settle."""
     lv, masks, rounds, stable = cn.solve_batch(codes[None, :], prev, rows)
     if not stable[0]:
-        raise OscillationError(f"no fixed point within {4 * cn.n_nets} rounds")
+        raise OscillationError(f"no fixed point within {cn.round_budget} rounds")
     return lv[0], masks[0], rounds[0]
 
 

@@ -6,7 +6,9 @@ series branch, and each literal in a cube is realized by the threshold-class
 device that conducts exactly on the wanted gate levels — adding an NTI/PTI
 companion inverter where a polarity needs the complemented view of a signal.
 
-Binary-valued signals get plain LVT complementary devices throughout.
+Binary-valued signals get plain LVT complementary devices throughout.  A
+binary gate is the ternary gate of a function that never takes the value 1:
+its two strong networks without the divider.
 
 :class:`Builder` alone lays down the circuit primitives, which the passes
 recognise from the same definitions: the NTI, PTI and binary ``inverter``,
@@ -187,21 +189,21 @@ _P_LITERALS = {
     frozenset({_G, _V}): [[(ThresholdClass.HVT, None)], [(ThresholdClass.HVT, "pti")]],
 }
 
+# The N table mirrors the P table: an N device of the same vt conducts on
+# the GND↔VDD mirror of a P device's levels, and the mirror of an NTI
+# companion is a PTI.
+_MIRROR = {_G: _V, _H: _H, _V: _G, None: None, "nti": "pti", "pti": "nti"}
 _N_LITERALS = {
-    frozenset({_V}): [[(ThresholdClass.HVT, None)]],
-    frozenset({_H, _V}): [[(ThresholdClass.MVT, None)]],
-    frozenset({_G, _H}): [[(ThresholdClass.MVT, "pti")]],
-    frozenset({_G}): [[(ThresholdClass.HVT, "nti")]],
-    frozenset({_H}): [[(ThresholdClass.MVT, None), (ThresholdClass.MVT, "pti")]],
-    frozenset({_G, _V}): [[(ThresholdClass.HVT, None)], [(ThresholdClass.HVT, "nti")]],
+    frozenset(_MIRROR[lv] for lv in levels): [
+        [(vt, _MIRROR[kind]) for vt, kind in opt] for opt in opts
+    ]
+    for levels, opts in _P_LITERALS.items()
 }
 
 
 def literal_options(builder, polarity, x, levels, domain):
-    """Parallel options (series lists of (vt, gate-net)) conducting iff x∈levels."""
-    levels = frozenset(levels) & frozenset(domain)
-    if not levels:
-        return []
+    """Parallel options (series lists of (vt, gate-net)) conducting iff x∈levels,
+    a non-empty subset of x's domain."""
     if levels == frozenset(domain):
         return [[]]  # always conducting
     if frozenset(domain) == DOMAIN_BINARY:
@@ -231,35 +233,24 @@ def literal_options(builder, polarity, x, levels, domain):
 def build_network(builder, polarity, top, bottom, inputs, domains, on_set, tags=()):
     """Instantiate a switch network between two nets conducting on on_set.
 
-    Returns "never", "always", or "built".  The caller decides how to wire
-    the degenerate cases (no device can express a permanent short here).
+    Returns True when a cube of on_set is always true: no device can express
+    that permanent short, so the caller decides how to wire it.
     """
-    on_set = sorted(set(on_set), key=lambda pt: tuple(lv.value for lv in pt))
-    if not on_set:
-        return "never"
-    cubes = merge_cubes(on_set, domains)
-    built_any = False
-    for cube in cubes:
+    for cube in merge_cubes(on_set, domains):
         elements = []
-        degenerate = False
         for x, dom, levels in zip(inputs, domains, cube):
             opts = literal_options(builder, polarity, x, levels, dom)
-            if opts == [[]]:
-                continue  # literal always true
-            if not opts:
-                degenerate = True
-                break
-            elements.append(opts)
-        if degenerate:
-            continue
+            if opts != [[]]:  # else the literal is always true
+                elements.append(opts)
         if not elements:
-            return "always"
+            return True
         _chain(builder, polarity, top, bottom, elements, tags)
-        built_any = True
-    return "built" if built_any else "never"
+    return False
 
 
 def _chain(builder, polarity, top, bottom, elements, tags):
+    # elements in series from top to bottom; each element is parallel
+    # options, and each option a series list of (vt, gate-net)
     cur = top
     for idx, options in enumerate(elements):
         nxt = bottom if idx == len(elements) - 1 else builder.net("t")
@@ -284,58 +275,45 @@ def build_ternary_gate(builder, inputs, domains, func, out, tags=()):
     """
     pts = list(itertools.product(*[sorted(d, key=lambda l: l.value) for d in domains]))
     vals = {pt: func(pt) for pt in pts}
-    on2 = [pt for pt in pts if vals[pt] == 2]
-    on0 = [pt for pt in pts if vals[pt] == 0]
-    _place(builder, Polarity.P, "VDD", out, inputs, domains, on2, tags)
-    _place(builder, Polarity.N, out, "GND", inputs, domains, on0, tags)
-    if any(v == 1 for v in vals.values()):
-        up = [pt for pt in pts if vals[pt] >= 1]
-        dn = [pt for pt in pts if vals[pt] <= 1]
+
+    def network(polarity, top, bottom, keep):
+        on_set = [pt for pt in pts if keep(vals[pt])]
+        return build_network(builder, polarity, top, bottom, inputs, domains, on_set, tags)
+
+    for polarity, top, bottom, v in ((Polarity.P, "VDD", out, 2), (Polarity.N, out, "GND", 0)):
+        if network(polarity, top, bottom, lambda x: x == v):
+            builder.always_on(polarity, top, bottom, tags)
+    if 1 in vals.values():
         dtags = frozenset(tags) | {TAG_DIVIDER}
-        r = build_network(builder, Polarity.P, "VDD", m := builder.net("d"), inputs, domains, up, tags)
-        if r == "always":
+        if network(Polarity.P, "VDD", m := builder.net("d"), lambda x: x >= 1):
             m = "VDD"
         builder.always_on(Polarity.N, m, out, dtags)
-        r = build_network(builder, Polarity.N, m2 := builder.net("d"), "GND", inputs, domains, dn, tags)
-        if r == "always":
+        if network(Polarity.N, m2 := builder.net("d"), "GND", lambda x: x <= 1):
             m2 = "GND"
         builder.always_on(Polarity.P, out, m2, dtags)
 
 
 def build_binary_gate(builder, inputs, domains, func, out, tags=()):
-    """Complementary gate for func: level tuple -> {0, 1}; output GND/VDD."""
-    pts = list(itertools.product(*[sorted(d, key=lambda l: l.value) for d in domains]))
-    on1 = [pt for pt in pts if func(pt) == 1]
-    on0 = [pt for pt in pts if func(pt) == 0]
-    _place(builder, Polarity.P, "VDD", out, inputs, domains, on1, tags)
-    _place(builder, Polarity.N, out, "GND", inputs, domains, on0, tags)
+    """Complementary gate for func: level tuple -> {0, 1}; output GND/VDD.
 
-
-def _place(builder, polarity, top, bottom, inputs, domains, on_set, tags):
-    r = build_network(builder, polarity, top, bottom, inputs, domains, on_set, tags)
-    if r == "always":
-        builder.always_on(polarity, top, bottom, tags)
+    It is the ternary gate of 2·func: with no point at 1 it has no divider.
+    """
+    build_ternary_gate(builder, inputs, domains, lambda pt: 2 * func(pt), out, tags)
 
 
 def build_sop_binary(builder, products, out, tags=()):
     """CMOS gate computing an OR of ANDs over binary control nets.
 
     products: list of products; each product is a list of (net, active_high).
-    The pull-down network is the De Morgan dual, so the output is full-swing
-    with no division.
+    The pull-up is one series chain per product, and the pull-down is its
+    De Morgan dual, the products in series with each one's literals in
+    parallel, so the output is full-swing with no division.
     """
     LVT = ThresholdClass.LVT
+
+    def literals(product):
+        return [(LVT, builder.companion(c, "binv") if pos else c) for c, pos in product]
+
     for product in products:
-        node = "VDD"
-        for i, (ctrl, positive) in enumerate(product):
-            tgt = out if i == len(product) - 1 else builder.net("t")
-            gate = builder.companion(ctrl, "binv") if positive else ctrl
-            builder.add(Polarity.P, LVT, gate, node, tgt, tags)
-            node = tgt
-    node = out
-    for idx, product in enumerate(products):
-        tgt = "GND" if idx == len(products) - 1 else builder.net("t")
-        for ctrl, positive in product:
-            gate = builder.companion(ctrl, "binv") if positive else ctrl
-            builder.add(Polarity.N, LVT, gate, node, tgt, tags)
-        node = tgt
+        _chain(builder, Polarity.P, "VDD", out, [[[x]] for x in literals(product)], tags)
+    _chain(builder, Polarity.N, out, "GND", [[[x] for x in literals(p)] for p in products], tags)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import tritforge.catalog as cat
 import tritforge.cli as cli
 from tritforge.cli import run
 
@@ -98,6 +99,57 @@ def test_catalog_commands(capsys):
     assert run(["catalog", "pdp-check", "--data", "survey"]) == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_catalog_stats_formats_hold_the_aggregate(capsys, fmt):
+    want = cat.aggregate(cat.load_survey(), "completeness")
+    assert run(["catalog", "stats", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        got = {k: (v["count"], v["percent"]) for k, v in json.loads(out).items()}
+    else:
+        header, *rows = out.splitlines()
+        assert header == "completeness,count,percent"
+        got = {k: (int(c), float(p)) for k, c, p in (row.split(",") for row in rows)}
+        want = {k: (c, round(p, 1)) for k, (c, p) in want.items()}
+    assert got == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_catalog_pdp_check_formats_hold_the_check(capsys, fmt):
+    want = [(k, round(v, 4), ok) for k, v, ok in cat.pdp_check(cat.load_results())]
+    assert not all(ok for *_, ok in want)  # the shipped 35-original row (test_06)
+    assert run(["catalog", "pdp-check", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "json":
+        got = [(r["key"], r["pdp_fj"], r["consistent"]) for r in json.loads(out)]
+    else:
+        header, *rows = out.splitlines()
+        assert header == "key,pdp_fj,consistent"
+        got = [(k, float(v), {"true": True, "false": False}[ok])
+               for k, v, ok in (row.split(",") for row in rows)]
+    assert got == want
+
+
+def test_catalog_reads_a_csv_path(tmp_path, capsys):
+    data = tmp_path / "mine.csv"
+    data.write_text(
+        "key,year,style,technology,lg_nm,completeness,carry_encoding,cascade,"
+        "delay_ps,power_uw,pdp_fj,transistors\n"
+        "x1,2020,Ternary CMOS,CNFET,32,Complete,,Direct,100,2,0.2,100\n"
+        "x2,2021,Ternary CMOS,CNFET,32,Partial,half,Direct,100,2,0.3,90\n"
+    )
+    assert run(["catalog", "stats", "--data", str(data), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "Complete": {"count": 1, "percent": 50.0},
+        "Partial": {"count": 1, "percent": 50.0},
+    }
+    assert run(["catalog", "pdp-check", "--data", str(data), "--format", "csv"]) == 1
+    # the recomputed delay x power, against x2's recorded 0.3 fJ
+    assert capsys.readouterr().out == (
+        "key,pdp_fj,consistent\nx1,0.2000,true\nx2,0.2000,false\n"
+    )
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     assert run(["truth", str(tmp_path / "absent.tn")]) == 1
     assert capsys.readouterr().err
@@ -117,6 +169,26 @@ def test_bad_assumption_levels_exit_1(tmp_path, capsys):
     run(["gen", "tfa", "--style", "ternary-cmos", "-o", str(cell)])
     err = _fails_cleanly(["simplify", str(cell), "--assume", "cin=07"], capsys)
     assert "'07'" in err
+
+
+def test_assumption_without_equals_exits_1(tmp_path, capsys):
+    cell, out = tmp_path / "cell.tn", tmp_path / "out.tn"
+    run(["gen", "tha", "--style", "ntpt", "-o", str(cell)])
+    err = _fails_cleanly(["simplify", str(cell), "--assume", "cin", "-o", str(out)], capsys)
+    assert "--assume takes <net>=" in err
+    assert not out.exists()
+
+
+def test_lint_prints_each_dangling_net_once(tmp_path, capsys):
+    cell = tmp_path / "sti.tn"
+    assert run(["gen", "gate", "sti", "-o", str(cell)]) == 0
+    cell.write_text(cell.read_text().replace(".output y\n", ".output y\n.net lonely\n"))
+    capsys.readouterr()
+    assert run(["lint", str(cell)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [x for x in lines if "lonely" in x] == [
+        "dangling-net: net 'lonely' is connected to nothing"
+    ]
 
 
 @pytest.mark.parametrize("table", ["table2-complete", "table2-partial"])
@@ -172,6 +244,19 @@ def test_gen_rca_adds_in_base_3(tmp_path, capsys, style):
         a0, a1, b0, b1, cin = map(int, ins.split())
         s0, s1, cout = map(int, outs.split())
         assert s0 + 3 * s1 + 9 * cout == a0 + 3 * a1 + b0 + 3 * b1 + cin, row
+
+
+def test_gen_rca_takes_its_carry_flag(tmp_path, capsys):
+    argv = ["gen", "rca", "--style", "ternary-cmos", "--digits", "1"]
+    default, vdd, half = (tmp_path / f"{name}.tn" for name in ("default", "vdd", "half"))
+    assert run(argv + ["-o", str(default)]) == 0
+    assert run(argv + ["--carry", "vdd", "-o", str(vdd)]) == 0
+    assert default.read_bytes() == vdd.read_bytes()
+    assert "cout enc=binary" in default.read_text()
+    # ripple composition needs full-supply carries
+    err = _fails_cleanly(argv + ["--carry", "half", "-o", str(half)], capsys)
+    assert "FullVddHigh" in err
+    assert not half.exists()
 
 
 def test_truth_json_and_csv_match_the_text_table(tmp_path, capsys):

@@ -187,6 +187,16 @@ def test_validate_flags_structural_problems():
     assert validate(parse(STI_TEXT)) == []
 
 
+def test_validate_flags_each_dangling_net_once():
+    n = parse(STI_TEXT.replace(".output y\n", ".output y\n.net lonely\n"))
+    assert [str(d) for d in validate(n)] == [
+        "dangling-net: net 'lonely' is connected to nothing"
+    ]
+    # an extra net that a device touches is connected, however it was declared
+    touched = Netlist(devices=n.devices, extra_nets=frozenset({"y"}))
+    assert "dangling-net" not in {d.code for d in validate(touched)}
+
+
 def test_device_count():
     dc = device_count(parse(STI_TEXT))
     assert dc.total == 6

@@ -904,6 +904,9 @@ def test_jacobi_rounds_on_an_unstable_ring(seed, rounds, final, drive):
     if rounds == 20:
         want = _dense_solve_batch(cn, codes, prev)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # a one-state solve names the same budget when it gives up
+    with pytest.raises(OscillationError, match=f"no fixed point within {4 * cn.n_nets} rounds"):
+        solver_mod._solve_one(cn, codes[0], prev)
 
 
 def test_ccc_ranks_follow_gate_to_channel_edges():
