@@ -27,9 +27,10 @@ fixed point or a period-2 cycle leave early.  On a netlist with ranks both
 give the same levels and masks, bit for bit.
 
 A compile lays the kernel out once, in rank order: CCCs, local columns,
-devices, key digits, closure scatter and non-driver nets all run rank by
-rank, so each rank's group is a set of slices of shared arrays.  The
-closure packs 21 rows into each uint64 word once it closes a few rows.
+devices, closure scatter and non-driver nets all run rank by rank, so each
+rank's group is a set of slices of shared arrays.  A row key is one sum
+over a CCC's row of a (CCC, place) digit grid, and rows are read through
+flat gathers.  From a few rows on, the closure packs 21 rows to a uint64.
 
 Every exhaustive view of a netlist (truth table, decoded truth, truth
 signature, division counts, a net's image, full-swing lint) reads one
@@ -124,6 +125,11 @@ class SwingWarning(NamedTuple):
     headroom: float
 
 
+def _pick(table, rows, idx):
+    """``table[rows[k], idx[k]]`` for each row k of ``idx``, in one flat gather."""
+    return table.ravel()[idx + (rows * table.shape[1])[:, None]]
+
+
 class _Step(NamedTuple):
     """A closure's scatter: channel end e runs device ``dev[e]`` from column
     ``src[e]`` into its run's target column ``tgt``; the ends are sorted by
@@ -167,10 +173,8 @@ class _Group(NamedTuple):
     dev_ccc: np.ndarray
     dev_src: np.ndarray  # gate nets
     scatter: _Step  # both ends of every channel
-    key_src: np.ndarray  # row-key digits, grouped by CCC
-    key_weight: np.ndarray
-    key_ccc: np.ndarray  # the CCCs with key digits, and where their digits start
-    key_first: np.ndarray
+    key_src: np.ndarray  # (CCC, place) grid of row-key digits, padded with a rail
+    key_weight: np.ndarray  # their radix-5 weights; 0 on padding and unkeyed CCCs
     key_offset: np.ndarray  # keeps the keys of different CCCs apart
     unkeyed: np.ndarray  # CCCs too wide to key: one row per state
     out_net: np.ndarray
@@ -179,6 +183,11 @@ class _Group(NamedTuple):
     put_dst: np.ndarray  # the kept out nets: kept column, CCC, local column
     put_ccc: np.ndarray
     put_col: np.ndarray
+
+    def keys(self, src):
+        """(CCCs, states) row keys of the (nets, states) levels ``src``."""
+        digits = src[self.key_src] * self.key_weight[:, :, None]
+        return digits.sum(axis=1) + self.key_offset[:, None]
 
     def relax(self, x, w, join, meet, steps):
         """Fixed point of ``x`` (local column, row) along the channels: each
@@ -252,10 +261,7 @@ class _Rows:
         states) levels ``src`` holds; new keys get new rows."""
         g = self.g
         A = src.shape[1]
-        # a CCC's key: the sum of its digits, offset apart from other CCCs'
-        keys = np.repeat(g.key_offset[:, None], A, axis=1)
-        digits = src[g.key_src] * g.key_weight[:, None]
-        keys[g.key_ccc] += np.add.reduceat(digits, g.key_first, axis=0)
+        keys = g.keys(src)
         if g.unkeyed.size:  # counted from the rows so far: each find adds A or more
             keys[g.unkeyed] += self.masks.shape[1] + np.arange(A)
         flat = keys.ravel()
@@ -332,10 +338,10 @@ class CompiledNetlist:
         touches (they read Z), add no edge.  It is None when the graph has a
         cycle, a CCC gating itself included.
 
-        The layout is one set of arrays in rank order: CCCs, local columns,
-        devices, key digits, closure scatter and non-driver nets.  ``_all``
-        reads it whole; each group of ``_ranks`` is one rank's slices of it,
-        reading the ``kept`` nets (see ``_rank_groups``).
+        The layout is one set of arrays in rank order: CCCs (key grid rows
+        too), local columns, devices, closure scatter and non-driver nets.
+        ``_all`` reads it whole; each group of ``_ranks`` is one rank's
+        slices of it, reading the ``kept`` nets (see ``_rank_groups``).
         """
         N = self.n_nets
         nd = ~self.is_driver
@@ -400,23 +406,26 @@ class CompiledNetlist:
         col_drv = self.is_driver[col_net]
         drv = np.flatnonzero(col_drv)
 
-        # row keys: one radix-5 digit per non-rail key net of each CCC
+        # row keys: one radix-5 digit per non-rail key net of each CCC, in a
+        # (CCC, place) grid; padding and CCCs too wide to key read GND at weight 0
         digits = np.sort(np.concatenate([dev_k * N + gate, cols[drv]]))
         key_ccc, key_net = np.divmod(digits, N)
         keep = (key_net != self.gnd_idx) & (key_net != self.vdd_idx)
         keep[1:] &= digits[1:] != digits[:-1]
         key_ccc, key_net = key_ccc[keep], key_net[keep]
-        bounds = np.searchsorted(key_ccc, np.arange(C + 1))
-        width = bounds[1:] - bounds[:-1]
-        place = np.arange(key_ccc.size) - bounds[key_ccc]
+        width = np.bincount(key_ccc, minlength=C)
+        place = np.arange(key_ccc.size) - (np.cumsum(width) - width)[key_ccc]
         # a CCC too wide to pack is keyed by state instead (no sharing)
         cap = (1 << 62) // C
         span = 5 ** np.minimum(width, 26)  # exact in int64, as 5 ** 27 > 2 ** 62
         keyed = (width <= 26) & (span <= cap)
-        key_weight = np.where(keyed[key_ccc], 5 ** np.minimum(place, 26), 0)
+        width, at = np.where(keyed, width, 0), keyed[key_ccc]
+        key_src = np.full((C, width.max(initial=0)), self.gnd_idx)
+        key_weight = np.zeros(key_src.shape, dtype=np.int64)
+        cell = key_ccc[at], place[at]
+        key_src[cell], key_weight[cell] = key_net[at], 5 ** place[at]
         span = np.where(keyed, span, cap)
         key_offset = np.cumsum(span) - span
-        firsts = np.flatnonzero(width)  # the CCCs with key digits
         unkeyed = np.flatnonzero(~keyed)
 
         # the closure's scatter: both ends of each channel into a non-driver
@@ -434,23 +443,22 @@ class CompiledNetlist:
             drv_cols=drv, drv_ccc=col_ccc[drv], drv_src=col_net[drv],
             dev=live, lut=self.dev_lut[live], dev_ccc=dev_k, dev_src=gate,
             scatter=_Step(into % max(L, 1), other, starts, tgt[starts]),
-            key_src=key_net, key_weight=key_weight, key_ccc=firsts, key_first=bounds[firsts],
-            key_offset=key_offset, unkeyed=unkeyed,
+            key_src=key_src, key_weight=key_weight, key_offset=key_offset, unkeyed=unkeyed,
             out_net=out_net, out_ccc=out_k, out_col=out_col,
             put_dst=kcol[out_net[put]], put_ccc=out_k[put], put_col=out_col[put],
         )
         if ranked:
-            self._rank_groups(rank, col_ccc, key_ccc)
+            self._rank_groups(rank, col_ccc, width)
 
-    def _rank_groups(self, rank, col_ccc, key_ccc):
+    def _rank_groups(self, rank, col_ccc, width):
         """``_ranks``, one ``_Group`` per rank: the rank's run of every array
         of ``_all``.
 
-        ``rank``, ``col_ccc`` and ``key_ccc`` give the rank of each kernel
-        CCC and the CCC of each local column and key digit.  A group numbers
-        its CCCs, local columns, devices, channel ends and key digits from
-        the first of its rank's run, and its ``*_src`` arrays read the
-        ``kept`` nets.
+        ``rank``, ``col_ccc`` and ``width`` give the rank of each kernel CCC,
+        the CCC of each local column and each CCC's keyed digits.  A group
+        numbers its CCCs, local columns, devices and channel ends from the
+        first of its rank's run, its key grid is trimmed to its widest CCC,
+        and its ``*_src`` arrays read the ``kept`` nets.
         """
         g, kcol = self._all, self._kept_col
         ranks = np.arange(rank[-1] + 2)
@@ -463,37 +471,34 @@ class CompiledNetlist:
             at = at.tolist()
             return [slice(i, j) for i, j in zip(at, at[1:])]
 
-        # the first CCC, local column, device, channel end and key digit of
-        # each rank; an item refers to items of its own CCC, so of its own rank
+        # the first CCC, local column, device and channel end of each rank;
+        # an item refers to items of its own CCC, so of its own rank
         s, end_ccc = g.scatter, g.dev_ccc[g.scatter.dev]  # an end's CCC is its device's
         ccc0, col0, dev0 = starts(np.arange(g.n_ccc)), starts(col_ccc), starts(g.dev_ccc)
-        end0, key0 = starts(end_ccc), starts(key_ccc)
-        r = rank[end_ccc]
+        end0, r = starts(end_ccc), rank[end_ccc]
         run_rank = r[s.starts]
         sc = _Step(s.dev - dev0[r], s.src - col0[r], s.starts - end0[run_rank], s.tgt - col0[run_rank])
         r = rank[g.drv_ccc]
         drv_cols, drv_ccc, drv_src = g.drv_cols - col0[r], g.drv_ccc - ccc0[r], kcol[g.drv_src]
         dev_ccc, dev_src = g.dev_ccc - ccc0[rank[g.dev_ccc]], kcol[g.dev_src]
-        key_src, r = kcol[g.key_src], rank[g.key_ccc]
-        key_ccc_l, key_first = g.key_ccc - ccc0[r], g.key_first - key0[r]
-        unkeyed = g.unkeyed - ccc0[rank[g.unkeyed]]
+        key_src, unkeyed = kcol[g.key_src], g.unkeyed - ccc0[rank[g.unkeyed]]
         r = rank[g.out_ccc]
         out_ccc, out_col = g.out_ccc - ccc0[r], g.out_col - col0[r]
         r = rank[g.put_ccc]
         put_ccc, put_col = g.put_ccc - ccc0[r], g.put_col - col0[r]
         groups = []
-        for c, col, dr, d, e, t, k, f, u, o, p in zip(
+        for c, col, dr, d, e, t, u, o, p in zip(
             runs(ccc0), runs(col0), runs(starts(g.drv_ccc)), runs(dev0), runs(end0),
-            runs(np.searchsorted(run_rank, ranks)), runs(key0), runs(starts(g.key_ccc)),
-            runs(starts(g.unkeyed)), runs(starts(g.out_ccc)), runs(starts(g.put_ccc)),
+            runs(np.searchsorted(run_rank, ranks)), runs(starts(g.unkeyed)),
+            runs(starts(g.out_ccc)), runs(starts(g.put_ccc)),
         ):
+            k = slice(None, width[c].max(initial=0))
             groups.append(_Group(
                 n_ccc=c.stop - c.start, n_cols=col.stop - col.start,
                 drv_cols=drv_cols[dr], drv_ccc=drv_ccc[dr], drv_src=drv_src[dr],
                 dev=g.dev[d], lut=g.lut[d], dev_ccc=dev_ccc[d], dev_src=dev_src[d],
                 scatter=_Step(sc.dev[e], sc.src[e], sc.starts[t], sc.tgt[t]),
-                key_src=key_src[k], key_weight=g.key_weight[k],
-                key_ccc=key_ccc_l[f], key_first=key_first[f],
+                key_src=key_src[c, k], key_weight=g.key_weight[c, k],
                 key_offset=g.key_offset[c], unkeyed=unkeyed[u],
                 out_net=g.out_net[o], out_ccc=out_ccc[o], out_col=out_col[o],
                 put_dst=g.put_dst[p], put_ccc=put_ccc[p], put_col=put_col[p],
@@ -514,16 +519,14 @@ class CompiledNetlist:
         S = input_codes.shape[0]
         lv = np.full((self.kept.size, S), CODE_X, dtype=np.int8)
         col = self._kept_col
-        lv[col[self.gnd_idx]] = CODE_G
-        lv[col[self.vdd_idx]] = CODE_V
+        lv[col[self.gnd_idx]], lv[col[self.vdd_idx]] = CODE_G, CODE_V
         lv[col[self.input_idx]] = input_codes.T
         tables = [_Rows(g, S) for g in self._ranks]
         for lo in range(0, S, _CHUNK):
             block = lv[:, lo : lo + _CHUNK]
             for t in tables:
                 g, rows = t.g, t.find(block, slice(lo, lo + _CHUNK))
-                codes = _MASK_TO_CODE[t.masks[g.put_col]]  # the kept out nets, in one gather
-                block[g.put_dst] = codes[np.arange(len(codes))[:, None], rows[g.put_ccc]]
+                block[g.put_dst] = _MASK_TO_CODE[_pick(t.masks, g.put_col, rows[g.put_ccc])]
         return lv.T, tables
 
     def solve_batch(self, input_codes: np.ndarray, prev: np.ndarray | None = None, rows=None):
@@ -545,8 +548,7 @@ class CompiledNetlist:
         S = input_codes.shape[0]
         t = _Rows(g, S) if rows is None else rows
         lv = np.full((S, self.n_nets), CODE_X, dtype=np.int8)
-        lv[:, self.gnd_idx] = CODE_G
-        lv[:, self.vdd_idx] = CODE_V
+        lv[:, self.gnd_idx], lv[:, self.vdd_idx] = CODE_G, CODE_V
         lv[:, self.input_idx] = input_codes
         if prev is not None:
             lv[:, nd] = prev[:, nd]
@@ -558,7 +560,7 @@ class CompiledNetlist:
             self._solve_chunk(t, lo, lv[part], rounds[part], stable[part], hold)
         masks = np.zeros((S, self.n_nets), dtype=np.uint8)
         masks[:, self.driver_idx] = _BIT_OF_CODE[lv[:, self.driver_idx]]
-        masks[:, nd] = t.masks[g.out_col[:, None], t.index[g.out_ccc]].T
+        masks[:, nd] = _pick(t.masks, g.out_col, t.index[g.out_ccc]).T
         return lv, masks, rounds, stable
 
     def _solve_chunk(self, t, lo, lv, rounds, stable, hold):
@@ -579,7 +581,7 @@ class CompiledNetlist:
         cur = lv.copy()
         for r in range(self.round_budget + 1):
             rows = t.find(cur.T, lo + act)
-            table = t.masks[g.out_col[:, None], rows[g.out_ccc]].T
+            table = _pick(t.masks, g.out_col, rows[g.out_ccc]).T
             new = _MASK_TO_CODE[table]
             if hold is not None:
                 new = np.where((table == 0) & (hold <= CODE_V), hold, new)
@@ -717,18 +719,11 @@ def input_space(n: Netlist) -> list[tuple[Level, ...]]:
     return _level_tuples(_input_codes(n))
 
 
-def _trit_table(enc: Encoding) -> np.ndarray:
-    """Trit of each level code under ``enc``; -1 for levels outside it."""
-    table = np.full(len(_LEVEL_OF_CODE), -1, dtype=np.int8)
-    for code, level in enumerate(_LEVEL_OF_CODE):
-        try:
-            table[code] = decode(level, enc)
-        except DomainError:
-            pass
-    return table
-
-
-_TRIT_OF_CODE = {enc: _trit_table(enc) for enc in Encoding}
+# Trit of each level code under each encoding; -1 for levels outside it.
+_TRIT_OF_CODE = {
+    enc: np.array([decode(lv, enc) if lv in enc.levels else -1 for lv in _LEVEL_OF_CODE], np.int8)
+    for enc in Encoding
+}
 
 
 class Sweep:
@@ -830,7 +825,7 @@ class Sweep:
         encs = [domain_encoding(dom) for _, dom in n.inputs] + [enc for _, enc in n.outputs]
         codes = np.column_stack([self.codes, self._resolved_outputs()])
         table = np.array([_TRIT_OF_CODE[enc] for enc in encs]).reshape(len(encs), 5)
-        trits = table[np.arange(len(encs)), codes]
+        trits = _pick(table, np.arange(len(encs)), codes.T).T
         bad = trits < 0
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
@@ -890,7 +885,8 @@ class Sweep:
         right-polarity one, ``-inf`` if off.  Widths start at ``inf`` on the
         driver copies at the target level.  A net at that level with a
         finite width is degraded; its headroom is the least over the rows
-        that some state ended in (a Jacobi memo also holds earlier rounds').
+        that some state ended in.  Only row columns some state ended in are
+        relaxed: a Jacobi memo also holds earlier rounds' rows.
         """
         self._require_stable()
         cn = self.cn
@@ -899,21 +895,22 @@ class Sweep:
         volts = np.array([0.0, n.vdd / 2, n.vdd, 0.0, 0.0])
         worst = np.full((2, cn.n_nets), np.inf)
         for t in self.rows:
-            g, R = t.g, t.masks.shape[1]
-            gv, dvt, is_n = volts[t.gates], vt[g.dev, None], cn.dev_is_n[g.dev, None]
+            g, ended = t.g, np.zeros((t.g.n_ccc, t.masks.shape[1]), dtype=bool)
+            ended[np.arange(g.n_ccc)[:, None], t.index] = True
+            live = np.flatnonzero(ended.any(axis=0))
+            gates, ended, R = t.gates[:, live], ended[:, live], live.size
+            gv, dvt, is_n = volts[gates], vt[g.dev, None], cn.dev_is_n[g.dev, None]
             # the wrong polarity is N toward VDD and P toward GND
             to_vdd = np.where(is_n, gv - dvt, np.inf)
             to_gnd = np.where(is_n, np.inf, (n.vdd - gv) - dvt)
-            on = g.lut[np.arange(g.dev.size)[:, None], t.gates]
+            on = g.lut[np.arange(g.dev.size)[:, None], gates]
             cost = np.where(np.tile(on, 2), np.concatenate([to_vdd, to_gnd], axis=1), -np.inf)
-            lv = _MASK_TO_CODE[t.masks]
+            lv = _MASK_TO_CODE[t.masks[:, live]]
             at = np.concatenate([lv == CODE_V, lv == CODE_G], axis=1)
             width = np.full(at.shape, -np.inf)
             width[g.drv_cols] = np.where(at[g.drv_cols], np.inf, -np.inf)
             width = g.relax(width, cost, np.maximum, np.minimum, g.scatter.split())
             head = np.where(at & np.isfinite(width), width, np.inf).reshape(g.n_cols, 2, R)
-            ended = np.zeros((g.n_ccc, R), dtype=bool)
-            ended[np.arange(g.n_ccc)[:, None], t.index] = True
             head = np.where(ended[g.out_ccc, None], head[g.out_col], np.inf)
             worst[:, g.out_net] = head.min(axis=2, initial=np.inf).T
         warnings = [

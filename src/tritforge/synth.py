@@ -143,15 +143,16 @@ def merge_cubes(points, domains) -> list[Cube]:
     Result is deterministic (cubes processed in sorted order) and subsumed
     cubes are dropped.
     """
-    cubes = {tuple(frozenset([lv]) for lv in pt) for pt in points}
 
     def key(cube):
         return tuple(tuple(sorted(lv.value for lv in c)) for c in cube)
 
+    # each cube with its sort key, made once: every merge re-sorts them all
+    cubes = {c: key(c) for c in (tuple(frozenset([lv]) for lv in pt) for pt in points)}
     merged = True
     while merged:
         merged = False
-        ordered = sorted(cubes, key=key)
+        ordered = sorted(cubes, key=cubes.__getitem__)
         for i in range(len(ordered)):
             for j in range(i + 1, len(ordered)):
                 a, b = ordered[i], ordered[j]
@@ -160,9 +161,8 @@ def merge_cubes(points, domains) -> list[Cube]:
                     continue
                 k = diff[0]
                 c = a[:k] + (a[k] | b[k],) + a[k + 1 :]
-                cubes.discard(a)
-                cubes.discard(b)
-                cubes.add(c)
+                del cubes[a], cubes[b]
+                cubes[c] = key(c)
                 merged = True
                 break
             if merged:
@@ -172,7 +172,7 @@ def merge_cubes(points, domains) -> list[Cube]:
         return a != b and all(x <= y for x, y in zip(a, b))
 
     final = [c for c in cubes if not any(subsumed(c, d) for d in cubes)]
-    return sorted(final, key=key)
+    return sorted(final, key=cubes.__getitem__)
 
 
 # -- literal realization -------------------------------------------------

@@ -1,6 +1,7 @@
-"""The benchmark's cli_pipeline workload as a tier-1 check: one pass of its
-48 CLI commands must reproduce the digests in bench/goldens.json, so golden
-drift shows without running the benchmark."""
+"""The benchmark's workloads as tier-1 checks: one pass of the cli_pipeline
+and cell_metrics workloads must reproduce the digests in bench/goldens.json,
+and one rca_truth pass its base-3 sums, so drift shows without running the
+benchmark."""
 
 import importlib.util
 import json
@@ -38,3 +39,14 @@ def test_cell_metrics_pass_matches_the_goldens(tmp_path, monkeypatch):
     assert workload.check(outputs) == (2812, 0)
     attempted, failed = workload.check(workload.corrupt(outputs))
     assert attempted == 2812 and failed >= 1
+
+
+def test_rca_truth_pass_matches_base_3_sums(tmp_path, monkeypatch):
+    # the 13,122 rows of the 4-digit RCA's decoded truth table
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workload = _workloads().RcaTruth(0, {}, tmp_path)
+    table, seconds = workload.run_pass()
+    assert len(seconds) == 1
+    assert workload.check(table) == (13122, 0)
+    attempted, failed = workload.check(workload.corrupt(table))
+    assert attempted == 13122 and failed >= 1

@@ -513,6 +513,27 @@ def test_jacobi_rounds_with_a_ccc_too_wide_to_key(free):
     assert _views(Sweep(cn)) == _views(ranked)
 
 
+def test_jacobi_lint_relaxes_only_rows_some_state_ended_in(monkeypatch):
+    # the Jacobi memo of the wide CCC holds a row per state and round: 1,782
+    # rows, of which the states ended in 732
+    n = _too_wide(free=4)
+    ranked = Sweep(n)
+    want = ranked.full_swing_lint()
+    cn = CompiledNetlist(n)
+    cn.ccc_rank = None
+    jacobi = Sweep(cn)
+    assert jacobi.rows[0].masks.shape[1] == 1782
+    seen, relax = [], solver_mod._Group.relax
+
+    def spy(g, x, *args):
+        seen.append(x.shape[1] // 2)  # the VDD and GND targets side by side
+        return relax(g, x, *args)
+
+    monkeypatch.setattr(solver_mod._Group, "relax", spy)
+    assert want and jacobi.full_swing_lint() == want
+    assert seen == [732]
+
+
 def test_row_index_widens_past_256_rows(monkeypatch):
     # 729 states, one row each in the wide CCC: the uint8 row index widens
     # to uint16 in the middle of the sweep
@@ -611,7 +632,8 @@ def test_ranked_sweep_matches_jacobi_on_random_netlists(monkeypatch, chunk):
 class _OracleGroup(NamedTuple):
     """A rank's CCCs as first laid out: the kernel numbered in CCC order and
     a group selected from it per rank, its closure scatter one step per
-    channel direction, its rows unpacked."""
+    channel direction, its rows unpacked, its keys the digit sums of each
+    CCC's run of a flat digit list (``digit_*``)."""
 
     n_ccc: int
     n_cols: int
@@ -625,13 +647,21 @@ class _OracleGroup(NamedTuple):
     steps: list
     key_src: np.ndarray
     key_weight: np.ndarray
-    key_ccc: np.ndarray
-    key_first: np.ndarray
     key_offset: np.ndarray
     unkeyed: np.ndarray
     out_net: np.ndarray
     out_ccc: np.ndarray
     out_col: np.ndarray
+    digit_src: np.ndarray
+    digit_weight: np.ndarray
+    digit_ccc: np.ndarray  # the CCCs with digits, and where their digits start
+    digit_first: np.ndarray
+
+    def keys(self, src):
+        keys = np.repeat(self.key_offset[:, None], src.shape[1], axis=1)
+        digits = src[self.digit_src] * self.digit_weight[:, None]
+        keys[self.digit_ccc] += np.add.reduceat(digits, self.digit_first, axis=0)
+        return keys
 
     def closure(self, drv_codes, gate_codes):
         x = np.zeros((self.n_cols, drv_codes.shape[0]), dtype=np.uint8)
@@ -646,8 +676,9 @@ class _OracleGroup(NamedTuple):
                 return x
 
 
-def _oracle_rank_groups(cn):
-    """The groups of ``cn``'s CCC ranks, one selection of the kernel each."""
+def _oracle_rank_groups(cn, whole=False):
+    """The groups of ``cn``'s CCC ranks, one selection of the kernel each;
+    with ``whole``, the one group of every CCC in CCC order instead."""
     N, nd, nd_idx = cn.n_nets, ~cn.is_driver, cn.nondriver_idx
     a, b = cn.dev_a, cn.dev_b
     live = np.flatnonzero(nd[a] | nd[b])
@@ -700,13 +731,23 @@ def _oracle_rank_groups(cn):
                 steps.append((order, src[order], starts, tgt_sorted[starts]))
         ksel = np.flatnonzero(member[key_ccc])
         first_ccc, first = np.unique(k_local[key_ccc[ksel]], return_index=True)
+        # the (CCC, place) grid as wide as the widest keyed CCC, padded with GND
+        on = ksel[keyed[key_ccc[ksel]]]
+        grid_src = np.full((ks.size, np.r_[0, place[on] + 1].max()), col[cn.gnd_idx])
+        grid_weight = np.zeros(grid_src.shape, dtype=np.int64)
+        grid_src[k_local[key_ccc[on]], place[on]] = col[key_net[on]]
+        grid_weight[k_local[key_ccc[on]], place[on]] = key_weight[on]
         osel = np.flatnonzero(member[net_k])
         return _OracleGroup(
             ks.size, g_drv.size, np.flatnonzero(g_drv), k_local[col_ccc[drv]],
             col[col_net[drv]], live[dsel], lut[dsel], k_local[dev_k[dsel]], col[gate[dsel]],
-            steps, col[key_net[ksel]], key_weight[ksel], first_ccc, first, key_offset[ks],
-            np.flatnonzero(~keyed[ks]), nd_idx[osel], k_local[net_k[osel]], local[out_col[osel]],
+            steps, grid_src, grid_weight, key_offset[ks], np.flatnonzero(~keyed[ks]),
+            nd_idx[osel], k_local[net_k[osel]], local[out_col[osel]],
+            col[key_net[ksel]], key_weight[ksel], first_ccc, first,
         )
+
+    if whole:
+        return group(np.arange(C), np.arange(N))
 
     # ranks by relaxation: C rounds settle a DAG's longest paths
     gate_k = np.full(N, -1, dtype=np.intp)
@@ -754,18 +795,34 @@ def _channels(steps):
 
 # key_offset aside: its offsets count only the spans of the rank's own CCCs
 _SAME_FIELDS = ("n_ccc", "n_cols", "drv_cols", "drv_ccc", "drv_src", "dev", "lut", "dev_ccc",
-                "dev_src", "key_src", "key_weight", "key_ccc", "key_first", "unkeyed",
-                "out_net", "out_ccc", "out_col")
+                "dev_src", "key_src", "key_weight", "unkeyed", "out_net", "out_ccc", "out_col")
+
+
+def _assert_keys_match_digit_sums(g, w, src):
+    """Group ``g``'s grid keys of the (nets, states) levels ``src`` equal the
+    oracle group ``w``'s digit sums, each apart from its own key offsets."""
+    got, want = g.keys(src) - g.key_offset[:, None], w.keys(src) - w.key_offset[:, None]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _random_levels(n_nets, states=40):
+    """(nets, states) random level codes, X and Z included."""
+    return np.random.default_rng(n_nets).integers(0, 5, (n_nets, states), dtype=np.int8)
 
 
 def _assert_layout_matches_oracle(n):
-    """Each rank's group equals the one the oracle selects, and the ranked
-    solve gives the same levels, rows, row index, drive masks and gate
-    codes; returns whether the netlist has ranks."""
+    """Each rank's group equals the one the oracle selects, keys included,
+    and the ranked solve gives the same levels, rows, row index, drive masks
+    and gate codes; returns whether the netlist has ranks.  Without ranks,
+    ``_all`` keys as the oracle's group of every CCC does."""
     cn = CompiledNetlist(n)
     want_groups = _oracle_rank_groups(cn)
     assert (want_groups is None) == (cn.ccc_rank is None)
     if want_groups is None:
+        w = _oracle_rank_groups(cn, whole=True)
+        for f in ("n_ccc", "key_src", "key_weight", "key_offset", "unkeyed"):
+            assert np.array_equal(getattr(cn._all, f), getattr(w, f)), f
+        _assert_keys_match_digit_sums(cn._all, w, _random_levels(cn.n_nets))
         return False
     assert len(cn._ranks) == len(want_groups)
     for g, w in zip(cn._ranks, want_groups):
@@ -773,6 +830,7 @@ def _assert_layout_matches_oracle(n):
             assert np.array_equal(getattr(g, f), getattr(w, f)), f
         assert _channels([g.scatter]) == _channels(w.steps)
         assert _channels(g.scatter.split()) == _channels([g.scatter])
+        _assert_keys_match_digit_sums(g, w, _random_levels(cn.kept.size))
     # every rank's arrays are runs of one shared array per field
     for f in _SAME_FIELDS[2:] + ("key_offset",):
         assert len({id(getattr(g, f).base) for g in cn._ranks}) == 1, f
@@ -785,6 +843,7 @@ def _assert_layout_matches_oracle(n):
     for t, w in zip(tables, want):
         for got, ref in ((t.index, w.index), (t.masks, w.masks), (t.gates, w.gates)):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        _assert_keys_match_digit_sums(t.g, w.g, lv.T)
     return True
 
 
@@ -795,7 +854,7 @@ def test_rank_layout_matches_per_rank_groups(monkeypatch, chunk):
     monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
     spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
                      carry_encoding=Encoding.FULL_VDD_HIGH)
-    for n in [*_generated_cells(), gen_rca(3, spec)]:
+    for n in [*_generated_cells(), gen_rca(3, spec), _too_wide(0), _too_wide(4)]:
         assert _assert_layout_matches_oracle(n), n.title
     # the random netlists of test_ranked_sweep_matches_jacobi_on_random_netlists
     rng = random.Random(606 + chunk)
