@@ -12,7 +12,8 @@ maximal group of non-driver nets joined by device channels, where the rails
 and the inputs are the drivers (Bryant, IEEE Trans. Computers 1984).  A
 CCC's drive masks depend only on its key nets, the gate nets and driver
 nets its devices touch; held charge enters after the closure.  So both
-solvers close CCCs in one place, a key -> row memo (:class:`_Rows`).
+solvers close CCCs in one place, a key -> row memo (:class:`_Rows`), or
+for one-input CCCs a five-row table indexed by the key net's level code.
 
 Most netlists, every generated one among them, have CCC ranks: the graph
 with an edge from the CCC of each device's gate net to the CCC of its
@@ -40,7 +41,8 @@ factored, with no (states, nets) mask array: each CCC's rows with their
 drive masks, a row index by CCC and state, and level columns, of every net
 after Jacobi rounds, else only of the nets a later rank reads.  Outputs
 gather their columns, rail reach and division counts per-row flags; an
-image is the union of rows, and the swing lint relaxes each row once.
+image is the union of the rows some state ended in, and the swing lint
+relaxes each such row once, every group's in one pass.
 
 There is no compile cache: a :class:`Sweep` owns its
 :class:`CompiledNetlist`, and ``solve_state`` and ``simulate_pattern``
@@ -244,6 +246,11 @@ class _Rows:
     (sorted ``keys``, ``key_row``) maps every key met so far to its row, so
     a key is closed once.  A CCC too wide to key takes a fresh key, and so
     a new row, at every find.
+
+    A group of CCCs with at most one key net each is a ``table`` instead:
+    the first find closes row r of each CCC with its key net at level code
+    r, for all five codes, and a state's row is its key net's code (0 for
+    a CCC without one), so a table may hold rows that no state reached.
     """
 
     def __init__(self, g: _Group, S: int):
@@ -251,6 +258,7 @@ class _Rows:
         self.index = np.zeros((g.n_ccc, S), dtype=np.uint8)
         self.masks = np.zeros((g.n_cols, 0), dtype=np.uint8)
         self.gates = np.zeros((g.dev.size, 0), dtype=np.int8)
+        self.table = g.key_src.shape[1] <= 1 and not g.unkeyed.size
         # a sentinel above every key ends the memo: lookups land on an entry
         self.keys = np.array([np.iinfo(np.int64).max])
         self.key_row = np.zeros(1, dtype=np.intp)
@@ -260,6 +268,15 @@ class _Rows:
         states), for the ``states`` (a slice or index array) whose (nets,
         states) levels ``src`` holds; new keys get new rows."""
         g = self.g
+        if self.table:
+            if not self.masks.shape[1]:  # off the key net, drivers and gates are rails
+                key, r = np.where(g.key_weight > 0, g.key_src, -1), np.arange(5, dtype=np.int8)
+                drv, gates = (np.where((key[c] == net[:, None]).any(axis=1), r[:, None], src[net, 0])
+                              for net, c in ((g.drv_src, g.drv_ccc), (g.dev_src, g.dev_ccc)))
+                self.masks, self.gates = g.closure(drv, gates), gates.T
+            if g.key_src.shape[1]:  # the grid's padding reads GND, code 0
+                self.index[:, states] = src[g.key_src[:, 0]]
+            return self.index[:, states]
         A = src.shape[1]
         keys = g.keys(src)
         if g.unkeyed.size:  # counted from the rows so far: each find adds A or more
@@ -851,12 +868,12 @@ class Sweep:
     def image(self, net: str) -> frozenset[Level]:
         """The levels ``net`` takes over the swept states, unsettled states
         included with the levels they stopped at: its level column if the
-        sweep keeps it, else its CCC's rows (every one some state's)."""
+        sweep keeps it, else its CCC's rows that some state ended in."""
         i = self.cn.index[net]
         if i in self.kept:
             codes = self.levels[:, np.searchsorted(self.kept, i)]
         else:
-            codes = _MASK_TO_CODE[self._net_rows(i)[0]]
+            codes = _MASK_TO_CODE[np.take(*self._net_rows(i))]
         return frozenset(_LEVEL_OF_CODE[code] for code in np.unique(codes).tolist())
 
     def division_counts(self, net: str | None = None) -> list[int]:
@@ -885,34 +902,46 @@ class Sweep:
         right-polarity one, ``-inf`` if off.  Widths start at ``inf`` on the
         driver copies at the target level.  A net at that level with a
         finite width is degraded; its headroom is the least over the rows
-        that some state ended in.  Only row columns some state ended in are
-        relaxed: a Jacobi memo also holds earlier rounds' rows.
+        that some state ended in.  Only those rows are relaxed (a Jacobi memo
+        also holds earlier rounds' rows, a table rows no state reached), all
+        groups' in one relaxation over the layout of ``_all``.
         """
         self._require_stable()
-        cn = self.cn
+        cn, g = self.cn, self.cn._all
         n = cn.netlist
+        parts = []
+        for t in self.rows:
+            ended = np.zeros((t.g.n_ccc, t.masks.shape[1]), dtype=bool)
+            ended[np.arange(t.g.n_ccc)[:, None], t.index] = True
+            parts.append((t, np.flatnonzero(ended.any(axis=0)), ended))
+        # groups are runs of _all: pad their live rows with rows driving, conducting, ending nowhere
+        R = max(live.size for _, live, _ in parts)
+        masks = np.zeros((g.n_cols, R), dtype=np.uint8)
+        gates = np.full((g.dev.size, R), CODE_Z, dtype=np.int8)
+        ended = np.zeros((g.n_ccc, R), dtype=bool)
+        c = d = k = 0  # each group's first local column, device and CCC
+        for t, live, e in parts:
+            masks[c : c + t.g.n_cols, : live.size] = t.masks[:, live]
+            gates[d : d + t.g.dev.size, : live.size] = t.gates[:, live]
+            ended[k : k + t.g.n_ccc, : live.size] = e[:, live]
+            c, d, k = c + t.g.n_cols, d + t.g.dev.size, k + t.g.n_ccc
         vt = np.array([vt.vt_volts for _, vt in DEVICE_CLASSES])[cn.dev_class]
         volts = np.array([0.0, n.vdd / 2, n.vdd, 0.0, 0.0])
+        gv, dvt, is_n = volts[gates], vt[g.dev, None], cn.dev_is_n[g.dev, None]
+        # the wrong polarity is N toward VDD and P toward GND
+        to_vdd = np.where(is_n, gv - dvt, np.inf)
+        to_gnd = np.where(is_n, np.inf, (n.vdd - gv) - dvt)
+        on = g.lut[np.arange(g.dev.size)[:, None], gates]
+        cost = np.where(np.tile(on, 2), np.concatenate([to_vdd, to_gnd], axis=1), -np.inf)
+        lv = _MASK_TO_CODE[masks]
+        at = np.concatenate([lv == CODE_V, lv == CODE_G], axis=1)
+        width = np.full(at.shape, -np.inf)
+        width[g.drv_cols] = np.where(at[g.drv_cols], np.inf, -np.inf)
+        width = g.relax(width, cost, np.maximum, np.minimum, g.scatter.split())
+        head = np.where(at & np.isfinite(width), width, np.inf).reshape(g.n_cols, 2, R)
+        head = np.where(ended[g.out_ccc, None], head[g.out_col], np.inf)
         worst = np.full((2, cn.n_nets), np.inf)
-        for t in self.rows:
-            g, ended = t.g, np.zeros((t.g.n_ccc, t.masks.shape[1]), dtype=bool)
-            ended[np.arange(g.n_ccc)[:, None], t.index] = True
-            live = np.flatnonzero(ended.any(axis=0))
-            gates, ended, R = t.gates[:, live], ended[:, live], live.size
-            gv, dvt, is_n = volts[gates], vt[g.dev, None], cn.dev_is_n[g.dev, None]
-            # the wrong polarity is N toward VDD and P toward GND
-            to_vdd = np.where(is_n, gv - dvt, np.inf)
-            to_gnd = np.where(is_n, np.inf, (n.vdd - gv) - dvt)
-            on = g.lut[np.arange(g.dev.size)[:, None], gates]
-            cost = np.where(np.tile(on, 2), np.concatenate([to_vdd, to_gnd], axis=1), -np.inf)
-            lv = _MASK_TO_CODE[t.masks[:, live]]
-            at = np.concatenate([lv == CODE_V, lv == CODE_G], axis=1)
-            width = np.full(at.shape, -np.inf)
-            width[g.drv_cols] = np.where(at[g.drv_cols], np.inf, -np.inf)
-            width = g.relax(width, cost, np.maximum, np.minimum, g.scatter.split())
-            head = np.where(at & np.isfinite(width), width, np.inf).reshape(g.n_cols, 2, R)
-            head = np.where(ended[g.out_ccc, None], head[g.out_col], np.inf)
-            worst[:, g.out_net] = head.min(axis=2, initial=np.inf).T
+        worst[:, g.out_net] = head.min(axis=2, initial=np.inf).T
         warnings = [
             SwingWarning(cn.nets[i], pol, float(worst[k, i]))
             for k, pol in enumerate((Polarity.N, Polarity.P))

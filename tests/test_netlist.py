@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -203,6 +205,26 @@ def test_device_count():
     assert dc.count(Polarity.P, ThresholdClass.HVT) == 1
     assert dc.count(Polarity.N, ThresholdClass.MVT) == 2
     assert dc.count(Polarity.N, ThresholdClass.ULVT) == 0
+
+
+def test_device_keeps_its_frozen_dataclass_behaviour():
+    # the frozen-dataclass behaviour callers rely on: equality, hashing,
+    # replace, asdict, pickling and the constructor's signature
+    d = Device("m1", Polarity.N, ThresholdClass.LVT, "a", "y", "GND")
+    assert d == Device(id="m1", polarity=Polarity.N, vt=ThresholdClass.LVT,
+                       gate="a", source="y", drain="GND", tags=frozenset())
+    assert hash(d) == hash(dataclasses.replace(d))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.gate = "b"
+    tagged = dataclasses.replace(d, tags=frozenset({"divider"}))
+    assert tagged != d and tagged.tags == {"divider"} and tagged.gate == "a"
+    assert dataclasses.asdict(d) == {
+        "id": "m1", "polarity": Polarity.N, "vt": ThresholdClass.LVT,
+        "gate": "a", "source": "y", "drain": "GND", "tags": frozenset(),
+    }
+    assert pickle.loads(pickle.dumps(tagged)) == tagged
+    with pytest.raises(TypeError, match="drain"):
+        Device("m1", Polarity.N, ThresholdClass.LVT, "a", "y")
 
 
 def test_reduction_percent():

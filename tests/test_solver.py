@@ -968,6 +968,88 @@ def test_jacobi_rounds_on_an_unstable_ring(seed, rounds, final, drive):
         solver_mod._solve_one(cn, codes[0], prev)
 
 
+def _key_nets(g, rails):
+    """The key nets of each CCC of group ``g``: the nets, ``rails`` aside,
+    among its driver copies and gates, as columns of what ``g`` reads."""
+    nets = [set() for _ in range(g.n_ccc)]
+    for c, net in zip(np.r_[g.drv_ccc, g.dev_ccc].tolist(), np.r_[g.drv_src, g.dev_src].tolist()):
+        if net not in rails:
+            nets[c].add(net)
+    return nets
+
+
+def test_one_input_ranks_keep_a_five_row_table():
+    # a rank whose CCCs each have at most one key net closes five rows, one
+    # per level code of the key net, and indexes each state by that code
+    spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
+                     carry_encoding=Encoding.FULL_VDD_HIGH)
+    netlists = [gen_rca(digits, spec) for digits in (2, 3, 4)]
+    for cell in _generated_cells():
+        netlists += [cell, gen_testbench(cell)]
+    kinds = set()
+    for n in netlists:
+        swept = Sweep(n)
+        cn = swept.cn
+        rails = set(cn._kept_col[[cn.gnd_idx, cn.vdd_idx]].tolist())
+        for t in swept.rows:
+            keys = _key_nets(t.g, rails)
+            assert t.table == all(len(k) <= 1 for k in keys), n.title
+            kinds.add(t.table)
+            if t.table:
+                assert t.masks.shape[1] == t.gates.shape[1] == 5
+                want = [swept.levels[:, min(k)] if k else np.zeros(len(swept.codes)) for k in keys]
+                assert np.array_equal(t.index, want)
+    assert kinds == {True, False}
+    # the 4-digit RCA: the a/b NTI and PTI rank and the three carry inverters
+    assert [t.table for t in Sweep(netlists[2]).rows] == [True, False] * 4
+
+
+LATCH = parse(
+    ".input a ternary\n.output y\n"
+    "m p0 p hvt g=a s=VDD d=y\nm n0 n hvt g=a s=y d=GND\n"
+    "m pq p lvt g=qb s=VDD d=q\nm nq n lvt g=qb s=q d=GND\n"
+    "m pb p lvt g=q s=VDD d=qb\nm nb n lvt g=q s=qb d=GND\n"
+    "m pz p lvt g=q s=VDD d=z\nm nz n lvt g=q s=z d=GND\n"
+    "m pw p lvt g=GND s=VDD d=w\n.end\n"
+)
+
+
+@pytest.mark.parametrize("n", [LATCH, RING], ids=["latch", "ring"])
+def test_one_input_jacobi_rounds_match_the_dense_oracle(n):
+    # no ranks, and every CCC has at most one key net (w has none): the
+    # Jacobi rounds read _all's rows from a table
+    cn = CompiledNetlist(n)
+    assert cn.ccc_rank is None and solver_mod._Rows(cn._all, 1).table
+    if n is LATCH:  # w has no key net: all five of its rows are pulled up
+        t = Sweep(cn).rows[0]
+        assert t.masks[cn._all.out_col[cn._all.out_net == cn.index["w"]]].tolist() == [[_BIT_V] * 5]
+    codes = np.repeat(_sweep_codes(n), 40, axis=0)
+    prev = np.random.default_rng(9).integers(0, 5, (len(codes), cn.n_nets)).astype(np.int8)
+    assert not _assert_matches_oracle(cn, codes, prev).all()
+    # solve_state(prev=...) one state at a time
+    for row, held in zip(codes[:60], prev[:60]):
+        lv, masks, rounds, stable = _dense_solve_batch(cn, row[None], held[None])
+        before = solver_mod.SolveResult(dict(zip(cn.nets, map(_LEVEL_OF_CODE.__getitem__, held))),
+                                        frozenset(), frozenset(), 0)
+        point = dict(zip(n.input_names, solver_mod._level_tuples(row[None])[0]))
+        got = _outcome(solve_state, n, point, before)
+        if stable[0]:
+            assert got == cn.result_from_state(lv[0], masks[0], rounds[0], from_scratch=False)
+        else:
+            assert got[0] == "OscillationError"
+    # simulate_pattern: each step seeded with the oracle's last
+    points = input_space(n)
+    rows = [points[i % len(points)] for i in (0, 1, 2, 1, 0)]
+    trace, _ = simulate_pattern(n, rows)
+    held = None
+    for step, row in enumerate(rows):
+        lv, _, _, stable = _dense_solve_batch(cn, cn.codes_for_inputs(dict(zip(n.input_names, row)))[None], held)
+        levels = solver_mod._level_tuples(lv)[0]
+        assert stable[0] and trace[step] == {"step": step, **dict(zip(cn.nets, levels))}
+        held = lv
+    assert _assert_simulation_matches_reference(n, rows) == "ok"
+
+
 def test_ccc_ranks_follow_gate_to_channel_edges():
     # three STIs in a chain: each stage's CCC is gated by the one before
     chain = parse(
