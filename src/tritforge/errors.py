@@ -9,24 +9,23 @@ class DomainError(TritforgeError):
     """A value lies outside the domain an operation is defined on."""
 
 
-class NetlistSyntaxError(TritforgeError):
+class _LineError(TritforgeError):
+    """An error that may carry a 1-based netlist line number, as ``.line``
+    and as a ``line N:`` prefix of its message."""
+
+    def __init__(self, message, line=None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class NetlistSyntaxError(_LineError):
     """Malformed netlist text. Carries a 1-based line number."""
 
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
-
-class NetlistSemanticError(TritforgeError):
+class NetlistSemanticError(_LineError):
     """Structurally invalid netlist (undeclared net, duplicate id, ...)."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class OscillationError(TritforgeError):

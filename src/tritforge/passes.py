@@ -26,6 +26,7 @@ from .errors import (
     NonInputAssumptionError,
     UnknownNetError,
 )
+from .kernel import CompiledNetlist
 from .netlist import (
     ALWAYS_ON_GATE,
     DEVICE_CLASSES,
@@ -38,7 +39,7 @@ from .netlist import (
     ThresholdClass,
     domain_encoding,
 )
-from .solver import CompiledNetlist, Sweep
+from .solver import Sweep
 from .synth import Builder
 from .trits import Encoding, STABLE_LEVELS
 

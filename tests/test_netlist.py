@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tritforge.catalog import improvement_percent
-from tritforge.errors import NetlistSemanticError, NetlistSyntaxError
+from tritforge.errors import NetlistSemanticError, NetlistSyntaxError, TritforgeError
 from tritforge.netlist import (
     DOMAIN_BINARY,
     DOMAIN_HALFPAIR,
@@ -23,6 +23,7 @@ from tritforge.netlist import (
     serialize,
     validate,
 )
+from tritforge.passes import REFUSALS
 from tritforge.trits import Encoding, Level
 
 STI_TEXT = """\
@@ -141,6 +142,20 @@ def test_semantic_errors():
         parse("m a p hvt g=x s=VDD d=y\nm a n hvt g=x s=y d=GND\n.end\n")
     with pytest.raises(NetlistSemanticError):
         parse(".vdd -0.9\n.end\n")
+
+
+def test_line_errors_keep_their_messages_and_classes():
+    # the two line-numbered errors share a constructor but no class, so a
+    # simplify refusal catches the semantic error and never the syntax error
+    for cls in (NetlistSyntaxError, NetlistSemanticError):
+        with_line, without = cls("bad", line=4), cls("bad")
+        assert (str(with_line), with_line.line) == ("line 4: bad", 4)
+        assert (str(without), without.line) == ("bad", None)
+        assert isinstance(with_line, TritforgeError)
+    assert not issubclass(NetlistSyntaxError, NetlistSemanticError)
+    assert not issubclass(NetlistSemanticError, NetlistSyntaxError)
+    assert issubclass(NetlistSemanticError, REFUSALS)
+    assert not issubclass(NetlistSyntaxError, REFUSALS)
 
 
 @pytest.mark.parametrize("line", [".vdd nan", ".vdd inf", ".vdd -inf", ".vdd NaN",

@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import heapq
@@ -5,17 +6,20 @@ import itertools
 import random
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
 import pytest
 
+import tritforge.kernel as kernel_mod
 import tritforge.solver as solver_mod
 
 from tritforge.errors import (
     DomainError,
     OscillationError,
+    UnknownNetError,
     UnresolvableError,
 )
 from tritforge.generate import (
@@ -30,6 +34,21 @@ from tritforge.generate import (
     gen_tfa,
     gen_tha,
 )
+from tritforge.kernel import (
+    CODE_G,
+    CODE_H,
+    CODE_V,
+    CODE_X,
+    CODE_Z,
+    CompiledNetlist,
+    _BIT_G,
+    _BIT_OF_CODE,
+    _BIT_V,
+    _CODE_OF_LEVEL,
+    _LEVEL_OF_CODE,
+    _MASK_TO_CODE,
+    conduction,
+)
 from tritforge.netlist import (
     Device,
     Netlist,
@@ -39,21 +58,9 @@ from tritforge.netlist import (
     parse,
     serialize,
 )
+from tritforge.passes import AssumptionDomain, apply_assumption, rebind_carry
 from tritforge.solver import (
-    CODE_G,
-    CODE_H,
-    CODE_V,
-    CODE_X,
-    CODE_Z,
-    CompiledNetlist,
     Sweep,
-    _BIT_G,
-    _BIT_OF_CODE,
-    _BIT_V,
-    _CODE_OF_LEVEL,
-    _LEVEL_OF_CODE,
-    _MASK_TO_CODE,
-    conduction,
     decoded_truth,
     division_counts,
     full_swing_lint,
@@ -283,8 +290,7 @@ def test_solver_matches_connectivity_oracle():
             row = cn.codes_for_inputs(assignment)[None, :]
             lv, masks, rounds, stable = cn.solve_batch(row)
             assert stable[0]
-            got = cn.result_from_state(lv[0], masks[0], rounds[0],
-                                       from_scratch=False)
+            got = cn.result_from_state(lv[0], masks[0], rounds[0])
             assert got.levels == _oracle_levels(n, assignment)
 
 
@@ -411,7 +417,7 @@ def test_ccc_kernel_matches_dense_oracle_on_random_netlists(monkeypatch, seed, c
     # sweep into several chunks
     from test_passes import _random_netlist
 
-    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(kernel_mod, "_CHUNK", chunk)
     rng = random.Random(2024 + seed + chunk)
     gen = np.random.default_rng(seed + chunk)
     unstable = 0
@@ -445,7 +451,7 @@ def test_ccc_kernel_matches_dense_oracle_across_chunks():
     n = gen_tfa(StyleSpec(Style.DEC_ENC, Completeness.COMPLETE))
     cn = CompiledNetlist(n)
     base = _sweep_codes(n)
-    size = solver_mod._CHUNK + 101
+    size = kernel_mod._CHUNK + 101
     codes = np.resize(base, (size, base.shape[1]))
     assert _assert_matches_oracle(cn, codes).all()
     gen = np.random.default_rng(7)
@@ -523,13 +529,13 @@ def test_jacobi_lint_relaxes_only_rows_some_state_ended_in(monkeypatch):
     cn.ccc_rank = None
     jacobi = Sweep(cn)
     assert jacobi.rows[0].masks.shape[1] == 1782
-    seen, relax = [], solver_mod._Group.relax
+    seen, relax = [], kernel_mod._Group.relax
 
     def spy(g, x, *args):
         seen.append(x.shape[1] // 2)  # the VDD and GND targets side by side
         return relax(g, x, *args)
 
-    monkeypatch.setattr(solver_mod._Group, "relax", spy)
+    monkeypatch.setattr(kernel_mod._Group, "relax", spy)
     assert want and jacobi.full_swing_lint() == want
     assert seen == [732]
 
@@ -537,7 +543,7 @@ def test_jacobi_lint_relaxes_only_rows_some_state_ended_in(monkeypatch):
 def test_row_index_widens_past_256_rows(monkeypatch):
     # 729 states, one row each in the wide CCC: the uint8 row index widens
     # to uint16 in the middle of the sweep
-    monkeypatch.setattr(solver_mod, "_CHUNK", 100)
+    monkeypatch.setattr(kernel_mod, "_CHUNK", 100)
     swept = Sweep(_too_wide(free=4))
     assert {t.index.dtype for t in swept.rows} == {np.dtype(np.uint8), np.dtype(np.uint16)}
     assert max(t.masks.shape[1] for t in swept.rows) == 729
@@ -616,7 +622,7 @@ def test_ranked_sweep_matches_jacobi_on_generated_netlists():
 def test_ranked_sweep_matches_jacobi_on_random_netlists(monkeypatch, chunk):
     from test_passes import _random_gated_netlist, _random_netlist
 
-    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(kernel_mod, "_CHUNK", chunk)
     rng = random.Random(606 + chunk)
     makers = (_random_netlist, _random_static_netlist, _random_gated_netlist,
               _random_feedback_netlist)
@@ -774,11 +780,11 @@ def _oracle_solve_ranked(cn, codes):
     col = cn._kept_col
     lv[col[cn.gnd_idx]], lv[col[cn.vdd_idx]] = CODE_G, CODE_V
     lv[col[cn.input_idx]] = codes.T
-    tables = [solver_mod._Rows(g, S) for g in _oracle_rank_groups(cn)]
-    for lo in range(0, S, solver_mod._CHUNK):
-        block = lv[:, lo : lo + solver_mod._CHUNK]
+    tables = [kernel_mod._Rows(g, S) for g in _oracle_rank_groups(cn)]
+    for lo in range(0, S, kernel_mod._CHUNK):
+        block = lv[:, lo : lo + kernel_mod._CHUNK]
         for t in tables:
-            g, rows = t.g, t.find(block, slice(lo, lo + solver_mod._CHUNK))
+            g, rows = t.g, t.find(block, slice(lo, lo + kernel_mod._CHUNK))
             dst = col[g.out_net]
             for k in np.flatnonzero(dst >= 0).tolist():
                 block[dst[k]] = _MASK_TO_CODE[t.masks[g.out_col[k]]][rows[g.out_ccc[k]]]
@@ -834,7 +840,7 @@ def _assert_layout_matches_oracle(n):
     # every rank's arrays are runs of one shared array per field
     for f in _SAME_FIELDS[2:] + ("key_offset",):
         assert len({id(getattr(g, f).base) for g in cn._ranks}) == 1, f
-    for f in solver_mod._Step._fields:
+    for f in kernel_mod._Step._fields:
         assert len({id(getattr(g.scatter, f).base) for g in cn._ranks}) == 1, f
     codes = _sweep_codes(n)
     lv, tables = cn.solve_ranked(codes)
@@ -851,7 +857,7 @@ def _assert_layout_matches_oracle(n):
 def test_rank_layout_matches_per_rank_groups(monkeypatch, chunk):
     from test_passes import _random_gated_netlist, _random_netlist
 
-    monkeypatch.setattr(solver_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(kernel_mod, "_CHUNK", chunk)
     spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
                      carry_encoding=Encoding.FULL_VDD_HIGH)
     for n in [*_generated_cells(), gen_rca(3, spec), _too_wide(0), _too_wide(4)]:
@@ -887,9 +893,9 @@ def test_packed_closure_matches_unpacked_closure(monkeypatch):
                 drv = np.array([[rng.randrange(3) for _ in g.drv_src] for _ in range(R)], np.int8)
                 gates = np.array([[rng.randrange(5) for _ in g.dev_src] for _ in range(R)], np.int8)
                 drv, gates = drv.reshape(R, -1), gates.reshape(R, -1)
-                monkeypatch.setattr(solver_mod, "_PACK_ROWS", 1)
+                monkeypatch.setattr(kernel_mod, "_PACK_ROWS", 1)
                 packed = g.closure(drv, gates)
-                monkeypatch.setattr(solver_mod, "_PACK_ROWS", 10**9)
+                monkeypatch.setattr(kernel_mod, "_PACK_ROWS", 10**9)
                 unpacked = g.closure(drv, gates)
                 assert packed.dtype == unpacked.dtype == np.uint8
                 assert np.array_equal(packed, unpacked), n.title
@@ -898,13 +904,13 @@ def test_packed_closure_matches_unpacked_closure(monkeypatch):
 def test_ranked_sweep_finds_rows_once_per_rank_and_chunk(monkeypatch):
     # the layout is built with the compile; a sweep makes one find per rank
     # and chunk of states, and builds no group
-    monkeypatch.setattr(solver_mod, "_CHUNK", 7)
+    monkeypatch.setattr(kernel_mod, "_CHUNK", 7)
     finds = []
-    find = solver_mod._Rows.find
-    monkeypatch.setattr(solver_mod._Rows, "find", lambda t, src, lo: finds.append(lo) or find(t, src, lo))
+    find = kernel_mod._Rows.find
+    monkeypatch.setattr(kernel_mod._Rows, "find", lambda t, src, lo: finds.append(lo) or find(t, src, lo))
     cn = CompiledNetlist(gen_tfa(StyleSpec(Style.DEC_ENC, Completeness.COMPLETE)))
     ranks = cn._ranks
-    monkeypatch.setattr(solver_mod, "_Group", None)  # a group built now would fail
+    monkeypatch.setattr(kernel_mod, "_Group", None)  # a group built now would fail
     Sweep(cn)
     assert cn._ranks is ranks
     assert len(finds) == len(ranks) * 4  # 27 states in chunks of 7
@@ -1019,7 +1025,7 @@ def test_one_input_jacobi_rounds_match_the_dense_oracle(n):
     # no ranks, and every CCC has at most one key net (w has none): the
     # Jacobi rounds read _all's rows from a table
     cn = CompiledNetlist(n)
-    assert cn.ccc_rank is None and solver_mod._Rows(cn._all, 1).table
+    assert cn.ccc_rank is None and kernel_mod._Rows(cn._all, 1).table
     if n is LATCH:  # w has no key net: all five of its rows are pulled up
         t = Sweep(cn).rows[0]
         assert t.masks[cn._all.out_col[cn._all.out_net == cn.index["w"]]].tolist() == [[_BIT_V] * 5]
@@ -1029,12 +1035,12 @@ def test_one_input_jacobi_rounds_match_the_dense_oracle(n):
     # solve_state(prev=...) one state at a time
     for row, held in zip(codes[:60], prev[:60]):
         lv, masks, rounds, stable = _dense_solve_batch(cn, row[None], held[None])
-        before = solver_mod.SolveResult(dict(zip(cn.nets, map(_LEVEL_OF_CODE.__getitem__, held))),
+        before = kernel_mod.SolveResult(dict(zip(cn.nets, map(_LEVEL_OF_CODE.__getitem__, held))),
                                         frozenset(), frozenset(), 0)
         point = dict(zip(n.input_names, solver_mod._level_tuples(row[None])[0]))
         got = _outcome(solve_state, n, point, before)
         if stable[0]:
-            assert got == cn.result_from_state(lv[0], masks[0], rounds[0], from_scratch=False)
+            assert got == cn.result_from_state(lv[0], masks[0], rounds[0])
         else:
             assert got[0] == "OscillationError"
     # simulate_pattern: each step seeded with the oracle's last
@@ -1306,7 +1312,7 @@ def test_swing_lint_matches_reference_on_random_feedback_netlists():
 def test_swing_lint_across_state_blocks(monkeypatch):
     # 27 states cut into chunks of 5: headrooms merge across chunks and
     # across rows that an earlier chunk already closed
-    monkeypatch.setattr(solver_mod, "_CHUNK", 5)
+    monkeypatch.setattr(kernel_mod, "_CHUNK", 5)
     for style in Style:
         cell = gen_tfa(StyleSpec(style, Completeness.COMPLETE))
         _assert_lint_matches_reference(cell)
@@ -1430,3 +1436,31 @@ def test_solves_keep_no_netlist_alive():
     del n
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda n: division_counts(n, "nope"),
+    lambda n: Sweep(n).image("nope"),
+    lambda n: Sweep(n).rail_reach(["y", "nope"]),
+    lambda n: apply_assumption(n, AssumptionDomain("nope", frozenset({Level.GND}))),
+    lambda n: rebind_carry(n, "nope"),
+], ids=["division_counts", "image", "rail_reach", "apply_assumption", "rebind_carry"])
+def test_unknown_net_names_raise_unknown_net_error(lookup):
+    # the sweep views name a missing net as the passes do
+    with pytest.raises(UnknownNetError) as err:
+        lookup(STI)
+    assert str(err.value) == "no net named 'nope'"
+
+
+def test_kernel_imports_only_errors_netlist_and_trits():
+    # the CCC kernel sits below the sweeps, views, passes and CLI: none of
+    # them may be imported back into it
+    tree = ast.parse(Path(kernel_mod.__file__).read_text())
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative and relative <= {"errors", "netlist", "trits"}
+    assert not {name for name in absolute if name.split(".")[0] == "tritforge"}
