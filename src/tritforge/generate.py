@@ -567,6 +567,9 @@ def pattern_from_text(text: str, domains) -> Pattern:
             unknown = [s for s in signals if s not in enc]
             if unknown:
                 raise DomainError(f"line {lineno}: unknown signals {unknown}")
+            if len(set(signals)) < len(signals):
+                dup = next(s for i, s in enumerate(signals) if s in signals[:i])
+                raise DomainError(f"line {lineno}: duplicate signal {dup!r}")
             continue
         if signals is None:
             raise DomainError(f"line {lineno}: rows before .signals header")

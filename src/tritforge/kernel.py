@@ -107,6 +107,21 @@ def _pick(table, rows, idx):
     return table.ravel()[idx + (rows * table.shape[1])[:, None]]
 
 
+def components(n: int, ea, eb) -> np.ndarray:
+    """Each of the nodes ``0..n-1`` labelled by the least node of its
+    component under the edges ``ea[k]`` -- ``eb[k]``: min-label propagation
+    with pointer jumping."""
+    label = np.arange(n)
+    ea, eb = np.concatenate([ea, eb]), np.concatenate([eb, ea])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, ea, label[eb])
+        new = new[new]
+        if (new == label).all():
+            return label
+        label = new
+
+
 class _Step(NamedTuple):
     """A closure's scatter: channel end e runs device ``dev[e]`` from column
     ``src[e]`` into its run's target column ``tgt``; the ends are sorted by
@@ -116,19 +131,6 @@ class _Step(NamedTuple):
     src: np.ndarray
     starts: np.ndarray
     tgt: np.ndarray
-
-    def split(self):
-        """The same ends as two steps: the first end into each target, then
-        the rest.  A reduceat pays for each end past the first of its run,
-        so on the wide float rows of the swing lint two steps of short runs
-        relax faster than one of long runs."""
-        rest = np.ones(self.dev.size, dtype=bool)
-        rest[self.starts] = False
-        rest = np.flatnonzero(rest)
-        tgt = np.repeat(self.tgt, np.diff(self.starts, append=self.dev.size))[rest]
-        starts = np.flatnonzero(np.diff(tgt, prepend=-1))
-        first = _Step(self.dev[self.starts], self.src[self.starts], np.arange(self.tgt.size), self.tgt)
-        return first, _Step(self.dev[rest], self.src[rest], starts, tgt[starts])
 
 
 class _Group(NamedTuple):
@@ -166,21 +168,18 @@ class _Group(NamedTuple):
         digits = src[self.key_src] * self.key_weight[:, :, None]
         return digits.sum(axis=1) + self.key_offset[:, None]
 
-    def relax(self, x, w, join, meet, steps):
+    def relax(self, x, w, join, meet):
         """Fixed point of ``x`` (local column, row) along the channels: each
-        of the ``steps`` in turn joins every non-driver column with
-        ``meet(x[source], w)`` over the devices into it, ``w`` being
-        (device, row)."""
-        steps = [(s.src, w[s.dev], s.starts, s.tgt) for s in steps if s.tgt.size]
-        changed = True
-        while changed:
-            changed = False
-            for src, w_src, starts, tgt in steps:
-                old = x[tgt]
-                new = join(old, join.reduceat(meet(x[src], w_src), starts, axis=0))
-                if not (new == old).all():
-                    x[tgt] = new
-                    changed = True
+        step joins every non-driver column with ``meet(x[source], w)`` over
+        the devices into it, ``w`` being (device, row)."""
+        s = self.scatter
+        w_src = w[s.dev]
+        while s.tgt.size:
+            old = x[s.tgt]
+            new = join(old, join.reduceat(meet(x[s.src], w_src), s.starts, axis=0))
+            if (new == old).all():
+                break
+            x[s.tgt] = new
         return x
 
     def closure(self, drv_codes, gate_codes):
@@ -196,7 +195,7 @@ class _Group(NamedTuple):
         if R < _PACK_ROWS:
             masks = np.zeros((C, R), dtype=np.uint8)
             masks[self.drv_cols] = _BIT_OF_CODE[drv_codes.T]
-            return self.relax(masks, on, np.bitwise_or, np.multiply, [self.scatter])
+            return self.relax(masks, on, np.bitwise_or, np.multiply)
         W = -(-R // 21)
         x = np.zeros((C + D, W, 21), dtype=np.uint64)
         rows = x.reshape(C + D, W * 21)
@@ -204,7 +203,7 @@ class _Group(NamedTuple):
         rows[C:, :R] = on * 7
         x <<= _LANE_SHIFT  # in place: one uint64 array at a time
         x, w = np.split(x.sum(axis=2, dtype=np.uint64), [C])
-        x = self.relax(x, w, np.bitwise_or, np.bitwise_and, [self.scatter])
+        x = self.relax(x, w, np.bitwise_or, np.bitwise_and)
         x = x[:, :, None] >> _LANE_SHIFT
         x &= 7
         return x.reshape(C, W * 21)[:, :R].astype(np.uint8)
@@ -340,18 +339,8 @@ class CompiledNetlist:
         nd_idx = self.nondriver_idx
         a, b = self.dev_a, self.dev_b
 
-        # min-label propagation with pointer jumping over channels between
-        # non-driver nets; each net ends labelled by one net of its CCC
-        label = np.arange(N)
-        both = nd[a] & nd[b]
-        ea, eb = np.concatenate([a[both], b[both]]), np.concatenate([b[both], a[both]])
-        while True:
-            new = label.copy()
-            np.minimum.at(new, ea, label[eb])
-            new = new[new]
-            if (new == label).all():
-                break
-            label = new
+        both = nd[a] & nd[b]  # channels between non-driver nets
+        label = components(N, a[both], b[both])
         self.net_ccc = np.full(N, -1, dtype=np.intp)
         self.net_ccc[nd] = np.unique(label[nd], return_inverse=True)[1]
 
@@ -601,10 +590,6 @@ class CompiledNetlist:
             cur[:, nd] = new
 
     # -- helpers --------------------------------------------------------
-
-    def conducts(self, device: int, levels) -> list[bool]:
-        """Whether the netlist's ``device``-th device conducts at each gate level of ``levels``."""
-        return [bool(self.dev_lut[device, _CODE_OF_LEVEL[lv]]) for lv in levels]
 
     def channel_component(self, start: str):
         """Nets joined to ``start`` by channels, not crossing driver nets,

@@ -26,7 +26,7 @@ from .errors import (
     NonInputAssumptionError,
     UnknownNetError,
 )
-from .kernel import CompiledNetlist
+from .kernel import _CODE_OF_LEVEL, CompiledNetlist, components
 from .netlist import (
     ALWAYS_ON_GATE,
     DEVICE_CLASSES,
@@ -78,48 +78,41 @@ class PassReport:
 # -- helpers ---------------------------------------------------------------
 
 
-def _merge_nets(n: Netlist, unions: list, removed_ids: set, vt_map: dict) -> Netlist:
-    """Apply wire merges / opens / remaps and rebuild the netlist."""
-    parent: dict[str, str] = {}
+def _merge_nets(cn: CompiledNetlist, wired, removed, lvt) -> Netlist:
+    """The netlist of ``cn`` without the devices of the mask ``removed``, the
+    ``wired`` ones among them merging the nets they joined, and with the
+    devices of ``lvt`` at the LVT class.
 
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    ports = set(n.input_names + n.output_names)
-
-    def priority(net):
-        if net in RAILS:
-            return 3
-        if net in ports:
-            return 2
-        return 1
-
-    for u, v in unions:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        if ru in RAILS and rv in RAILS:
-            raise NetlistSemanticError("a wire replacement would short the rails")
-        keep, drop = sorted((ru, rv), key=lambda x: (-priority(x), x))
-        parent[drop] = keep
-    if any(find(name) in RAILS for name in ports):
+    A merged net takes the name of the first net of its component in the
+    order rails, ports, then name.
+    """
+    n = cn.netlist
+    rail, port = np.zeros((2, cn.n_nets), dtype=bool)
+    rail[[cn.gnd_idx, cn.vdd_idx]] = True
+    port[cn.input_idx] = port[cn.output_idx] = True
+    order = np.lexsort((~port, ~rail))  # stable, and nets are in name order
+    place = np.argsort(order)
+    to = order[components(cn.n_nets, place[cn.dev_a[wired]], place[cn.dev_b[wired]])[place]]
+    if to[cn.gnd_idx] == to[cn.vdd_idx]:
+        raise NetlistSemanticError("a wire replacement would short the rails")
+    if rail[to[port]].any():
         raise NetlistSemanticError("a wire replacement would tie a port to a rail")
 
     # a device that no merge renames and no remap touches is kept as it is
+    moved = to != np.arange(cn.n_nets)
+    touched = lvt | moved[cn.dev_gate] | moved[cn.dev_a] | moved[cn.dev_b]
+    find = dict(zip(cn.nets, map(cn.nets.__getitem__, to.tolist())))
     devices = []
-    for d in n.devices:
-        if d.id in removed_ids:
+    for d, drop, touch, low in zip(n.devices, removed.tolist(), touched.tolist(), lvt.tolist()):
+        if drop:
             continue
-        if d.id in vt_map or not parent.keys().isdisjoint((d.gate, d.source, d.drain)):
-            vt = vt_map.get(d.id, d.vt)
-            d = Device(d.id, d.polarity, vt, find(d.gate), find(d.source), find(d.drain), d.tags)
+        if touch:
+            vt = ThresholdClass.LVT if low else d.vt
+            d = Device(d.id, d.polarity, vt, find[d.gate], find[d.source], find[d.drain], d.tags)
         devices.append(d)
-    inputs = tuple((find(name), dom) for name, dom in n.inputs)
-    outputs = tuple((find(name), enc) for name, enc in n.outputs)
-    loads = tuple((find(net), f) for net, f in n.loads)
+    inputs = tuple((find[name], dom) for name, dom in n.inputs)
+    outputs = tuple((find[name], enc) for name, enc in n.outputs)
+    loads = tuple((find[net], f) for net, f in n.loads)
     return replace(
         n,
         inputs=inputs,
@@ -172,6 +165,8 @@ def _narrow(n: Netlist, a: AssumptionDomain) -> Netlist:
         raise UnknownNetError(f"no net named {a.net!r}")
     if a.net not in n.input_names:
         raise NonInputAssumptionError(f"{a.net!r} is not a declared input")
+    if not set(a.levels) <= dict(n.inputs)[a.net]:
+        raise DomainError(f"assumption on {a.net!r} reaches outside its declared domain")
     inputs = tuple((x, frozenset(a.levels) if x == a.net else dom) for x, dom in n.inputs)
     return replace(n, inputs=inputs)
 
@@ -184,36 +179,27 @@ def apply_assumption(n: Netlist, a: AssumptionDomain):
 def _assume(swept: Sweep, a: AssumptionDomain):
     """:func:`apply_assumption` on the netlist of ``swept``, whose domain is
     already narrowed to ``a``."""
-    n = swept.cn.netlist
-    tracked = _tracked_complements(swept, a.net)
-    binary_assumption = frozenset(a.levels) == DOMAIN_BINARY
-
-    unions, removed, vt_map = [], set(), {}
-    report = PassReport()
-    for k, d in enumerate(n.devices):
-        if d.gate == a.net:
-            gate_levels = a.levels
-        elif d.gate in tracked:
-            gate_levels = tracked[d.gate]
-        else:
-            continue
-        states = swept.cn.conducts(k, gate_levels)
-        if all(states):
-            # an input clamps its node; merging it into its neighbour would
-            # silently erase the driver, so keep such devices as they are
-            if {d.source, d.drain} & set(n.input_names):
-                continue
-            removed.add(d.id)
-            unions.append((d.source, d.drain))
-            report.wired += 1
-        elif not any(states):
-            removed.add(d.id)
-            report.opened += 1
-        elif binary_assumption and d.vt is not ThresholdClass.LVT:
-            vt_map[d.id] = ThresholdClass.LVT
-            report.remapped += 1
-
-    return _merge_nets(n, unions, removed, vt_map), report
+    cn = swept.cn
+    # the levels each decided gate net takes: the assumed input and each
+    # tracked complement
+    takes = np.zeros((cn.n_nets, 5), dtype=bool)
+    for net, image in {a.net: a.levels, **_tracked_complements(swept, a.net)}.items():
+        takes[cn.index[net], [_CODE_OF_LEVEL[lv] for lv in image]] = True
+    want = takes[cn.dev_gate]
+    on = cn.dev_lut[: cn.n_devices] & want
+    decided = want.any(axis=1)
+    always = decided & (on == want).all(axis=1)
+    opened = decided & ~on.any(axis=1)
+    # an input clamps its node; merging it into its neighbour would silently
+    # erase the driver, so keep such devices as they are
+    is_input = np.zeros(cn.n_nets, dtype=bool)
+    is_input[cn.input_idx] = True
+    wired = always & ~is_input[cn.dev_a] & ~is_input[cn.dev_b]
+    slow = np.array([vt is not ThresholdClass.LVT for _, vt in DEVICE_CLASSES])[cn.dev_class]
+    binary = frozenset(a.levels) == DOMAIN_BINARY
+    lvt = decided & ~always & ~opened & slow & binary
+    report = PassReport(wired=int(wired.sum()), opened=int(opened.sum()), remapped=int(lvt.sum()))
+    return _merge_nets(cn, wired, wired | opened, lvt), report
 
 
 def prune_dead(n: Netlist):
@@ -250,25 +236,14 @@ def factor_parallel(n: Netlist):
     Devices are symmetric in source/drain, so a mirrored pair merges too.
     Tags are unioned onto the survivor.
     """
-    seen: dict = {}
-    removed = 0
-    out = []
+    kept: dict = {}
     for d in n.devices:
-        key = (DEVICE_CLASSES.index((d.polarity, d.vt)), d.gate, frozenset((d.source, d.drain)))
-        kept = seen.get(key)
-        if kept is not None:
-            if d.tags - kept.tags:
-                merged = Device(
-                    kept.id, kept.polarity, kept.vt, kept.gate, kept.source,
-                    kept.drain, kept.tags | d.tags,
-                )
-                out[out.index(kept)] = merged
-                seen[key] = merged
-            removed += 1
-        else:
-            seen[key] = d
-            out.append(d)
-    return replace(n, devices=tuple(out)), PassReport(factored=removed)
+        key = (d.polarity, d.vt, d.gate, frozenset((d.source, d.drain)))
+        first = kept.setdefault(key, d)
+        if first is not d and d.tags - first.tags:
+            kept[key] = replace(first, tags=first.tags | d.tags)
+    devices = tuple(kept.values())
+    return replace(n, devices=devices), PassReport(factored=len(n.devices) - len(devices))
 
 
 def rebind_carry(n: Netlist, carry_net: str):
@@ -311,6 +286,7 @@ def _rebind(swept: Sweep, carry_net: str):
         raise NoDividerFoundError(f"no divider devices found around {carry_net!r}")
 
     divider_ids = {d.id for d in dividers}
+    is_div = np.array([d.id in divider_ids for d in n.devices], dtype=bool)
     kept = tuple(d for d in n.devices if d.id not in divider_ids)
     stripped = Sweep(replace(n, devices=kept)) if dividers else swept
     # a terminal that only dividers touch is gone from the stripped netlist
@@ -320,9 +296,8 @@ def _rebind(swept: Sweep, carry_net: str):
     v_only = dict(zip(ends, (vdd & ~gnd)[div_states].any(axis=0).tolist()))
     g_only = dict(zip(ends, (gnd & ~vdd)[div_states].any(axis=0).tolist()))
 
-    unions, removed = [], set()
-    report = PassReport()
-    for d in sorted(dividers, key=lambda d: d.id):
+    to_vdd = []  # per divider, in netlist order: whether it bridges toward VDD
+    for d in dividers:
         side = None
         for t in (d.source, d.drain):
             if t == "VDD":
@@ -340,15 +315,13 @@ def _rebind(swept: Sweep, carry_net: str):
         if side is None:
             # structural fallback: N dividers bridge from the pull-up side
             side = "vdd" if d.polarity is Polarity.N else "gnd"
-        removed.add(d.id)
-        if side == "vdd":
-            unions.append((d.source, d.drain))
-            report.wired += 1
-        else:
-            report.opened += 1
+        to_vdd.append(side == "vdd")
+    wired = np.zeros(cn.n_devices, dtype=bool)
+    wired[is_div] = to_vdd
+    report = PassReport(wired=sum(to_vdd), opened=len(to_vdd) - sum(to_vdd))
 
     before = swept.truth_signature()
-    out = _merge_nets(n, unions, removed, {})
+    out = _merge_nets(cn, wired, is_div, np.zeros_like(wired))
     outputs = tuple(
         (name, Encoding.FULL_VDD_HIGH if name == carry_net else enc)
         for name, enc in out.outputs

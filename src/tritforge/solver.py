@@ -308,7 +308,7 @@ class Sweep:
         at = np.concatenate([lv == CODE_V, lv == CODE_G], axis=1)
         width = np.full(at.shape, -np.inf)
         width[g.drv_cols] = np.where(at[g.drv_cols], np.inf, -np.inf)
-        width = g.relax(width, cost, np.maximum, np.minimum, g.scatter.split())
+        width = g.relax(width, cost, np.maximum, np.minimum)
         head = np.where(at & np.isfinite(width), width, np.inf).reshape(g.n_cols, 2, R)
         head = np.where(ended[g.out_ccc, None], head[g.out_col], np.inf)
         worst = np.full((2, cn.n_nets), np.inf)
@@ -390,6 +390,8 @@ def simulate_pattern(n: Netlist, rows: list[tuple[Level, ...]]):
     masks = np.empty((steps, cn.n_nets), dtype=np.uint8)
     rounds = np.empty(steps, dtype=np.int64)
     for step, row in enumerate(rows):
+        if len(row) > len(n.input_names):  # a short row names its missing input below
+            raise DomainError(f"step {step}: {len(row)} values for {len(n.input_names)} inputs")
         codes = cn.codes_for_inputs(dict(zip(n.input_names, row)))
         prev = levels[step - 1 : step] if step else None
         levels[step], masks[step], rounds[step] = _solve_one(cn, codes, prev, memo)

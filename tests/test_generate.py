@@ -196,6 +196,13 @@ def test_pattern_text_errors():
         pattern_from_text("# only a comment\n", domains)
 
 
+def test_pattern_text_refuses_a_duplicate_signal():
+    # two columns for one input would leave the first unread
+    domains = [("a", DOMAIN_TERNARY), ("b", DOMAIN_TERNARY)]
+    with pytest.raises(DomainError, match=r"line 2: duplicate signal 'a'"):
+        pattern_from_text("# walk\n.signals a b a\n0 1 2\n", domains)
+
+
 def test_pattern_binary_encoding_in_text():
     # a binary-domain '1' sits at the full supply, not the half level
     domains = [("cin", DOMAIN_BINARY)]

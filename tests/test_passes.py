@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -48,6 +49,7 @@ from tritforge.passes import (
     factor_parallel,
     prune_dead,
     rebind_carry,
+    simplify,
     simplify_pipeline,
 )
 from tritforge.solver import (
@@ -438,6 +440,25 @@ def test_simplify_never_ties_a_port_to_a_rail(tmp_path):
     assert run(["truth", str(slim), "-o", str(tmp_path / "truth.txt")]) == 0
 
 
+def test_an_assumption_stays_inside_the_declared_domain(tmp_path, capsys):
+    # a level the input may not take restricts nothing: cin of a VDD-carry
+    # cell is binary, and b of this half adder is declared 02
+    cell = gen_tfa(StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL, Encoding.FULL_VDD_HIGH))
+    with pytest.raises(DomainError, match="'cin' reaches outside its declared domain"):
+        apply_assumption(cell, AssumptionDomain("cin", HALFPAIR))
+    tha = parse(serialize(gen_tha(Style.TERNARY_CMOS, Encoding.HALF_VDD_HIGH))
+                .replace(".input b ternary", ".input b 02"))
+    assert dict(tha.inputs)["b"] == BINARY
+    with pytest.raises(DomainError):
+        simplify(tha, AssumptionDomain("b", frozenset({Level.HALF})))
+    path = tmp_path / "cell.tn"
+    path.write_text(serialize(cell))
+    assert run(["simplify", str(path), "--assume", "cin=01", "-o", str(tmp_path / "out.tn")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tritforge:") and "declared domain" in err and "refused" not in err
+    assert not (tmp_path / "out.tn").exists()
+
+
 def test_rebind_side_detection_reads_single_rail_terminals():
     # with both dividers stripped, n1 is still driven by both rails; only
     # a terminal driven by VDD alone names the VDD side, so m5 is opened
@@ -768,12 +789,17 @@ def test_merge_nets_matches_rebuilding_every_device(monkeypatch):
     merge = passes_mod._merge_nets
     kept = []
 
-    def both(n, unions, removed_ids, vt_map):
-        got = _outcome(merge, n, unions, removed_ids, vt_map)
+    def both(cn, wired, removed, lvt):
+        # the device masks as the name pairs and id sets the reference takes
+        n = cn.netlist
+        unions = [(d.source, d.drain) for d, w in zip(n.devices, wired) if w]
+        removed_ids = {d.id for d, r in zip(n.devices, removed) if r}
+        vt_map = {d.id: ThresholdClass.LVT for d, low in zip(n.devices, lvt) if low}
+        got = _outcome(merge, cn, wired, removed, lvt)
         assert got == _outcome(_reference_merge_nets, n, unions, removed_ids, vt_map)
         if not isinstance(got, tuple):
             kept.append(len(set(got.devices) & set(n.devices)))
-        return merge(n, unions, removed_ids, vt_map)
+        return merge(cn, wired, removed, lvt)
 
     monkeypatch.setattr(passes_mod, "_merge_nets", both)
     for n in _tfa_cells():
@@ -820,3 +846,31 @@ def test_prune_dead_matches_the_rescanning_loop():
         assert got == _reference_prune_dead(n)
         pruned += got[1].pruned
     assert pruned > 300
+
+
+# SHA-256 over the outcome of every case of the simplify matrix below,
+# recorded before the merge and assumption passes moved onto arrays
+SIMPLIFY_MATRIX_DIGEST = "adc5bc6fa1d84339b6e4c5ff6e3bde400e871725ef1b721054fda43243b0bc0b"
+
+
+def test_simplify_outcomes_of_every_generated_cell_are_pinned():
+    # every generated cell, under every sub-domain of every input, with and
+    # without the carry re-encoding: the serialized netlist and report, or
+    # the error's type and text
+    from test_solver import _generated_cells
+
+    digest = hashlib.sha256()
+    cases = removed = 0
+    for n in _generated_cells():
+        for a in _assumptions(n):
+            for carry in (None, "carry"):
+                try:
+                    out, report = simplify(n, a, carry)
+                    outcome = serialize(out) + report.to_json()
+                    removed += len(n.devices) - len(out.devices)
+                except TritforgeError as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                digest.update(outcome.encode() + b"\0")
+                cases += 1
+    assert (cases, removed) == (1180, 27875)
+    assert digest.hexdigest() == SIMPLIFY_MATRIX_DIGEST
