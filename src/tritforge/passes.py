@@ -257,19 +257,26 @@ def rebind_carry(n: Netlist, carry_net: str):
     Decoded truth must be preserved and no division may remain on the carry
     net; both are checked exhaustively.  With no divider in the carry's
     channel component, a carry that never divides is only re-encoded, and
-    one that divides raises :class:`NoDividerFoundError`.
+    one that divides raises :class:`NoDividerFoundError`.  The carry must
+    be a declared output.
     """
-    report, after = _rebind(Sweep(n), carry_net)
-    return after.cn.netlist, report
+    swept = Sweep(n)
+    out, report = _rebind(swept, carry_net)
+    after, swap = _finish_rebind(out, carry_net, swept.truth_signature())
+    return after.cn.netlist, report + swap
 
 
 def _rebind(swept: Sweep, carry_net: str):
-    """:func:`rebind_carry` on the netlist of ``swept``: the report and the
-    sweep of the result."""
+    """The re-encoding of :func:`rebind_carry` on the netlist of ``swept``,
+    before its STI swap and checks (:func:`_finish_rebind`): the netlist
+    with the dividers wired or opened and the carry at the full supply, and
+    the report."""
     cn = swept.cn
     n = cn.netlist
     if carry_net not in cn.index:
         raise UnknownNetError(f"no net named {carry_net!r}")
+    if carry_net not in n.output_names:
+        raise DomainError(f"{carry_net!r} is not a declared output")
 
     comp_nets, comp_devs = cn.channel_component(carry_net)
     dividers = [d for d in comp_devs if TAG_DIVIDER in d.tags]
@@ -277,9 +284,9 @@ def _rebind(swept: Sweep, carry_net: str):
         dividers = [d for d in comp_devs if d.gate == ALWAYS_ON_GATE[d.polarity]]
 
     # Find the input states where division happens in this component, then
-    # re-solve with every candidate divider deleted: with the divided path
-    # cut, each former terminal carries at most one rail in its drive mask,
-    # which names the side the divider bridged.
+    # read the drive masks with every candidate divider deleted: with the
+    # divided path cut, each former terminal carries at most one rail in
+    # its drive mask, which names the side the divider bridged.
     gnd, vdd = swept.rail_reach(sorted(comp_nets))
     div_states = np.flatnonzero((gnd & vdd).any(axis=1))
     if not dividers and div_states.size:
@@ -287,12 +294,7 @@ def _rebind(swept: Sweep, carry_net: str):
 
     divider_ids = {d.id for d in dividers}
     is_div = np.array([d.id in divider_ids for d in n.devices], dtype=bool)
-    kept = tuple(d for d in n.devices if d.id not in divider_ids)
-    stripped = Sweep(replace(n, devices=kept)) if dividers else swept
-    # a terminal that only dividers touch is gone from the stripped netlist
-    # and carries no rail
-    ends = sorted({t for d in dividers for t in (d.source, d.drain)} & set(stripped.cn.index))
-    gnd, vdd = stripped.rail_reach(ends)
+    ends, (gnd, vdd) = _stripped_reach(swept, carry_net, dividers, is_div)
     v_only = dict(zip(ends, (vdd & ~gnd)[div_states].any(axis=0).tolist()))
     g_only = dict(zip(ends, (gnd & ~vdd)[div_states].any(axis=0).tolist()))
 
@@ -320,29 +322,55 @@ def _rebind(swept: Sweep, carry_net: str):
     wired[is_div] = to_vdd
     report = PassReport(wired=sum(to_vdd), opened=len(to_vdd) - sum(to_vdd))
 
-    before = swept.truth_signature()
     out = _merge_nets(cn, wired, is_div, np.zeros_like(wired))
     outputs = tuple(
         (name, Encoding.FULL_VDD_HIGH if name == carry_net else enc)
         for name, enc in out.outputs
     )
-    out = CompiledNetlist(replace(out, outputs=outputs))
+    return replace(out, outputs=outputs), report
 
+
+def _stripped_reach(swept: Sweep, carry_net: str, dividers, is_div):
+    """The terminals of ``dividers`` (the device mask ``is_div``) left in
+    the netlist of ``swept`` without them, and their :meth:`Sweep.rail_reach`
+    there.
+
+    A ranked sweep reads it from its own rows: the dividers of a non-driver
+    carry all sit in its CCC, whose gates come from lower ranks that they
+    do not touch.  Otherwise the netlist without them is swept, since the
+    fixed point of Jacobi rounds can move once they go; with no end left
+    there is nothing to sweep.
+    """
+    cn = swept.cn
+    n = cn.netlist
+    stripped = replace(n, devices=tuple(d for d, off in zip(n.devices, is_div.tolist()) if not off))
+    # a terminal that only dividers touch is gone from the stripped netlist
+    # and carries no rail
+    ends = sorted({t for d in dividers for t in (d.source, d.drain)} & set(stripped.nets()))
+    if ends and (cn.ccc_rank is None or cn.is_driver[cn.index[carry_net]]):
+        return ends, Sweep(stripped).rail_reach(ends)
+    return ends, swept._reach_without(ends, is_div)
+
+
+def _finish_rebind(n: Netlist, carry_net: str, before):
+    """The re-encoded netlist ``n`` of :func:`_rebind` with its carry-in
+    STIs swapped, if that keeps the truth signature ``before``: its sweep
+    and the report of the swap.  Raises unless the truth is kept and no
+    division is left on the carry."""
+    out = CompiledNetlist(n)
     swapped, extra = _swap_carry_stis(out)
     after = Sweep(swapped) if swapped is not None else None
-    if after is not None and after.truth_signature() == before:
-        report.pruned += extra
-    else:
+    if after is None or after.truth_signature() != before:
         # a swap that changes decoded truth is dropped silently; the
         # un-swapped result must still match
-        after = Sweep(out)
+        after, extra = Sweep(out), 0
         if after.truth_signature() != before:
             raise EquivalenceCheckFailedError("carry re-encoding changed decoded truth")
     if carry_net in after.cn.index and sum(after.division_counts(carry_net)) != 0:
         raise EquivalenceCheckFailedError(
             f"division events remain on {carry_net!r} after re-encoding"
         )
-    return report, after
+    return after, PassReport(pruned=extra)
 
 
 def _shapes(devs, x: str, y: str, inner: int):
@@ -393,12 +421,14 @@ REFUSALS = (EquivalenceCheckFailedError, NetlistSemanticError)  # see simplify
 
 def simplify(n: Netlist, a: AssumptionDomain, carry_net: str | None = None):
     """assumption → prune → factor to a fixpoint, then, when ``carry_net``
-    names an output, its re-encoding at the full supply and the same
-    fixpoint again.
+    is given, its re-encoding at the full supply, pruned and factored, and
+    the same fixpoint again.  The carry must be a declared output.
 
     Each netlist is swept once: the input narrowed to the assumption (the
-    truth to keep), then each one a round or the re-encoding changes.  A
-    sweep serves the next round, the re-encoding and the final check.
+    truth to keep), each one a round changes, and the re-encoded one.  A
+    sweep serves the next round, the re-encoding and the final check.  A
+    round that decides no device ends the fixpoint, its netlist being
+    already pruned and factored, except on the input itself.
 
     Decoded-truth equivalence over the assumed domain is a hard
     postcondition.  Rather than return a netlist that shorts the rails or
@@ -411,23 +441,31 @@ def simplify(n: Netlist, a: AssumptionDomain, carry_net: str | None = None):
 
     # complement tracking is one inverter deep, so eliminating a cell can
     # expose the next one, and re-encoding merges nets, which can expose
-    # further rules: iterate the cheap passes to their fixpoint
-    def fixpoint(swept, report):
+    # further rules: iterate the cheap passes to their fixpoint.  Prune and
+    # factor are idempotent, so on a ``tidy`` netlist a round that decides
+    # nothing changes nothing.
+    def fixpoint(swept, report, tidy):
         while True:
             cur, r1 = _assume(swept, a)
+            if tidy and r1 == PassReport():
+                return swept, report
             cur, r2 = prune_dead(cur)
             cur, r3 = factor_parallel(cur)
             report = report + r1 + r2 + r3
             if cur == swept.cn.netlist:
                 return swept, report
-            swept = Sweep(cur)
+            swept, tidy = Sweep(cur), True
 
-    swept, report = fixpoint(swept, PassReport())
+    swept, report = fixpoint(swept, PassReport(), False)
     # already at the full supply: nothing left to re-encode
     done = dict(swept.cn.netlist.outputs).get(carry_net) is Encoding.FULL_VDD_HIGH
     if carry_net is not None and not done:
-        r, swept = _rebind(swept, carry_net)
-        swept, report = fixpoint(swept, report + r)
+        truth = swept.truth_signature()
+        out, r1 = _rebind(swept, carry_net)
+        out, r2 = prune_dead(out)
+        out, r3 = factor_parallel(out)
+        swept, r4 = _finish_rebind(out, carry_net, truth)
+        swept, report = fixpoint(swept, report + r1 + r2 + r3 + r4, True)
     if swept.truth_signature() != before:
         raise EquivalenceCheckFailedError("the truth over the assumed domain changed")
     return swept.cn.netlist, report

@@ -158,11 +158,12 @@ class Sweep:
             raise UnknownNetError(f"no net named {name!r}")
         return i
 
-    def _net_rows(self, i: int):
-        """Net ``i``'s drive mask in each row of its CCC, and each state's row."""
+    def _net_rows(self, i: int, redone=None):
+        """Net ``i``'s drive mask in each row of its CCC, read from
+        ``redone`` (each group's rows) if given, and each state's row."""
         r, k = self._place[:, i].tolist()
         t = self.rows[r]
-        return t.masks[t.g.out_col[k]], t.index[t.g.out_ccc[k]]
+        return (t.masks if redone is None else redone[r])[t.g.out_col[k]], t.index[t.g.out_ccc[k]]
 
     def _outputs(self) -> np.ndarray:
         return self.levels[:, np.searchsorted(self.kept, self.cn.output_idx)]
@@ -227,12 +228,31 @@ class Sweep:
         """(states, nets) flags: whether GND, and whether VDD, drives each of
         the named nets."""
         self._require_stable()
+        return self._reach(nets)
+
+    def _reach_without(self, nets, off) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`rail_reach` of the netlist without the devices of the mask
+        ``off``: each group holding one of ``nets`` closes its rows again
+        with those devices' gates at ``CODE_Z``, which conducts in no class.
+
+        Exact on a ranked sweep when no net the devices' CCCs read is
+        downstream of them, as when they all sit in one CCC: its gates come
+        from lower ranks, which the devices do not touch.
+        """
+        redone = [t.masks for t in self.rows]
+        for r in {self._place[0, i] for i in map(self._net, nets) if not self.cn.is_driver[i]}:
+            t = self.rows[r]
+            gates = np.where(off[t.g.dev, None], CODE_Z, t.gates)
+            redone[r] = t.g.closure(_MASK_TO_CODE[t.masks[t.g.drv_cols]].T, gates.T)
+        return self._reach(nets, redone)
+
+    def _reach(self, nets, redone=None):
         masks = np.empty((len(self.codes), len(nets)), dtype=np.uint8)
         for j, i in enumerate(map(self._net, nets)):
             if self.cn.is_driver[i]:
                 masks[:, j] = _BIT_OF_CODE[self.levels[:, np.searchsorted(self.kept, i)]]
             else:
-                rows, index = self._net_rows(i)
+                rows, index = self._net_rows(i, redone)
                 masks[:, j] = rows[index]
         return (masks & _BIT_G) != 0, (masks & _BIT_V) != 0
 

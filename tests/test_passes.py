@@ -28,6 +28,7 @@ from tritforge.generate import (
     gen_tha,
 )
 from tritforge.netlist import (
+    ALWAYS_ON_GATE,
     DOMAIN_BINARY,
     DOMAIN_HALFPAIR,
     DOMAIN_TERNARY,
@@ -35,6 +36,7 @@ from tritforge.netlist import (
     Netlist,
     Polarity,
     RAILS,
+    TAG_DIVIDER,
     ThresholdClass,
     parse,
     serialize,
@@ -710,11 +712,17 @@ def test_resimplifying_a_simplified_cell_compiles_once(monkeypatch):
         assert compiles == [once], style
 
 
+# sweeps of a rebinding simplify of each style's complete cell under cin=01:
+# the narrowed input, one per round that changes it, and the re-encoded cell
+REBIND_SWEEPS = {Style.TERNARY_CMOS: 3, Style.NTPT: 3, Style.MUX_PTTG: 4, Style.DEC_ENC: 5}
+
+
 def test_simplify_compiles_each_netlist_once(monkeypatch):
     # the re-encoded netlist is compiled once, for the STI search and its
-    # sweep alike, so a simplify compiles exactly the netlists it sweeps
+    # sweep alike, so a simplify compiles exactly the netlists it sweeps;
+    # the divider sides come from the rows of the sweep before it, and the
+    # round after the re-encoding, which decides nothing, sweeps nothing
     a = AssumptionDomain("cin", HALFPAIR)
-    n = gen_tfa(StyleSpec(Style.TERNARY_CMOS, Completeness.COMPLETE))
     calls = {"compile": 0, "sweep": 0}
     compile_init, sweep_init = CompiledNetlist.__init__, Sweep.__init__
 
@@ -728,10 +736,159 @@ def test_simplify_compiles_each_netlist_once(monkeypatch):
 
     monkeypatch.setattr(CompiledNetlist, "__init__", compiled)
     monkeypatch.setattr(Sweep, "__init__", swept)
-    out, report = simplify_pipeline(n, a, carry_net="carry")
-    assert out != n and report.wired
-    # five sweeps, as before the compile was shared; six compiles then
-    assert calls == {"compile": 5, "sweep": 5}
+    for style, cascade in itertools.product(Style, Cascade):
+        n = gen_tfa(StyleSpec(style, Completeness.COMPLETE, cascade=cascade))
+        calls.update(compile=0, sweep=0)
+        out, report = simplify_pipeline(n, a, carry_net="carry")
+        assert out != n and report.wired
+        sweeps = REBIND_SWEEPS[style]
+        assert calls == {"compile": sweeps, "sweep": sweeps}, (style, cascade)
+
+
+def test_a_fixpoint_is_left_alone_by_prune_and_factor():
+    # the premise of ending a fixpoint on a round that decides nothing: the
+    # netlist it ends on is already pruned and factored
+    from test_solver import _generated_cells
+
+    checked = 0
+    for n in _generated_cells():
+        for a in _assumptions(n):
+            for carry in (None, "carry"):
+                try:
+                    out, _ = simplify(n, a, carry)
+                except TritforgeError:
+                    continue
+                assert prune_dead(out) == (out, PassReport()), (n.title, a, carry)
+                assert factor_parallel(out) == (out, PassReport()), (n.title, a, carry)
+                checked += 1
+    assert checked > 800
+
+
+def test_rebind_carry_refuses_a_net_that_is_not_an_output(tmp_path, capsys):
+    # an input or an internal divider net has no encoding to re-encode
+    n = gen_tfa(StyleSpec(Style.TERNARY_CMOS, Completeness.COMPLETE))
+    divider_net = next(t for d in n.devices if TAG_DIVIDER in d.tags
+                       for t in (d.source, d.drain) if t not in {*RAILS, *n.output_names})
+    for net in ("a", divider_net):
+        with pytest.raises(DomainError, match=f"^'{net}' is not a declared output$"):
+            rebind_carry(n, net)
+        with pytest.raises(DomainError, match=f"^'{net}' is not a declared output$"):
+            simplify(n, AssumptionDomain("cin", HALFPAIR), net)
+    cell, slim = tmp_path / "cell.tn", tmp_path / "slim.tn"
+    cell.write_text(serialize(n))
+    capsys.readouterr()
+    argv = ["simplify", str(cell), "--assume", "cin=01", "--rebind-carry", "a", "-o", str(slim)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "tritforge: 'a' is not a declared output\n"
+    assert not slim.exists()
+
+
+# -- divider sides -----------------------------------------------------------------
+
+
+def _reference_sides(n, dividers):
+    """The divider terminals and their rail reach as first found: the
+    netlist without the dividers, swept again."""
+    ids = {d.id for d in dividers}
+    stripped = Sweep(replace(n, devices=tuple(d for d in n.devices if d.id not in ids)))
+    ends = sorted({t for d in dividers for t in (d.source, d.drain)} & set(stripped.cn.index))
+    return ends, stripped.rail_reach(ends)
+
+
+def _random_divided_netlist(rng):
+    """A _random_gated_netlist with one to three divider-tagged always-on
+    devices from its output to another net."""
+    n = _random_gated_netlist(rng)
+    out = n.output_names[0]
+    others = sorted(set(n.nets()) - {out, *n.input_names})
+    dividers = []
+    for k in range(rng.randint(1, 3)):
+        pol = rng.choice(list(Polarity))
+        dividers.append(Device(f"dv{k}", pol, rng.choice(list(ThresholdClass)),
+                               ALWAYS_ON_GATE[pol], out, rng.choice(others),
+                               frozenset({TAG_DIVIDER})))
+    return replace(n, devices=n.devices + tuple(dividers))
+
+
+def test_divider_sides_from_rows_match_the_stripped_sweep(monkeypatch):
+    # every side detection of a rebind, read from the rows of the sweep it
+    # already has, against the netlist without the dividers swept again; a
+    # netlist without ranks still sweeps that netlist, a ranked one never
+    import tritforge.passes as passes_mod
+
+    reach = passes_mod._stripped_reach
+    built = []
+    sweep_init = Sweep.__init__
+
+    def counted(self, n):
+        built.append(n)
+        sweep_init(self, n)
+
+    compared = {True: 0, False: 0}  # by whether the sweep has ranks
+
+    def both(swept, carry, dividers, is_div):
+        k = len(built)
+        ends, (gnd, vdd) = got = reach(swept, carry, dividers, is_div)
+        ranked = swept.cn.ccc_rank is not None
+        assert len(built) - k == (not ranked and bool(ends))
+        ref_ends, (ref_gnd, ref_vdd) = _reference_sides(swept.cn.netlist, dividers)
+        assert ends == ref_ends
+        assert gnd.tolist() == ref_gnd.tolist() and vdd.tolist() == ref_vdd.tolist()
+        compared[ranked] += bool(ends) and bool((gnd ^ vdd).any())
+        return got
+
+    monkeypatch.setattr(Sweep, "__init__", counted)
+    monkeypatch.setattr(passes_mod, "_stripped_reach", both)
+    from test_solver import _generated_cells
+
+    # every TFA and THA after the first fixpoint
+    for n in _generated_cells():
+        if "carry" in n.output_names:
+            for a in _assumptions(n):
+                _outcome(simplify, n, a, "carry")
+    assert compared[True] > 300 and not compared[False]
+    compared.update({True: 0, False: 0})
+    rng = random.Random(SEED)
+    for _ in range(60):
+        n = _random_divided_netlist(rng)
+        out = n.output_names[0]
+        _outcome(rebind_carry, n, out)
+        for a in _assumptions(n):
+            _outcome(simplify, n, a, out)
+    assert compared[True] > 40 and compared[False] > 100
+
+
+# SHA-256 over the outcome of every case of the random simplify matrix below,
+# recorded before the divider sides were read from the rows of the last sweep
+RANDOM_SIMPLIFY_DIGEST = "eb6c692d86bc67174bd7dd57587b79b492720f6986813a55cf7e72a1d5df79f6"
+
+
+def test_simplify_outcomes_on_random_netlists_are_pinned():
+    # random gated, feedback and static netlists under every sub-domain of
+    # every input, without and with each output re-encoded: the serialized
+    # netlist and report, or the error's type and text
+    from test_solver import _random_feedback_netlist, _random_static_netlist
+
+    rng = random.Random(7)
+    netlists = [_random_gated_netlist(rng) for _ in range(40)]
+    netlists += [_random_feedback_netlist(rng) for _ in range(15)]
+    netlists += [_random_static_netlist(rng) for _ in range(15)]
+    digest = hashlib.sha256()
+    cases = ok = rebinds = 0
+    for n in netlists:
+        for a in _assumptions(n):
+            for carry in (None, *n.output_names):
+                try:
+                    out, report = simplify(n, a, carry)
+                    outcome = serialize(out) + report.to_json()
+                    ok += 1
+                    rebinds += carry is not None
+                except TritforgeError as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                digest.update(outcome.encode() + b"\0")
+                cases += 1
+    assert (cases, ok, rebinds) == (903, 535, 79)
+    assert digest.hexdigest() == RANDOM_SIMPLIFY_DIGEST
 
 
 # -- pass rewrites against the forms first written --------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import itertools
 import random
+import tokenize
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -1473,3 +1474,20 @@ def test_kernel_imports_only_errors_netlist_and_trits():
             absolute.update(alias.name for alias in node.names)
     assert relative and relative <= {"errors", "netlist", "trits"}
     assert not {name for name in absolute if name.split(".")[0] == "tritforge"}
+
+
+def _parser_tokens(path):
+    """The tokens the parser reads from a source file: no NL, comment or
+    encoding tokens."""
+    skip = {tokenize.NL, tokenize.COMMENT, tokenize.ENCODING}
+    with open(path, "rb") as f:
+        return sum(tok.type not in skip for tok in tokenize.tokenize(f.readline))
+
+
+def test_every_module_stays_under_8192_parser_tokens():
+    # compiling a module from source steps up in peak memory at each power
+    # of two of its parser tokens, and every fresh import compiles them all
+    sizes = {p.name: _parser_tokens(p) for p in Path(kernel_mod.__file__).parent.glob("*.py")}
+    largest = max(sizes, key=sizes.get)
+    assert len(sizes) > 5
+    assert sizes[largest] < 8192, f"{largest} holds {sizes[largest]} parser tokens"
