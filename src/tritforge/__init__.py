@@ -43,16 +43,8 @@ from .netlist import (
     serialize,
     validate,
 )
-from .solver import (
-    MetricsReport,
-    SolveResult,
-    decoded_truth,
-    division_counts,
-    full_swing_lint,
-    simulate_pattern,
-    solve_state,
-    truth_table,
-)
+from .solver import decoded_truth, division_counts, full_swing_lint, truth_table
+from .simulate import MetricsReport, SolveResult, simulate_pattern, solve_state
 from .generate import (
     Cascade,
     Completeness,

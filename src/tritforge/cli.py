@@ -38,12 +38,8 @@ from .generate import (
 )
 from .netlist import parse, parse_domain, serialize, validate
 from .passes import REFUSALS, AssumptionDomain, PassReport, simplify
-from .solver import (
-    decoded_truth,
-    full_swing_lint,
-    simulate_pattern,
-    trace_csv,
-)
+from .simulate import simulate_pattern, trace_csv
+from .solver import decoded_truth, full_swing_lint
 from .trits import CARRY_NAMES, full_add_complete, full_add_partial
 
 

@@ -20,12 +20,12 @@ with an edge from the CCC of each device's gate net to the CCC of its
 channel has no cycle.  Their sweeps are solved rank by rank, keyed from the
 final levels of the ranks below (the rank-ordered compiled evaluation of
 COSMOS, Bryant et al., DAC 1987), a memo per rank.  Jacobi rounds solve the
-rest: netlists with feedback, solves seeded by an earlier state
-(``solve_state(prev=...)``, ``simulate_pattern``, whose memo lasts all its
-steps) and callers that count settling rounds.  Each round looks every
-moving state's rows up in a memo of the whole netlist; states that reach a
-fixed point or a period-2 cycle leave early.  On a netlist with ranks both
-give the same levels and masks, bit for bit.
+rest: netlists with feedback, and the solves seeded by an earlier state
+that count settling rounds (:mod:`tritforge.simulate`, where a pattern's
+memo may last all its steps).  Each round looks every moving state's rows
+up in a memo of the whole netlist; states that reach a fixed point or a
+period-2 cycle leave early.  On a netlist with ranks both give the same
+levels and masks, bit for bit.
 
 A compile lays the kernel out once, in rank order: CCCs, local columns,
 devices, closure scatter and non-driver nets all run rank by rank, so each
@@ -36,13 +36,11 @@ flat gathers.  From a few rows on, the closure packs 21 rows to a uint64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, UnresolvableError
 from .netlist import DEVICE_CLASSES, Netlist, Polarity, RAILS
 from .trits import Level, level_volts
 
@@ -90,16 +88,6 @@ def conduction(polarity: Polarity, vt, gate: Level, vdd: float = 0.9) -> bool:
 def _conduction_table(vdd: float) -> np.ndarray:
     """:func:`conduction` of each device class (rows) at each level code."""
     return np.array([[conduction(*k, lv, vdd) for lv in _LEVEL_OF_CODE] for k in DEVICE_CLASSES])
-
-
-@dataclass
-class SolveResult:
-    """Settled node levels plus the events observed on the way there."""
-
-    levels: dict[str, Level]
-    division_events: frozenset[str]
-    floating: frozenset[str]
-    settle_rounds: int
 
 
 def _pick(table, rows, idx):
@@ -608,33 +596,3 @@ class CompiledNetlist:
         devs = self.netlist.devices
         picked = np.flatnonzero(inside[self.dev_a] | inside[self.dev_b]).tolist()
         return nets, [devs[k] for k in picked]
-
-    def codes_for_inputs(self, assignment: dict[str, Level]) -> np.ndarray:
-        row = np.empty(len(self.netlist.inputs), dtype=np.int8)
-        for i, (name, dom) in enumerate(self.netlist.inputs):
-            if name not in assignment:
-                raise DomainError(f"input {name!r} not assigned")
-            level = assignment[name]
-            if level not in dom:
-                raise DomainError(f"input {name!r} may not take level {level}")
-            row[i] = _CODE_OF_LEVEL[level]
-        return row
-
-    def require_driven_outputs(self, lv_row):
-        """Raise :class:`UnresolvableError` naming the first output that
-        floats in a state solved without a previous one."""
-        for name, code in zip(self.netlist.output_names, lv_row[self.output_idx].tolist()):
-            if code == CODE_Z:
-                raise UnresolvableError(f"output {name!r} floats with no previous state")
-
-    def result_from_state(self, lv_row, mask_row, rounds) -> SolveResult:
-        both = _BIT_G | _BIT_V
-        return SolveResult(
-            levels=dict(zip(self.nets, map(_LEVEL_OF_CODE.__getitem__, lv_row.tolist()))),
-            division_events=self._names((mask_row & both) == both),
-            floating=self._names(~self.is_driver & (mask_row == 0)),
-            settle_rounds=int(rounds),
-        )
-
-    def _names(self, flags) -> frozenset[str]:
-        return frozenset(self.nets[i] for i in np.flatnonzero(flags).tolist())

@@ -1,6 +1,5 @@
-"""Switch-level solves, exhaustive sweeps and pattern simulation.
-
-The batched CCC kernel that all of them run on is :mod:`tritforge.kernel`.
+"""Exhaustive sweeps of a netlist and their views, on the batched CCC
+kernel of :mod:`tritforge.kernel`; seeded solves are :mod:`tritforge.simulate`.
 
 Every exhaustive view of a netlist (truth table, decoded truth, truth
 signature, division counts, a net's image, full-swing lint) reads one
@@ -14,26 +13,26 @@ image is the union of the rows some state ended in, and the swing lint
 relaxes each such row once, every group's in one pass.
 
 There is no compile cache: a :class:`Sweep` owns its
-:class:`CompiledNetlist`, and ``solve_state`` and ``simulate_pattern``
-build their own, so nothing keeps a netlist alive after its caller lets go.
+:class:`CompiledNetlist`, as each seeded solve does its own, so nothing
+keeps a netlist alive after its caller lets go.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, OscillationError, UnknownNetError, UnresolvableError
+from .errors import OscillationError, UnknownNetError, UnresolvableError
 from .kernel import (
     CODE_G, CODE_V, CODE_X, CODE_Z, _BIT_G, _BIT_OF_CODE, _BIT_V, _CODE_OF_LEVEL,
-    _LEVEL_OF_CODE, _MASK_TO_CODE, CompiledNetlist, SolveResult, _pick, _Rows,
+    _LEVEL_OF_CODE, _MASK_TO_CODE, CompiledNetlist, _pick, _Rows,
 )
 from .netlist import DEVICE_CLASSES, Netlist, Polarity, domain_encoding
+# the benchmark's workloads and tracer read these two as attributes of this module
+from .simulate import simulate_pattern, trace_csv
 from .trits import Encoding, Level, decode
 
 
@@ -43,34 +42,6 @@ class SwingWarning(NamedTuple):
     net: str
     polarity: Polarity
     headroom: float
-
-
-def _solve_one(cn: CompiledNetlist, codes, prev, rows=None):
-    """Solve one state of input ``codes``, ``prev`` and ``rows`` as for
-    ``solve_batch``; raise :class:`OscillationError` if it does not settle."""
-    lv, masks, rounds, stable = cn.solve_batch(codes[None, :], prev, rows)
-    if not stable[0]:
-        raise OscillationError(f"no fixed point within {cn.round_budget} rounds")
-    return lv[0], masks[0], rounds[0]
-
-
-def solve_state(
-    n: Netlist, inputs: dict[str, Level], prev: SolveResult | None = None
-) -> SolveResult:
-    """Resolve all node levels for one input assignment.
-
-    ``prev`` seeds the iteration with an earlier fixed point; floating nets
-    then hold their previous charge instead of reading as errors.
-    """
-    cn = CompiledNetlist(n)
-    prev_codes = None
-    if prev is not None:
-        held = [_CODE_OF_LEVEL[prev.levels.get(x, Level.Z)] for x in cn.nets]
-        prev_codes = np.array([held], dtype=np.int8)
-    lv, masks, rounds = _solve_one(cn, cn.codes_for_inputs(inputs), prev_codes)
-    if prev is None:
-        cn.require_driven_outputs(lv)
-    return cn.result_from_state(lv, masks, rounds)
 
 
 def _input_axes(n: Netlist) -> list[np.ndarray]:
@@ -374,70 +345,3 @@ def full_swing_lint(n: Netlist) -> list[SwingWarning]:
     degraded path, and the least such headroom over all input states.
     """
     return Sweep(n).full_swing_lint()
-
-
-# -- pattern simulation ------------------------------------------------
-
-
-@dataclass
-class MetricsReport:
-    """Discrete proxies standing in for analog delay and power figures."""
-
-    delay_rounds: int
-    static_div_mean: float
-    activity: float
-    device_total: int
-    warnings: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-
-def simulate_pattern(n: Netlist, rows: list[tuple[Level, ...]]):
-    """Run an ordered list of input vectors, seeding each solve with the last.
-
-    Returns (trace, report).  The trace is one dict of net levels per step;
-    the report carries the delay proxy (max settling rounds over the
-    transitions), the static proxy (mean division-event count over the
-    settled states) and the voltage-weighted switching activity.
-    """
-    if not rows:
-        raise DomainError("pattern must contain at least one vector")
-    cn = CompiledNetlist(n)
-    memo = _Rows(cn._all, 1)  # a CCC row met at any step is closed once
-    steps = len(rows)
-    levels = np.empty((steps, cn.n_nets), dtype=np.int8)
-    masks = np.empty((steps, cn.n_nets), dtype=np.uint8)
-    rounds = np.empty(steps, dtype=np.int64)
-    for step, row in enumerate(rows):
-        if len(row) > len(n.input_names):  # a short row names its missing input below
-            raise DomainError(f"step {step}: {len(row)} values for {len(n.input_names)} inputs")
-        codes = cn.codes_for_inputs(dict(zip(n.input_names, row)))
-        prev = levels[step - 1 : step] if step else None
-        levels[step], masks[step], rounds[step] = _solve_one(cn, codes, prev, memo)
-        if not step:
-            cn.require_driven_outputs(levels[0])
-    divisions = ((masks & (_BIT_G | _BIT_V)) == (_BIT_G | _BIT_V)).sum(axis=1)
-    # G, H and V are the codes 0, 1 and 2, so the code distance of a net is
-    # its swing in units of vdd/2; a floating (Z) side counts for nothing
-    before, after = levels[:-1].astype(np.int64), levels[1:].astype(np.int64)
-    swing = (before <= CODE_V) & (after <= CODE_V)
-    activity = np.where(swing, np.abs(after - before), 0).sum(axis=1)
-    report = MetricsReport(
-        delay_rounds=int(rounds[1:].max(initial=0)),
-        static_div_mean=float(np.mean(divisions)),
-        activity=float(np.mean(activity)) if steps > 1 else 0.0,
-        device_total=len(n.devices),
-    )
-    trace = [
-        {"step": step, **dict(zip(cn.nets, map(_LEVEL_OF_CODE.__getitem__, row)))}
-        for step, row in enumerate(levels.tolist())
-    ]
-    return trace, report
-
-
-def trace_csv(n: Netlist, trace) -> str:
-    """Render a simulation trace as CSV with one column per net."""
-    nets = n.nets()
-    rows = (f"{row['step']}," + ",".join(row[net].value for net in nets) for row in trace)
-    return "\n".join(["step," + ",".join(nets), *rows]) + "\n"

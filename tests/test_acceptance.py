@@ -172,7 +172,7 @@ def test_09_absolute_timing_and_power_are_out_of_scope():
     # microwatts: settling rounds for delay, division counts for static
     # pressure.  Absolute figures belong to transistor-level simulation
     # with a physical device model and are deliberately not produced.
-    from tritforge.solver import MetricsReport
+    from tritforge.simulate import MetricsReport
 
     fields = set(MetricsReport.__dataclass_fields__)
     assert "delay_rounds" in fields and "static_div_mean" in fields

@@ -25,6 +25,7 @@ from tritforge.netlist import (
     DOMAIN_BINARY,
     DOMAIN_HALFPAIR,
     DOMAIN_TERNARY,
+    parse,
     serialize,
     validate,
 )
@@ -116,6 +117,15 @@ def test_testbench_preserves_behaviour():
     assert validate(tb) == []
     # the wrapper adds two input buffers per input and four loads per output
     assert len(tb.devices) > len(dut.devices)
+
+
+def test_testbench_moves_input_loads_to_the_buffered_nets():
+    # the DUT now reads each input through its buffer, so the input's load
+    # moves to the buffered net; an output keeps its own
+    dut = parse(".input a ternary\n.output y\n"
+                "m mp p hvt g=a s=VDD d=y\nm mn n hvt g=a s=y d=GND\n"
+                "C c0 y 1e-15\nC c1 a 2e-15\n.end\n")
+    assert gen_testbench(dut).loads == (("a.buf", 2e-15), ("y", 1e-15))
 
 
 def test_rca_requires_partial_vdd_carries():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import tritforge.kernel as kernel_mod
+import tritforge.simulate as simulate_mod
 import tritforge.solver as solver_mod
 
 from tritforge.errors import (
@@ -29,7 +30,9 @@ from tritforge.generate import (
     GateKind,
     Style,
     StyleSpec,
+    PatternKind,
     gen_gate,
+    gen_pattern,
     gen_rca,
     gen_testbench,
     gen_tfa,
@@ -60,15 +63,13 @@ from tritforge.netlist import (
     serialize,
 )
 from tritforge.passes import AssumptionDomain, apply_assumption, rebind_carry
+from tritforge.simulate import simulate_pattern, solve_state, trace_csv
 from tritforge.solver import (
     Sweep,
     decoded_truth,
     division_counts,
     full_swing_lint,
     input_space,
-    simulate_pattern,
-    solve_state,
-    trace_csv,
     truth_table,
 )
 from tritforge.trits import Encoding, Level, decode
@@ -155,6 +156,24 @@ def test_input_validation():
         solve_state(STI, {})
     with pytest.raises(DomainError):
         solve_state(BININV, {"a": Level.HALF})  # outside the binary domain
+
+
+def test_solve_state_refuses_names_that_are_not_inputs():
+    # an assignment to a net that is not a declared input drives nothing;
+    # after the inputs' own checks, the first such name in sorted order is
+    # refused as the passes refuse it
+    with pytest.raises(DomainError) as err:
+        solve_state(STI, {"a": Level.GND, "y": Level.VDD})
+    assert str(err.value) == "'y' is not a declared input"
+    with pytest.raises(UnknownNetError) as err:
+        solve_state(STI, {"a": Level.GND, "y": Level.VDD, "typo": Level.VDD})
+    assert str(err.value) == "no net named 'typo'"
+    with pytest.raises(DomainError, match="input 'a' not assigned"):
+        solve_state(STI, {"typo": Level.GND})
+    # a seeded solve checks the same
+    prev = solve_state(STI, {"a": Level.GND})
+    with pytest.raises(DomainError, match="^'m1' is not a declared input$"):
+        solve_state(STI, {"a": Level.HALF, "m1": Level.GND}, prev=prev)
 
 
 def test_simulate_pattern_refuses_a_row_with_extra_values():
@@ -298,10 +317,10 @@ def test_solver_matches_connectivity_oracle():
             assignment = dict(zip(n.input_names, pt))
             # no outputs declared, so go through the compiled interface
             cn = CompiledNetlist(n)
-            row = cn.codes_for_inputs(assignment)[None, :]
+            row = np.array([[_CODE_OF_LEVEL[x] for x in pt]], dtype=np.int8)
             lv, masks, rounds, stable = cn.solve_batch(row)
             assert stable[0]
-            got = cn.result_from_state(lv[0], masks[0], rounds[0])
+            got = simulate_mod._result(cn, lv[0], masks[0], rounds[0])
             assert got.levels == _oracle_levels(n, assignment)
 
 
@@ -528,6 +547,40 @@ def test_jacobi_rounds_with_a_ccc_too_wide_to_key(free):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     assert _views(Sweep(cn)) == _views(ranked)
+
+
+def test_pattern_memo_does_not_grow_with_a_ccc_too_wide_to_key(monkeypatch):
+    # the wide CCC takes a new row at every find, so a memo shared by all
+    # steps would grow with the pattern, by about two rows a step
+    n = replace(_too_wide(), outputs=(("c30", Encoding.STANDARD),))
+    rows = list(gen_pattern(n.inputs, PatternKind.COMPLETE_TRANSITIONS).rows)
+    sizes, find = [], kernel_mod._Rows.find
+
+    def spy(t, src, states):
+        found = find(t, src, states)
+        sizes.append(t.masks.shape[1])
+        return found
+
+    def largest_memo(pattern):
+        sizes.clear()
+        simulate_pattern(n, pattern)
+        return max(sizes)
+
+    monkeypatch.setattr(kernel_mod._Rows, "find", spy)
+    assert len(rows) == 73 and largest_memo(rows) == largest_memo(rows * 4)
+    once = max(sizes)
+    # the same trace and report as one memo shared by every step
+    got = simulate_pattern(n, rows)
+    memo, solve = [], CompiledNetlist.solve_batch
+
+    def shared(cn, codes, prev=None, rows=None):
+        memo[:] = memo or [kernel_mod._Rows(cn._all, 1)]
+        return solve(cn, codes, prev, memo[0])
+
+    monkeypatch.setattr(CompiledNetlist, "solve_batch", shared)
+    sizes.clear()
+    assert simulate_pattern(n, rows) == got
+    assert max(sizes) > len(rows) > once
 
 
 def test_jacobi_lint_relaxes_only_rows_some_state_ended_in(monkeypatch):
@@ -981,7 +1034,7 @@ def test_jacobi_rounds_on_an_unstable_ring(seed, rounds, final, drive):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
     # a one-state solve names the same budget when it gives up
     with pytest.raises(OscillationError, match=f"no fixed point within {4 * cn.n_nets} rounds"):
-        solver_mod._solve_one(cn, codes[0], prev)
+        simulate_mod._step(cn, {}, prev)
 
 
 def _key_nets(g, rails):
@@ -1045,12 +1098,12 @@ def test_one_input_jacobi_rounds_match_the_dense_oracle(n):
     # solve_state(prev=...) one state at a time
     for row, held in zip(codes[:60], prev[:60]):
         lv, masks, rounds, stable = _dense_solve_batch(cn, row[None], held[None])
-        before = kernel_mod.SolveResult(dict(zip(cn.nets, map(_LEVEL_OF_CODE.__getitem__, held))),
-                                        frozenset(), frozenset(), 0)
+        before = simulate_mod.SolveResult(dict(zip(cn.nets, map(_LEVEL_OF_CODE.__getitem__, held))),
+                                          frozenset(), frozenset(), 0)
         point = dict(zip(n.input_names, solver_mod._level_tuples(row[None])[0]))
         got = _outcome(solve_state, n, point, before)
         if stable[0]:
-            assert got == cn.result_from_state(lv[0], masks[0], rounds[0])
+            assert got == simulate_mod._result(cn, lv[0], masks[0], rounds[0])
         else:
             assert got[0] == "OscillationError"
     # simulate_pattern: each step seeded with the oracle's last
@@ -1059,7 +1112,7 @@ def test_one_input_jacobi_rounds_match_the_dense_oracle(n):
     trace, _ = simulate_pattern(n, rows)
     held = None
     for step, row in enumerate(rows):
-        lv, _, _, stable = _dense_solve_batch(cn, cn.codes_for_inputs(dict(zip(n.input_names, row)))[None], held)
+        lv, _, _, stable = _dense_solve_batch(cn, np.array([[_CODE_OF_LEVEL[x] for x in row]], np.int8), held)
         levels = solver_mod._level_tuples(lv)[0]
         assert stable[0] and trace[step] == {"step": step, **dict(zip(cn.nets, levels))}
         held = lv
@@ -1390,7 +1443,7 @@ def _reference_simulate(n, rows):
                     delta += abs(volts[b] - volts[a]) / (n.vdd / 2)
             sums.append(delta)
         prev = res
-    report = solver_mod.MetricsReport(
+    report = simulate_mod.MetricsReport(
         delay_rounds=max(rounds, default=0),
         static_div_mean=float(np.mean(divs)),
         activity=float(np.mean(sums)) if sums else 0.0,
@@ -1462,18 +1515,32 @@ def test_unknown_net_names_raise_unknown_net_error(lookup):
     assert str(err.value) == "no net named 'nope'"
 
 
-def test_kernel_imports_only_errors_netlist_and_trits():
-    # the CCC kernel sits below the sweeps, views, passes and CLI: none of
-    # them may be imported back into it
-    tree = ast.parse(Path(kernel_mod.__file__).read_text())
+@pytest.mark.parametrize("module, allowed", [
+    (kernel_mod, {"errors", "netlist", "trits"}),
+    (simulate_mod, {"errors", "kernel", "netlist", "trits"}),
+], ids=["kernel", "simulate"])
+def test_solver_layers_import_only_the_layers_below(module, allowed):
+    # the CCC kernel sits below the seeded solves, and both below the
+    # sweeps, views, passes and CLI: none of them may be imported back
+    tree = ast.parse(Path(module.__file__).read_text())
     relative, absolute = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             (relative if node.level else absolute).add(node.module)
         elif isinstance(node, ast.Import):
             absolute.update(alias.name for alias in node.names)
-    assert relative and relative <= {"errors", "netlist", "trits"}
+    assert relative and relative <= allowed
     assert not {name for name in absolute if name.split(".")[0] == "tritforge"}
+
+
+def test_solver_takes_only_what_the_benchmark_reads_from_simulate():
+    # solver re-exports simulate_pattern and trace_csv for the benchmark,
+    # which reads them as attributes of tritforge.solver, and nothing else
+    tree = ast.parse(Path(solver_mod.__file__).read_text())
+    taken = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "simulate"
+             for alias in node.names}
+    assert taken == {"simulate_pattern", "trace_csv"}
 
 
 def _parser_tokens(path):

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from tritforge.netlist import DOMAIN_BINARY, DOMAIN_TERNARY, validate
-from tritforge.solver import decoded_truth
+from tritforge.netlist import DOMAIN_BINARY, DOMAIN_TERNARY, ThresholdClass, validate
+from tritforge.solver import decoded_truth, division_counts
 from tritforge.synth import (
     Builder,
     build_binary_gate,
@@ -61,6 +61,22 @@ def test_ternary_gate_two_input_min():
 def test_ternary_gate_constant_one_divides_rails():
     n = _gate([DOMAIN_TERNARY], lambda pt: 1)
     assert decoded_truth(n) == {(0,): (1,), (1,): (1,), (2,): (1,)}
+
+
+@pytest.mark.parametrize("value, devices", [
+    (0, [("n", "VDD", "y", "GND", False)]),
+    (1, [("n", "VDD", "VDD", "y", True), ("p", "GND", "y", "GND", True)]),
+    (2, [("p", "GND", "VDD", "y", False)]),
+])
+def test_ternary_gate_of_a_constant_is_always_on(value, devices):
+    # a network that conducts at every point is one always-on MVT device;
+    # f = 1 leaves the bare divider, which divides in every state
+    n = _gate([DOMAIN_TERNARY], lambda pt: value)
+    assert {d.vt for d in n.devices} == {ThresholdClass.MVT}
+    assert [(d.polarity.value, d.gate, d.source, d.drain, "divider" in d.tags)
+            for d in n.devices] == devices
+    assert decoded_truth(n) == {(t,): (value,) for t in range(3)}
+    assert division_counts(n) == [int(value == 1)] * 3
 
 
 def test_binary_gate_nand():
