@@ -18,7 +18,6 @@ from importlib import resources
 
 from .errors import SchemaError, UnknownFieldError
 from .generate import Completeness
-from .netlist import domain_token
 from .trits import CARRY_NAMES, Encoding
 
 __all__ = [
@@ -59,7 +58,7 @@ _CASCADE_ALIASES = {
 }
 
 # a carry encoding is spelled by its short name or by its netlist format name
-_CARRY_ALIASES = {**CARRY_NAMES, **{domain_token(e.levels): e for e in CARRY_NAMES.values()}}
+_CARRY_ALIASES = {**CARRY_NAMES, **{e.value: e for e in CARRY_NAMES.values()}}
 _CARRY_LABEL = {enc: name for name, enc in CARRY_NAMES.items()}
 
 

@@ -22,6 +22,7 @@ from .netlist import (
     TAG_CARRY_GEN,
     TAG_DIVIDER,
     ThresholdClass,
+    _lines,
     domain_encoding,
 )
 from .synth import (
@@ -96,17 +97,13 @@ class _Term:
     """One adder operand: a net plus the encoding its levels decode under."""
 
     net: str
-    encoding: Encoding
-
-    @property
-    def domain(self) -> frozenset:
-        return self.encoding.levels
+    encoding: Encoding = Encoding.STANDARD
 
     def trit(self, level: Level) -> int:
         return decode(level, self.encoding)
 
     def levels(self):
-        return sorted(self.domain, key=lambda l: l.value)
+        return sorted(self.encoding.levels, key=lambda l: l.value)
 
 
 def _carry_out_encoding(spec: StyleSpec) -> Encoding:
@@ -123,19 +120,10 @@ def _gate(builder, terms, func, out, enc, tags=()):
     """Gate for func over the terms at the output encoding: the binary gate
     at the full supply, the ternary gate otherwise."""
     build = build_binary_gate if enc is Encoding.FULL_VDD_HIGH else build_ternary_gate
-    build(builder, [t.net for t in terms], [t.domain for t in terms], func, out, tags)
+    build(builder, [t.net for t in terms], [t.encoding.levels for t in terms], func, out, tags)
 
 
-# -- style: single-supply ternary CMOS -----------------------------------
-
-
-def _adder_ternary_cmos(builder, terms, sum_out, carry_out, carry_enc):
-    _gate(builder, terms, lambda pt: _sum_of(terms, pt) % 3, sum_out, Encoding.STANDARD)
-    _gate(builder, terms, lambda pt: _sum_of(terms, pt) // 3, carry_out, carry_enc,
-          (TAG_CARRY_GEN,))
-
-
-# -- style: NT/PT function pairs -----------------------------------------
+# -- styles: single-supply ternary CMOS and NT/PT function pairs ----------
 
 
 def _ntpt_output(builder, terms, func, out, enc, tags=()):
@@ -159,16 +147,16 @@ def _ntpt_output(builder, terms, func, out, enc, tags=()):
     builder.divider(lo, out, hi, tags)
 
 
-def _adder_ntpt(builder, terms, sum_out, carry_out, carry_enc):
-    _ntpt_output(builder, terms, lambda pt: _sum_of(terms, pt) % 3, sum_out, Encoding.STANDARD)
-    _ntpt_output(
-        builder,
-        terms,
-        lambda pt: _sum_of(terms, pt) // 3,
-        carry_out,
-        carry_enc,
-        (TAG_CARRY_GEN,),
-    )
+def _adder_from(output):
+    """An adder whose sum and carry are each built by ``output``: ``_gate``
+    for ternary CMOS, ``_ntpt_output`` for NT/PT pairs."""
+
+    def adder(builder, terms, sum_out, carry_out, carry_enc):
+        output(builder, terms, lambda pt: _sum_of(terms, pt) % 3, sum_out, Encoding.STANDARD)
+        output(builder, terms, lambda pt: _sum_of(terms, pt) // 3, carry_out, carry_enc,
+               (TAG_CARRY_GEN,))
+
+    return adder
 
 
 # -- style: MUX over pass-transistor / transmission-gate trees ------------
@@ -204,22 +192,15 @@ def _line_for(builder, term, values, enc, cache, tags=()):
     if key in cache:
         return cache[key]
     distinct = set(values)
-    if distinct == {0}:
-        net = "GND"
-    elif len(distinct) == 1:
-        const = distinct.pop()
-        level = encode(const, enc)
-        if level is _V:
-            net = "VDD"
-        else:
-            net = cache.get(("halfrail", enc))
-            if net is None:
-                net = builder.net("hr")
-                builder.divider("VDD", net, "GND", tags)
-                cache[("halfrail", enc)] = net
-    else:
+    if len(distinct) > 1:
         net = builder.net("ln")
         _gate(builder, [term], lambda pt: values[term.trit(pt[0])], net, enc, tags)
+    else:
+        net = {_G: "GND", _V: "VDD"}.get(encode(distinct.pop(), enc), cache.get(("halfrail", enc)))
+        if net is None:
+            net = builder.net("hr")
+            builder.divider("VDD", net, "GND", tags)
+            cache[("halfrail", enc)] = net
     cache[key] = net
     return net
 
@@ -270,7 +251,7 @@ def _adder_mux(builder, terms, sum_out, carry_out, carry_enc):
 
 def _adder_decenc(builder, terms, sum_out, carry_out, carry_enc):
     selectors = [_indicators(builder, t) for t in terms]
-    max_total = sum(max(t.trit(lv) for lv in t.domain) for t in terms)
+    max_total = sum(max(t.trit(lv) for lv in t.encoding.levels) for t in terms)
     u_nets = {}
     for k in range(max_total + 1):
         products = []
@@ -327,8 +308,8 @@ def _onehot_encoder(builder, value_of, ctrl_nets, out, enc, tags=()):
 
 
 _ADDER_BUILDERS = {
-    Style.TERNARY_CMOS: _adder_ternary_cmos,
-    Style.NTPT: _adder_ntpt,
+    Style.TERNARY_CMOS: _adder_from(_gate),
+    Style.NTPT: _adder_from(_ntpt_output),
     Style.MUX_PTTG: _adder_mux,
     Style.DEC_ENC: _adder_decenc,
 }
@@ -341,11 +322,7 @@ def _build_cell(builder, spec: StyleSpec, a, b, c, sum_out, carry_out):
     """Wire one adder cell (direct or two cascaded half adders) into builder."""
     build = _ADDER_BUILDERS[spec.style]
     carry_enc = _carry_out_encoding(spec)
-    terms = [
-        _Term(a, Encoding.STANDARD),
-        _Term(b, Encoding.STANDARD),
-        _Term(c, carry_enc),
-    ]
+    terms = [_Term(a), _Term(b), _Term(c, carry_enc)]
     if spec.cascade is Cascade.DIRECT:
         build(builder, terms, sum_out, carry_out, carry_enc)
         return
@@ -355,7 +332,7 @@ def _build_cell(builder, spec: StyleSpec, a, b, c, sum_out, carry_out):
     c1, s1 = builder.net("c1"), builder.net("s1")
     c2 = builder.net("c2")
     build(builder, terms[:2], s1, c1, tha_enc)
-    build(builder, [_Term(s1, Encoding.STANDARD), terms[2]], sum_out, c2, tha_enc)
+    build(builder, [_Term(s1), terms[2]], sum_out, c2, tha_enc)
     combine = [_Term(c1, tha_enc), _Term(c2, tha_enc)]
     _gate(builder, combine, lambda pt: _sum_of(combine, pt), carry_out, carry_enc,
           (TAG_CARRY_GEN,))
@@ -384,7 +361,7 @@ def gen_tha(style: Style, carry_encoding: Encoding = Encoding.HALF_VDD_HIGH) -> 
     b.declare_input("b", DOMAIN_TERNARY)
     b.declare_output("sum", Encoding.STANDARD)
     b.declare_output("carry", carry_encoding)
-    terms = [_Term("a", Encoding.STANDARD), _Term("b", Encoding.STANDARD)]
+    terms = [_Term("a"), _Term("b")]
     _ADDER_BUILDERS[style](b, terms, "sum", "carry", carry_encoding)
     return b.build()
 
@@ -430,6 +407,7 @@ def gen_testbench(dut: Netlist) -> Netlist:
     # namespace the cell's internal nets so they cannot collide with bench nets
     interface = set(dut.input_names) | set(dut.output_names) | {"VDD", "GND"}
     rename = {n: f"dut.{n}" for n in dut.nets() if n not in interface}
+    renamed = set(rename.values())
     for name, dom in dut.inputs:
         b.declare_input(name, dom)
         inner = f"{name}.buf"
@@ -441,6 +419,13 @@ def gen_testbench(dut: Netlist) -> Netlist:
         b.declare_output(name, enc)
         for _ in range(4):
             b.sti(name, b.net("fo"))
+    # the bench's devices so far touch a port only at a gate, so the nets on
+    # their channels, rails aside, are the bench's own; no two of those, the
+    # ports and the renamed internal nets may share a name
+    made = {t for d in b.devices for t in (d.source, d.drain)} - {"VDD", "GND"}
+    clash = sorted(made & (renamed | interface) | renamed & interface)
+    if clash:
+        raise DomainError(f"the testbench would short two nets named {clash[0]!r}")
     for dev in dut.devices:
         b.add(
             dev.polarity,
@@ -557,19 +542,15 @@ def pattern_from_text(text: str, domains) -> Pattern:
     enc = {name: domain_encoding(dom) for name, dom in domains}
     signals = None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _lines(text):
         if tokens[0] == ".signals":
             signals = tuple(tokens[1:])
             unknown = [s for s in signals if s not in enc]
             if unknown:
                 raise DomainError(f"line {lineno}: unknown signals {unknown}")
-            if len(set(signals)) < len(signals):
-                dup = next(s for i, s in enumerate(signals) if s in signals[:i])
-                raise DomainError(f"line {lineno}: duplicate signal {dup!r}")
+            dup = [s for i, s in enumerate(signals) if s in signals[:i]]
+            if dup:
+                raise DomainError(f"line {lineno}: duplicate signal {dup[0]!r}")
             continue
         if signals is None:
             raise DomainError(f"line {lineno}: rows before .signals header")

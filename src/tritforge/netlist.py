@@ -15,10 +15,10 @@ The text format ("tritforge-net v1") is whitespace-separated tokens with
 ``VDD`` and ``GND`` are reserved rail names.  Nets are created implicitly
 on first use unless strict mode is requested.
 
-The encodings and the levels each one uses are defined once, by
-:class:`~tritforge.trits.Encoding`.  This module adds only their format
-names (``_ENC_NAMES``): an input domain named by an encoding is that
-encoding's ``levels``, and level digits are trits of the standard encoding.
+The encodings, the levels each one uses and their format names are defined
+once, by :class:`~tritforge.trits.Encoding`, whose values are the names
+above: an input domain named by an encoding is that encoding's ``levels``,
+and level digits are trits of the standard encoding.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import NetlistSemanticError, NetlistSyntaxError
 from .trits import DEFAULT_VDD, Encoding, Level, decode, encode
@@ -83,13 +83,8 @@ DOMAIN_TERNARY = Encoding.STANDARD.levels
 DOMAIN_BINARY = Encoding.FULL_VDD_HIGH.levels
 DOMAIN_HALFPAIR = Encoding.HALF_VDD_HIGH.levels
 
-# The one name table of the text format: ``.input`` domains and ``.output enc=``.
-_ENC_NAMES = {
-    "ternary": Encoding.STANDARD,
-    "binary": Encoding.FULL_VDD_HIGH,
-    "halfpair": Encoding.HALF_VDD_HIGH,
-}
-_DOMAIN_TOKEN = {enc.levels: name for name, enc in _ENC_NAMES.items()}
+# ``.input`` domains and ``.output enc=`` name an encoding by its value.
+_ENC_NAMES = {enc.value: enc for enc in Encoding}
 _DOMAIN_ENCODING = {enc.levels: enc for enc in Encoding}
 
 
@@ -105,8 +100,8 @@ def parse_domain(token: str) -> frozenset[Level]:
 
 def domain_token(domain: frozenset[Level]) -> str:
     """Canonical serialization of an input domain: its encoding name, else level digits."""
-    if domain in _DOMAIN_TOKEN:
-        return _DOMAIN_TOKEN[domain]
+    if domain in _DOMAIN_ENCODING:
+        return _DOMAIN_ENCODING[domain].value
     return "".join(sorted(str(decode(lv)) for lv in domain))
 
 
@@ -202,6 +197,13 @@ class Diagnostic:
         return f"{self.code}: {self.message}"
 
 
+def _lines(text: str):
+    """(line number, tokens) of each line with tokens left once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if tokens := raw.split("#", 1)[0].split():
+            yield lineno, tokens
+
+
 def parse(text: str, strict: bool = False) -> Netlist:
     """Parse netlist text into a :class:`Netlist`.
 
@@ -225,13 +227,18 @@ def parse(text: str, strict: bool = False) -> Netlist:
         declared.add(name)
         return name
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    def check_port(tokens, ports, kind: str, lineno: int) -> str:
+        name = tokens[1]
+        if name in RAILS:
+            raise NetlistSemanticError(f"rail {name} cannot be an {kind}", line=lineno)
+        if any(name == n for n, _ in ports):
+            raise NetlistSemanticError(f"duplicate {kind} {name!r}", line=lineno)
+        declared.add(name)
+        return name
+
+    for lineno, tokens in _lines(text):
         if ended:
             raise NetlistSyntaxError("content after .end", line=lineno)
-        tokens = line.split()
         head = tokens[0].lower()
 
         if head == ".title":
@@ -248,25 +255,16 @@ def parse(text: str, strict: bool = False) -> Netlist:
         elif head == ".input":
             if len(tokens) != 3:
                 raise NetlistSyntaxError(".input expects <net> <domain>", line=lineno)
-            name = tokens[1]
-            if name in RAILS:
-                raise NetlistSemanticError(f"rail {name} cannot be an input", line=lineno)
-            if any(name == n for n, _ in inputs):
-                raise NetlistSemanticError(f"duplicate input {name!r}", line=lineno)
+            name = check_port(tokens, inputs, "input", lineno)
             try:
                 dom = parse_domain(tokens[2])
             except ValueError as exc:
                 raise NetlistSyntaxError(str(exc), line=lineno)
             inputs.append((name, dom))
-            declared.add(name)
         elif head == ".output":
             if len(tokens) not in (2, 3):
                 raise NetlistSyntaxError(".output expects <net> [enc=...]", line=lineno)
-            name = tokens[1]
-            if name in RAILS:
-                raise NetlistSemanticError(f"rail {name} cannot be an output", line=lineno)
-            if any(name == n for n, _ in outputs):
-                raise NetlistSemanticError(f"duplicate output {name!r}", line=lineno)
+            name = check_port(tokens, outputs, "output", lineno)
             enc = Encoding.STANDARD
             if len(tokens) == 3:
                 opt = tokens[2].lower()
@@ -277,7 +275,6 @@ def parse(text: str, strict: bool = False) -> Netlist:
                 except KeyError:
                     raise NetlistSyntaxError(f"unknown encoding {opt[4:]!r}", line=lineno)
             outputs.append((name, enc))
-            declared.add(name)
         elif head == ".net":
             if len(tokens) != 2:
                 raise NetlistSyntaxError(".net expects one name", line=lineno)
@@ -338,23 +335,17 @@ def parse(text: str, strict: bool = False) -> Netlist:
         else:
             raise NetlistSyntaxError(f"unknown statement {tokens[0]!r}", line=lineno)
 
-    used = set(RAILS)
-    for dev in devices:
-        used.update(dev.terminals())
-    used.update(n for n, _ in inputs)
-    used.update(n for n, _ in outputs)
-    used.update(n for n, _ in loads)
-    extra = frozenset(explicit - used)
-
-    return Netlist(
+    n = Netlist(
         title=title,
         vdd=vdd,
         inputs=tuple(inputs),
         outputs=tuple(outputs),
         devices=tuple(devices),
         loads=tuple(loads),
-        extra_nets=extra,
     )
+    # a .net declaration is kept only for a net that nothing else names
+    extra = explicit.difference(n.nets())
+    return replace(n, extra_nets=frozenset(extra)) if extra else n
 
 
 def serialize(n: Netlist) -> str:
@@ -369,7 +360,7 @@ def serialize(n: Netlist) -> str:
         if enc is Encoding.STANDARD:
             lines.append(f".output {name}")
         else:
-            lines.append(f".output {name} enc={domain_token(enc.levels)}")
+            lines.append(f".output {name} enc={enc.value}")
     for name in sorted(n.extra_nets):
         lines.append(f".net {name}")
     for dev in n.devices:  # already id-sorted

@@ -97,6 +97,8 @@ def _merge_nets(cn: CompiledNetlist, wired, removed, lvt) -> Netlist:
         raise NetlistSemanticError("a wire replacement would short the rails")
     if rail[to[port]].any():
         raise NetlistSemanticError("a wire replacement would tie a port to a rail")
+    if np.unique(to[port]).size < port.sum():
+        raise NetlistSemanticError("a wire replacement would join two ports")
 
     # a device that no merge renames and no remap touches is kept as it is
     moved = to != np.arange(cn.n_nets)

@@ -135,6 +135,16 @@ class Builder:
 Cube = tuple  # tuple of frozenset[Level], one per input position
 
 
+def _adjacent(ordered):
+    """The first pair of cubes, in the given order, that differ in exactly
+    one place, with that place; None if there is none."""
+    for a, b in itertools.combinations(ordered, 2):
+        diff = [k for k in range(len(a)) if a[k] != b[k]]
+        if len(diff) == 1:
+            return a, b, diff[0]
+    return None
+
+
 def merge_cubes(points, domains) -> list[Cube]:
     """Cover a set of minterms by cubes via greedy adjacent merging.
 
@@ -149,24 +159,11 @@ def merge_cubes(points, domains) -> list[Cube]:
 
     # each cube with its sort key, made once: every merge re-sorts them all
     cubes = {c: key(c) for c in (tuple(frozenset([lv]) for lv in pt) for pt in points)}
-    merged = True
-    while merged:
-        merged = False
-        ordered = sorted(cubes, key=cubes.__getitem__)
-        for i in range(len(ordered)):
-            for j in range(i + 1, len(ordered)):
-                a, b = ordered[i], ordered[j]
-                diff = [k for k in range(len(a)) if a[k] != b[k]]
-                if len(diff) != 1:
-                    continue
-                k = diff[0]
-                c = a[:k] + (a[k] | b[k],) + a[k + 1 :]
-                del cubes[a], cubes[b]
-                cubes[c] = key(c)
-                merged = True
-                break
-            if merged:
-                break
+    while pair := _adjacent(sorted(cubes, key=cubes.__getitem__)):
+        a, b, k = pair
+        c = a[:k] + (a[k] | b[k],) + a[k + 1 :]
+        del cubes[a], cubes[b]
+        cubes[c] = key(c)
 
     def subsumed(a, b):
         return a != b and all(x <= y for x, y in zip(a, b))

@@ -58,9 +58,11 @@ class Encoding(enum.Enum):
     carry encodings cover binary-valued carry signals: HALF_VDD_HIGH keeps
     logic '1' at the half level, FULL_VDD_HIGH re-encodes it to the full
     supply so that no voltage division is needed to produce it.
+
+    Each value is the encoding's name in the netlist text format.
     """
 
-    STANDARD = "standard"
+    STANDARD = "ternary"
     HALF_VDD_HIGH = "halfpair"
     FULL_VDD_HIGH = "binary"
 

@@ -86,6 +86,31 @@ def _run(argv):
 def test_cli_contract(netlist, levels, data):
     assumed = data.draw(st.sampled_from(netlist.input_names))
     carry = data.draw(st.sampled_from([None, *netlist.output_names]))
+    _check_contract(netlist, levels, assumed, carry)
+
+
+# x = 2 wires the outputs together, so a simplify that merged the nets would
+# write `.output y1` twice
+TWO_OUTPUTS = parse("""\
+.input a ternary
+.input x binary
+.output y1
+.output y2
+m m0 p mvt g=a s=VDD d=y1
+m m1 n mvt g=a s=y1 d=GND
+m m2 p mvt g=a s=VDD d=y2
+m m3 n mvt g=a s=y2 d=GND
+m m4 n lvt g=x s=y1 d=y2
+.end
+""")
+
+
+def test_cli_contract_on_two_outputs_a_wire_would_join():
+    for carry in (None, "y1"):
+        _check_contract(TWO_OUTPUTS, "2", "x", carry)
+
+
+def _check_contract(netlist, levels, assumed, carry):
     with tempfile.TemporaryDirectory() as tmp:
         path = {key: str(Path(tmp) / key) for key in ("cell", "pat", "tb", "slim", "csv", "rpt")}
         Path(path["cell"]).write_text(serialize(netlist))

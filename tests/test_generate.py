@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import re
 
 import pytest
 
+from tritforge.cli import run
 from tritforge.errors import DomainError, UnsupportedCombinationError
 from tritforge.generate import (
     Cascade,
@@ -29,7 +31,7 @@ from tritforge.netlist import (
     serialize,
     validate,
 )
-from tritforge.solver import decoded_truth, division_counts
+from tritforge.solver import Sweep, decoded_truth, division_counts
 from tritforge.trits import (
     Encoding,
     Level,
@@ -126,6 +128,42 @@ def test_testbench_moves_input_loads_to_the_buffered_nets():
                 "m mp p hvt g=a s=VDD d=y\nm mn n hvt g=a s=y d=GND\n"
                 "C c0 y 1e-15\nC c1 a 2e-15\n.end\n")
     assert gen_testbench(dut).loads == (("a.buf", 2e-15), ("y", 1e-15))
+
+
+def test_a_testbench_keeps_its_duts_truth():
+    for spec in all_specs():
+        dut = gen_tfa(spec)
+        assert Sweep(gen_testbench(dut)).truth_signature() == Sweep(dut).truth_signature()
+
+
+@pytest.mark.parametrize("port", ["tb0", "sti2", "a.buf", "dut.n"])
+def test_testbench_refuses_a_port_named_like_a_bench_net(port, tmp_path, capsys):
+    # tb0 is the middle net of a's buffer and sti2 a net of its first STI,
+    # a.buf the buffered input and dut.n the renamed internal net n: the
+    # bench would short the port to that net
+    text = (f".input a ternary\n.output y\n.output {port}\n"
+            "m m0 p hvt g=a s=VDD d=n\nm m1 n hvt g=a s=n d=GND\n"
+            "m m2 p hvt g=n s=VDD d=y\nm m3 n hvt g=n s=y d=GND\n"
+            f"m m4 p hvt g=a s=VDD d={port}\nm m5 n hvt g=a s={port} d=GND\n.end\n")
+    with pytest.raises(DomainError, match=f"two nets named '{re.escape(port)}'"):
+        gen_testbench(parse(text))
+    cell = tmp_path / "dut.tn"
+    cell.write_text(text)
+    assert run(["gen", "testbench", str(cell), "-o", str(tmp_path / "tb.tn")]) == 1
+    assert capsys.readouterr().err.startswith("tritforge: the testbench would short")
+    # a name the bench does not make here is left alone: one input and two
+    # outputs make fo5 and fo8, not fo3
+    assert gen_testbench(parse(text.replace(port, "fo3"))).output_names == ("y", "fo3")
+
+
+def test_testbench_refuses_a_buffered_input_named_like_a_renamed_net():
+    # input dut.x is buffered to dut.x.buf, the name internal net x.buf
+    # takes inside the bench
+    dut = parse(".input dut.x ternary\n.output y\n"
+                "m m0 p hvt g=dut.x s=VDD d=x.buf\nm m1 n hvt g=dut.x s=x.buf d=GND\n"
+                "m m2 p hvt g=x.buf s=VDD d=y\nm m3 n hvt g=x.buf s=y d=GND\n.end\n")
+    with pytest.raises(DomainError, match="two nets named 'dut.x.buf'"):
+        gen_testbench(dut)
 
 
 def test_rca_requires_partial_vdd_carries():

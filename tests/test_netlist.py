@@ -98,6 +98,11 @@ def test_domain_vocabulary_round_trips():
         n = parse(f".output y enc={name}\n.end\n")
         assert n.output_encoding("y") is enc
         assert parse(serialize(n)) == n
+    # every encoding's value is its one name in the format
+    for enc in Encoding:
+        assert parse_domain(enc.value) == enc.levels
+        assert domain_token(enc.levels) == enc.value
+        assert parse(f".output y enc={enc.value}\n.end\n").output_encoding("y") is enc
 
 
 def test_syntax_errors_carry_line_numbers():

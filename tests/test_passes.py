@@ -442,6 +442,37 @@ def test_simplify_never_ties_a_port_to_a_rail(tmp_path):
     assert run(["truth", str(slim), "-o", str(tmp_path / "truth.txt")]) == 0
 
 
+# two inverters of a, one per output, and an LVT device between the outputs
+# that x = 2 turns into a wire
+TWO_OUTPUTS = """.input a ternary
+.input x binary
+.output y1
+.output y2
+m m0 p mvt g=a s=VDD d=y1
+m m1 n mvt g=a s=y1 d=GND
+m m2 p mvt g=a s=VDD d=y2
+m m3 n mvt g=a s=y2 d=GND
+m m4 n lvt g=x s=y1 d=y2
+.end
+"""
+
+
+def test_simplify_never_joins_two_ports(tmp_path, capsys):
+    # the merge would name both outputs y1, and parse refuses a netlist
+    # that declares `.output y1` twice; the pipeline refuses instead
+    n = parse(TWO_OUTPUTS)
+    x = AssumptionDomain("x", frozenset({Level.VDD}))
+    with pytest.raises(NetlistSemanticError, match="would join two ports"):
+        apply_assumption(n, x)
+    assert simplify_pipeline(n, x) == (n, PassReport())
+    cell = tmp_path / "two.tn"
+    cell.write_text(TWO_OUTPUTS)
+    assert run(["simplify", str(cell), "--assume", "x=2", "-o", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert "simplify refused (NetlistSemanticError" in err
+    assert parse(out) == n
+
+
 def test_an_assumption_stays_inside_the_declared_domain(tmp_path, capsys):
     # a level the input may not take restricts nothing: cin of a VDD-carry
     # cell is binary, and b of this half adder is declared 02
