@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -87,6 +88,8 @@ def _number(cell: str, row: int, col: str, kind=float):
         value = kind(cell)
     except ValueError:
         raise SchemaError(f"{col}: not a number: {cell!r}", row=row) from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{col}: not a finite number: {cell!r}", row=row)
     if value < 0:
         raise SchemaError(f"{col}: negative value {cell}", row=row)
     return value
@@ -119,31 +122,22 @@ def load_catalog(text: str) -> list[DesignRecord]:
             raise SchemaError(f"duplicate key {row['key']!r}", row=i)
         seen.add(row["key"])
 
-        completeness = None
-        if row["completeness"]:
-            try:
-                completeness = Completeness(row["completeness"].lower())
-            except ValueError:
-                raise SchemaError(
-                    f"completeness: {row['completeness']!r}", row=i
-                ) from None
-        carry = None
-        if row["carry_encoding"]:
-            carry = _CARRY_ALIASES.get(row["carry_encoding"].lower())
-            if carry is None:
-                raise SchemaError(
-                    f"carry_encoding: {row['carry_encoding']!r}", row=i
-                )
+        def choice(col, names):
+            """Column ``col``'s cell looked up lower-cased in ``names``; None if empty."""
+            if not row[col]:
+                return None
+            if (value := names.get(row[col].lower())) is None:
+                raise SchemaError(f"{col}: {row[col]!r}", row=i)
+            return value
+
+        completeness = choice("completeness", {c.value: c for c in Completeness})
+        carry = choice("carry_encoding", _CARRY_ALIASES)
         if completeness is Completeness.COMPLETE and carry is Encoding.FULL_VDD_HIGH:
             raise SchemaError(
                 "a complete adder has a three-valued carry; it cannot "
                 "declare the two-rail carry encoding", row=i,
             )
-        cascade = None
-        if row["cascade"]:
-            cascade = _CASCADE_ALIASES.get(row["cascade"].lower())
-            if cascade is None:
-                raise SchemaError(f"cascade: {row['cascade']!r}", row=i)
+        cascade = choice("cascade", _CASCADE_ALIASES)
 
         records.append(DesignRecord(
             key=row["key"],

@@ -25,7 +25,7 @@ that count settling rounds (:mod:`tritforge.simulate`, where a pattern's
 memo may last all its steps).  Each round looks every moving state's rows
 up in a memo of the whole netlist; states that reach a fixed point or a
 period-2 cycle leave early.  On a netlist with ranks both give the same
-levels and masks, bit for bit.
+levels and masks, bit for bit, and rows in one table of the whole netlist.
 
 A compile lays the kernel out once, in rank order: CCCs, local columns,
 devices, closure scatter and non-driver nets all run rank by rank, so each
@@ -125,9 +125,9 @@ class _Group(NamedTuple):
     """CCCs solved side by side on their local columns (see ``_partition``).
 
     Arrays named ``*_src`` pick the nets the group reads, as columns of a
-    level array: every net for the Jacobi rounds, the nets ``kept`` for a
-    ranked sweep.  Net ``out_net`` reads local column ``out_col`` in its
-    CCC ``out_ccc``.
+    level array: every net for ``_all``, the nets ``kept`` for a rank.
+    Net ``out_net`` reads local column ``out_col`` in its CCC ``out_ccc``;
+    a rank's are the kept nets it writes, as kept columns.
     """
 
     n_ccc: int
@@ -147,9 +147,6 @@ class _Group(NamedTuple):
     out_net: np.ndarray
     out_ccc: np.ndarray
     out_col: np.ndarray
-    put_dst: np.ndarray  # the kept out nets: kept column, CCC, local column
-    put_ccc: np.ndarray
-    put_col: np.ndarray
 
     def keys(self, src):
         """(CCCs, states) row keys of the (nets, states) levels ``src``."""
@@ -405,16 +402,13 @@ class CompiledNetlist:
         other, tgt = inv[(into + L) % max(2 * L, 1)], tgt[into]
         starts = np.flatnonzero(np.diff(tgt, prepend=-1))
 
-        out_col = inv[2 * L :]
-        put = np.flatnonzero(kcol[out_net] >= 0)
         self._all = _Group(
             n_ccc=C, n_cols=cols.size,
             drv_cols=drv, drv_ccc=col_ccc[drv], drv_src=col_net[drv],
             dev=live, lut=self.dev_lut[live], dev_ccc=dev_k, dev_src=gate,
             scatter=_Step(into % max(L, 1), other, starts, tgt[starts]),
             key_src=key_src, key_weight=key_weight, key_offset=key_offset, unkeyed=unkeyed,
-            out_net=out_net, out_ccc=out_k, out_col=out_col,
-            put_dst=kcol[out_net[put]], put_ccc=out_k[put], put_col=out_col[put],
+            out_net=out_net, out_ccc=out_k, out_col=inv[2 * L :],
         )
         if ranked:
             self._rank_groups(rank, col_ccc, width)
@@ -427,7 +421,7 @@ class CompiledNetlist:
         the CCC of each local column and each CCC's keyed digits.  A group
         numbers its CCCs, local columns, devices and channel ends from the
         first of its rank's run, its key grid is trimmed to its widest CCC,
-        and its ``*_src`` arrays read the ``kept`` nets.
+        and its ``*_src`` and ``out_net`` arrays name ``kept`` columns.
         """
         g, kcol = self._all, self._kept_col
         ranks = np.arange(rank[-1] + 2)
@@ -451,15 +445,14 @@ class CompiledNetlist:
         drv_cols, drv_ccc, drv_src = g.drv_cols - col0[r], g.drv_ccc - ccc0[r], kcol[g.drv_src]
         dev_ccc, dev_src = g.dev_ccc - ccc0[rank[g.dev_ccc]], kcol[g.dev_src]
         key_src, unkeyed = kcol[g.key_src], g.unkeyed - ccc0[rank[g.unkeyed]]
-        r = rank[g.out_ccc]
-        out_ccc, out_col = g.out_ccc - ccc0[r], g.out_col - col0[r]
-        r = rank[g.put_ccc]
-        put_ccc, put_col = g.put_ccc - ccc0[r], g.put_col - col0[r]
+        w = np.flatnonzero(kcol[g.out_net] >= 0)  # the out nets a rank writes: the kept ones
+        r = rank[g.out_ccc[w]]
+        out_net, out_ccc, out_col = kcol[g.out_net[w]], g.out_ccc[w] - ccc0[r], g.out_col[w] - col0[r]
         groups = []
-        for c, col, dr, d, e, t, u, o, p in zip(
+        for c, col, dr, d, e, t, u, o in zip(
             runs(ccc0), runs(col0), runs(starts(g.drv_ccc)), runs(dev0), runs(end0),
             runs(np.searchsorted(run_rank, ranks)), runs(starts(g.unkeyed)),
-            runs(starts(g.out_ccc)), runs(starts(g.put_ccc)),
+            runs(np.searchsorted(r, ranks)),
         ):
             k = slice(None, width[c].max(initial=0))
             groups.append(_Group(
@@ -469,8 +462,7 @@ class CompiledNetlist:
                 scatter=_Step(sc.dev[e], sc.src[e], sc.starts[t], sc.tgt[t]),
                 key_src=key_src[c, k], key_weight=g.key_weight[c, k],
                 key_offset=g.key_offset[c], unkeyed=unkeyed[u],
-                out_net=g.out_net[o], out_ccc=out_ccc[o], out_col=out_col[o],
-                put_dst=g.put_dst[p], put_ccc=put_ccc[p], put_col=put_col[p],
+                out_net=out_net[o], out_ccc=out_ccc[o], out_col=out_col[o],
             ))
         self._ranks = groups
 
@@ -483,7 +475,10 @@ class CompiledNetlist:
         its rank comes, so each distinct row is closed once and the result is
         the fixed point ``solve_batch`` reaches; every state is stable.
         Returns the level columns of the nets ``kept``, (states, kept), and
-        the :class:`_Rows` of each rank.
+        every rank's rows stacked in one :class:`_Rows` of ``_all``, which
+        nothing calls ``find`` on: rank r's rows fill slots 0 to R_r - 1 of
+        its local columns and devices, and empty slots hold masks of 0 and
+        gates at ``CODE_Z``, driving nothing and conducting nowhere.
         """
         S = input_codes.shape[0]
         lv = np.full((self.kept.size, S), CODE_X, dtype=np.int8)
@@ -495,8 +490,18 @@ class CompiledNetlist:
             block = lv[:, lo : lo + _CHUNK]
             for t in tables:
                 g, rows = t.g, t.find(block, slice(lo, lo + _CHUNK))
-                block[g.put_dst] = _MASK_TO_CODE[_pick(t.masks, g.put_col, rows[g.put_ccc])]
-        return lv.T, tables
+                block[g.out_net] = _MASK_TO_CODE[_pick(t.masks, g.out_col, rows[g.out_ccc])]
+        g, R = self._all, max(t.masks.shape[1] for t in tables)
+        stack = _Rows(g, 0)
+        stack.masks = np.zeros((g.n_cols, R), dtype=np.uint8)
+        stack.gates = np.full((g.dev.size, R), CODE_Z, dtype=np.int8)
+        stack.index = np.concatenate([t.index for t in tables])
+        c = d = 0  # each rank's first local column and device
+        for t in tables:
+            stack.masks[c : c + t.g.n_cols, : t.masks.shape[1]] = t.masks
+            stack.gates[d : d + t.g.dev.size, : t.gates.shape[1]] = t.gates
+            c, d = c + t.g.n_cols, d + t.g.dev.size
+        return lv.T, stack
 
     def solve_batch(self, input_codes: np.ndarray, prev: np.ndarray | None = None, rows=None):
         """Solve many input states at once by Jacobi rounds.

@@ -5,12 +5,13 @@ Every exhaustive view of a netlist (truth table, decoded truth, truth
 signature, division counts, a net's image, full-swing lint) reads one
 :class:`Sweep` over the input space, the product of the declared input
 domains (narrowed, for a sweep under an assumption).  A sweep stays
-factored, with no (states, nets) mask array: each CCC's rows with their
-drive masks, a row index by CCC and state, and level columns, of every net
-after Jacobi rounds, else only of the nets a later rank reads.  Outputs
-gather their columns, rail reach and division counts per-row flags; an
-image is the union of the rows some state ended in, and the swing lint
-relaxes each such row once, every group's in one pass.
+factored, with no (states, nets) mask array: one table of rows in the
+layout of the whole netlist, each CCC's rows with their drive masks and a
+row index by CCC and state, and level columns, of every net after Jacobi
+rounds, else only of the nets a later rank reads.  Outputs gather their
+columns, rail reach and division counts per-row flags; an image is the
+union of the rows some state ended in, and the swing lint relaxes each
+such row once.
 
 There is no compile cache: a :class:`Sweep` owns its
 :class:`CompiledNetlist`, as each seeded solve does its own, so nothing
@@ -84,14 +85,14 @@ class Sweep:
 
     Holds the compiled netlist, the input ``codes`` (one row per point,
     lexicographic in declared input order), the ``stable`` flags and the
-    factored solve: ``rows``, the :class:`_Rows` of each group, and
-    ``levels``, the level columns of the nets ``kept``.  With CCC ranks a
-    group is a rank (:meth:`CompiledNetlist.solve_ranked`), every state is
-    stable and the nets kept are those a later rank reads.  Any other
-    netlist takes the Jacobi rounds of ``solve_batch`` in one group, ``_all``,
-    and keeps every net: a state stopped by the round budget keeps its
-    levels from before the last recompute.  Views that need every state
-    settled raise :class:`OscillationError` naming the first that is not.
+    factored solve: ``rows``, one :class:`_Rows` in the layout of ``_all``,
+    and ``levels``, the level columns of the nets ``kept``.  With CCC ranks
+    the rows are solved rank by rank (:meth:`CompiledNetlist.solve_ranked`),
+    every state is stable and the nets kept are those a later rank reads.
+    Any other netlist takes the Jacobi rounds of ``solve_batch`` and keeps
+    every net: a state stopped by the round budget keeps its levels from
+    before the last recompute.  Views that need every state settled raise
+    :class:`OscillationError` naming the first that is not.
     """
 
     def __init__(self, n: Netlist | CompiledNetlist):
@@ -99,8 +100,8 @@ class Sweep:
         self.codes = _input_codes(cn.netlist)
         self.stable = np.ones(len(self.codes), dtype=bool)
         if cn.ccc_rank is None:
-            self.kept, self.rows = np.arange(cn.n_nets), [_Rows(cn._all, len(self.codes))]
-            self.levels, _, _, self.stable = cn.solve_batch(self.codes, rows=self.rows[0])
+            self.kept, self.rows = np.arange(cn.n_nets), _Rows(cn._all, len(self.codes))
+            self.levels, _, _, self.stable = cn.solve_batch(self.codes, rows=self.rows)
         else:
             self.kept = cn.kept
             self.levels, self.rows = cn.solve_ranked(self.codes)
@@ -117,10 +118,10 @@ class Sweep:
 
     @cached_property
     def _place(self) -> np.ndarray:
-        """(group in ``rows``, place in its ``out_net``) of each non-driver net."""
-        place = np.full((2, self.cn.n_nets), -1, dtype=np.intp)
-        for r, t in enumerate(self.rows):
-            place[0, t.g.out_net], place[1, t.g.out_net] = r, np.arange(t.g.out_net.size)
+        """Each non-driver net's place in ``_all.out_net``."""
+        g = self.cn._all
+        place = np.full(self.cn.n_nets, -1, dtype=np.intp)
+        place[g.out_net] = np.arange(g.out_net.size)
         return place
 
     def _net(self, name: str) -> int:
@@ -129,12 +130,11 @@ class Sweep:
             raise UnknownNetError(f"no net named {name!r}")
         return i
 
-    def _net_rows(self, i: int, redone=None):
-        """Net ``i``'s drive mask in each row of its CCC, read from
-        ``redone`` (each group's rows) if given, and each state's row."""
-        r, k = self._place[:, i].tolist()
-        t = self.rows[r]
-        return (t.masks if redone is None else redone[r])[t.g.out_col[k]], t.index[t.g.out_ccc[k]]
+    def _net_masks(self, i: int, redone=None):
+        """Non-driver net ``i``'s drive mask in each state's row, read from
+        ``redone`` (masks of every row) if given."""
+        t, k = self.rows, self._place[i]
+        return (t.masks if redone is None else redone)[t.g.out_col[k], t.index[t.g.out_ccc[k]]]
 
     def _outputs(self) -> np.ndarray:
         return self.levels[:, np.searchsorted(self.kept, self.cn.output_idx)]
@@ -203,19 +203,16 @@ class Sweep:
 
     def _reach_without(self, nets, off) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`rail_reach` of the netlist without the devices of the mask
-        ``off``: each group holding one of ``nets`` closes its rows again
-        with those devices' gates at ``CODE_Z``, which conducts in no class.
+        ``off``: every row is closed again, once, with those devices' gates
+        at ``CODE_Z``, which conducts in no class.
 
         Exact on a ranked sweep when no net the devices' CCCs read is
         downstream of them, as when they all sit in one CCC: its gates come
         from lower ranks, which the devices do not touch.
         """
-        redone = [t.masks for t in self.rows]
-        for r in {self._place[0, i] for i in map(self._net, nets) if not self.cn.is_driver[i]}:
-            t = self.rows[r]
-            gates = np.where(off[t.g.dev, None], CODE_Z, t.gates)
-            redone[r] = t.g.closure(_MASK_TO_CODE[t.masks[t.g.drv_cols]].T, gates.T)
-        return self._reach(nets, redone)
+        t, g = self.rows, self.rows.g
+        gates = np.where(off[g.dev, None], CODE_Z, t.gates)
+        return self._reach(nets, g.closure(_MASK_TO_CODE[t.masks[g.drv_cols]].T, gates.T))
 
     def _reach(self, nets, redone=None):
         masks = np.empty((len(self.codes), len(nets)), dtype=np.uint8)
@@ -223,8 +220,7 @@ class Sweep:
             if self.cn.is_driver[i]:
                 masks[:, j] = _BIT_OF_CODE[self.levels[:, np.searchsorted(self.kept, i)]]
             else:
-                rows, index = self._net_rows(i, redone)
-                masks[:, j] = rows[index]
+                masks[:, j] = self._net_masks(i, redone)
         return (masks & _BIT_G) != 0, (masks & _BIT_V) != 0
 
     def image(self, net: str) -> frozenset[Level]:
@@ -235,7 +231,7 @@ class Sweep:
         if i in self.kept:
             codes = self.levels[:, np.searchsorted(self.kept, i)]
         else:
-            codes = _MASK_TO_CODE[np.take(*self._net_rows(i))]
+            codes = _MASK_TO_CODE[self._net_masks(i)]
         return frozenset(_LEVEL_OF_CODE[code] for code in np.unique(codes).tolist())
 
     def division_counts(self, net: str | None = None) -> list[int]:
@@ -245,14 +241,11 @@ class Sweep:
             gnd, vdd = self.rail_reach([net])
             return (gnd & vdd)[:, 0].astype(int).tolist()
         self._require_stable()
+        t, g = self.rows, self.rows.g
         both = _BIT_G | _BIT_V
-        total = np.zeros(len(self.codes), dtype=np.int64)
-        for t in self.rows:
-            g = t.g
-            per_row = np.zeros((g.n_ccc, t.masks.shape[1]), dtype=np.int64)
-            np.add.at(per_row, g.out_ccc, (t.masks[g.out_col] & both) == both)
-            total += per_row[np.arange(g.n_ccc)[:, None], t.index].sum(axis=0)
-        return total.tolist()
+        per_row = np.zeros((g.n_ccc, t.masks.shape[1]), dtype=np.int64)
+        np.add.at(per_row, g.out_ccc, (t.masks[g.out_col] & both) == both)
+        return per_row[np.arange(g.n_ccc)[:, None], t.index].sum(axis=0).tolist()
 
     def full_swing_lint(self) -> list[SwingWarning]:
         """Degraded rail passes; see :func:`full_swing_lint`.
@@ -264,29 +257,17 @@ class Sweep:
         right-polarity one, ``-inf`` if off.  Widths start at ``inf`` on the
         driver copies at the target level.  A net at that level with a
         finite width is degraded; its headroom is the least over the rows
-        that some state ended in.  Only those rows are relaxed (a Jacobi memo
-        also holds earlier rounds' rows, a table rows no state reached), all
-        groups' in one relaxation over the layout of ``_all``.
+        that some state ended in.  Only the slots holding such a row are
+        relaxed: a Jacobi memo also holds earlier rounds' rows, a table rows
+        no state reached.
         """
         self._require_stable()
-        cn, g = self.cn, self.cn._all
+        cn, t, g = self.cn, self.rows, self.rows.g
         n = cn.netlist
-        parts = []
-        for t in self.rows:
-            ended = np.zeros((t.g.n_ccc, t.masks.shape[1]), dtype=bool)
-            ended[np.arange(t.g.n_ccc)[:, None], t.index] = True
-            parts.append((t, np.flatnonzero(ended.any(axis=0)), ended))
-        # groups are runs of _all: pad their live rows with rows driving, conducting, ending nowhere
-        R = max(live.size for _, live, _ in parts)
-        masks = np.zeros((g.n_cols, R), dtype=np.uint8)
-        gates = np.full((g.dev.size, R), CODE_Z, dtype=np.int8)
-        ended = np.zeros((g.n_ccc, R), dtype=bool)
-        c = d = k = 0  # each group's first local column, device and CCC
-        for t, live, e in parts:
-            masks[c : c + t.g.n_cols, : live.size] = t.masks[:, live]
-            gates[d : d + t.g.dev.size, : live.size] = t.gates[:, live]
-            ended[k : k + t.g.n_ccc, : live.size] = e[:, live]
-            c, d, k = c + t.g.n_cols, d + t.g.dev.size, k + t.g.n_ccc
+        ended = np.zeros((g.n_ccc, t.masks.shape[1]), dtype=bool)
+        ended[np.arange(g.n_ccc)[:, None], t.index] = True
+        live = np.flatnonzero(ended.any(axis=0))
+        masks, gates, ended, R = t.masks[:, live], t.gates[:, live], ended[:, live], live.size
         vt = np.array([vt.vt_volts for _, vt in DEVICE_CLASSES])[cn.dev_class]
         volts = np.array([0.0, n.vdd / 2, n.vdd, 0.0, 0.0])
         gv, dvt, is_n = volts[gates], vt[g.dev, None], cn.dev_is_n[g.dev, None]

@@ -54,11 +54,14 @@ class Builder:
         self.devices: list[Device] = []
         self.loads: list[tuple[str, float]] = []
         self._nets = itertools.count()
+        self._made: set[str] = set()  # the names net() gave out
         self._devs = itertools.count()
         self._companions: set[str] = set()
 
     def net(self, prefix: str = "n") -> str:
-        return f"{prefix}{next(self._nets)}"
+        name = f"{prefix}{next(self._nets)}"
+        self._made.add(name)
+        return name
 
     def add(self, polarity, vt, gate, source, drain, tags=()) -> Device:
         dev = Device(
@@ -79,6 +82,11 @@ class Builder:
         self.loads.append((net, farads))
 
     def build(self) -> Netlist:
+        """The netlist built so far; raises :class:`DomainError` if a name
+        :meth:`net` made is also a declared port, which would short them."""
+        ports = {name for name, _ in self.inputs} | {name for name, _ in self.outputs}
+        if clash := sorted(self._made & ports):
+            raise DomainError(f"the netlist would short two nets named {clash[0]!r}")
         return Netlist(
             title=self.title,
             vdd=self.vdd,

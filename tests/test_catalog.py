@@ -65,6 +65,15 @@ def test_schema_errors_carry_row_numbers():
         load_catalog(HEAD + "\n" + row(key=""))
 
 
+@pytest.mark.parametrize("col, cell", [("delay_ps", "nan"), ("power_uw", "inf"),
+                                       ("lg_nm", "-inf"), ("pdp_fj", "NaN")])
+def test_non_finite_numbers_are_refused(col, cell):
+    # float() reads all four, and nan is not below 0
+    with pytest.raises(SchemaError) as err:
+        load_catalog(HEAD + "\n" + row() + "\n" + row(key="k2", **{col: cell}))
+    assert str(err.value) == f"row 2: {col}: not a finite number: {cell!r}"
+
+
 def test_duplicate_keys_rejected():
     with pytest.raises(SchemaError):
         load_catalog(HEAD + "\n" + row() + "\n" + row())

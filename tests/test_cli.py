@@ -150,6 +150,24 @@ def test_catalog_reads_a_csv_path(tmp_path, capsys):
     )
 
 
+def test_catalog_pdp_check_refuses_a_nan(tmp_path, capsys):
+    # a NaN delay once made a NaN PDP that the check passed
+    data = tmp_path / "nan.csv"
+    data.write_text(",".join(cat.HEADER) + "\nk1,2020,s,CNFET,32,Partial,half,Direct,nan,2,0.2,100\n")
+    err = _fails_cleanly(["catalog", "pdp-check", "--data", str(data)], capsys)
+    assert "row 1: delay_ps: not a finite number: 'nan'" in err
+
+
+def test_gen_rca_refuses_a_half_sum_named_like_a_sum_port(tmp_path, capsys):
+    # the 13th two-THA cell's sum port is s12, the name net() gives cell 0's
+    # half sum
+    out = tmp_path / "rca.tn"
+    err = _fails_cleanly(["gen", "rca", "--style", "ternary-cmos", "--cascade", "two-tha",
+                          "--digits", "13", "-o", str(out)], capsys)
+    assert "the netlist would short two nets named 's12'" in err
+    assert not out.exists()
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     assert run(["truth", str(tmp_path / "absent.tn")]) == 1
     assert capsys.readouterr().err

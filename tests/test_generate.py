@@ -177,6 +177,16 @@ def test_rca_requires_partial_vdd_carries():
                              carry_encoding=Encoding.FULL_VDD_HIGH))
 
 
+@pytest.mark.parametrize("style", list(Style))
+def test_rca_refuses_to_short_a_made_net_to_a_port(style):
+    # net("s1") names cell 0's half sum s1<k>, and at 13 cells k reaches 12:
+    # the half sum would be the sum port s12
+    spec = StyleSpec(style, Completeness.PARTIAL, Encoding.FULL_VDD_HIGH, Cascade.TWO_THA)
+    gen_rca(12, spec)
+    with pytest.raises(DomainError, match="the netlist would short two nets named 's12'"):
+        gen_rca(13, spec)
+
+
 def test_rca_two_digit_truth():
     spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
                      carry_encoding=Encoding.FULL_VDD_HIGH)

@@ -592,7 +592,7 @@ def test_jacobi_lint_relaxes_only_rows_some_state_ended_in(monkeypatch):
     cn = CompiledNetlist(n)
     cn.ccc_rank = None
     jacobi = Sweep(cn)
-    assert jacobi.rows[0].masks.shape[1] == 1782
+    assert jacobi.rows.masks.shape[1] == 1782
     seen, relax = [], kernel_mod._Group.relax
 
     def spy(g, x, *args):
@@ -604,13 +604,28 @@ def test_jacobi_lint_relaxes_only_rows_some_state_ended_in(monkeypatch):
     assert seen == [732]
 
 
+def _rows_made(monkeypatch, solve, *args):
+    """What ``solve(*args)`` returns, and every :class:`_Rows` made while it
+    runs, in order: a ranked sweep makes one per rank, then their stack."""
+    made, init = [], kernel_mod._Rows.__init__
+
+    def spy(t, g, S):
+        made.append(t)
+        init(t, g, S)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernel_mod._Rows, "__init__", spy)
+        return solve(*args), made
+
+
 def test_row_index_widens_past_256_rows(monkeypatch):
     # 729 states, one row each in the wide CCC: the uint8 row index widens
     # to uint16 in the middle of the sweep
     monkeypatch.setattr(kernel_mod, "_CHUNK", 100)
-    swept = Sweep(_too_wide(free=4))
-    assert {t.index.dtype for t in swept.rows} == {np.dtype(np.uint8), np.dtype(np.uint16)}
-    assert max(t.masks.shape[1] for t in swept.rows) == 729
+    swept, (*ranks, stack) = _rows_made(monkeypatch, Sweep, _too_wide(free=4))
+    assert stack is swept.rows and swept.rows.index.dtype == np.uint16
+    assert {t.index.dtype for t in ranks} == {np.dtype(np.uint8), np.dtype(np.uint16)}
+    assert max(t.masks.shape[1] for t in ranks) == 729
     want = swept.cn.solve_batch(swept.codes)
     levels, masks = _dense(swept)
     assert np.array_equal(levels, want[0]) and np.array_equal(masks, want[1])
@@ -631,12 +646,11 @@ def _dense(swept):
     drv = cn.driver_idx
     levels[:, drv] = swept.levels[:, np.searchsorted(swept.kept, drv)]
     masks[:, drv] = _BIT_OF_CODE[levels[:, drv]]
-    for t in swept.rows:
-        g = t.g
-        assert t.index.shape == (g.n_ccc, S) and (t.index < t.masks.shape[1]).all()
-        got = t.masks[g.out_col, t.index.T[:, g.out_ccc]]
-        masks[:, g.out_net] = got
-        levels[:, g.out_net] = _MASK_TO_CODE[got]
+    t, g = swept.rows, cn._all
+    assert t.g is g and t.index.shape == (g.n_ccc, S) and (t.index < t.masks.shape[1]).all()
+    got = t.masks[g.out_col, t.index.T[:, g.out_ccc]]
+    masks[:, g.out_net] = got
+    levels[:, g.out_net] = _MASK_TO_CODE[got]
     assert np.array_equal(swept.levels, levels[:, swept.kept])
     return levels, masks
 
@@ -663,7 +677,7 @@ def _assert_ranked_matches_jacobi(n):
     cn = CompiledNetlist(n)
     cn.ccc_rank = None  # the same netlist through the Jacobi rounds
     jacobi = Sweep(cn)
-    assert len(jacobi.rows) == 1 and jacobi.rows[0].g is cn._all
+    assert jacobi.rows.g is cn._all and swept.rows.g is swept.cn._all
     assert np.array_equal(swept.codes, _sweep_codes(n))
     assert np.array_equal(swept.stable, jacobi.stable)
     for got, ref in zip(_dense(swept), (jacobi.levels, cn.solve_batch(jacobi.codes)[1])):
@@ -807,12 +821,12 @@ def _oracle_rank_groups(cn, whole=False):
         grid_weight = np.zeros(grid_src.shape, dtype=np.int64)
         grid_src[k_local[key_ccc[on]], place[on]] = col[key_net[on]]
         grid_weight[k_local[key_ccc[on]], place[on]] = key_weight[on]
-        osel = np.flatnonzero(member[net_k])
+        osel = np.flatnonzero(member[net_k] & (col[nd_idx] >= 0))  # the nets it writes
         return _OracleGroup(
             ks.size, g_drv.size, np.flatnonzero(g_drv), k_local[col_ccc[drv]],
             col[col_net[drv]], live[dsel], lut[dsel], k_local[dev_k[dsel]], col[gate[dsel]],
             steps, grid_src, grid_weight, key_offset[ks], np.flatnonzero(~keyed[ks]),
-            nd_idx[osel], k_local[net_k[osel]], local[out_col[osel]],
+            col[nd_idx[osel]], k_local[net_k[osel]], local[out_col[osel]],
             col[key_net[ksel]], key_weight[ksel], first_ccc, first,
         )
 
@@ -849,9 +863,8 @@ def _oracle_solve_ranked(cn, codes):
         block = lv[:, lo : lo + kernel_mod._CHUNK]
         for t in tables:
             g, rows = t.g, t.find(block, slice(lo, lo + kernel_mod._CHUNK))
-            dst = col[g.out_net]
-            for k in np.flatnonzero(dst >= 0).tolist():
-                block[dst[k]] = _MASK_TO_CODE[t.masks[g.out_col[k]]][rows[g.out_ccc[k]]]
+            for k in range(g.out_net.size):
+                block[g.out_net[k]] = _MASK_TO_CODE[t.masks[g.out_col[k]]][rows[g.out_ccc[k]]]
     return lv.T, tables
 
 
@@ -880,11 +893,32 @@ def _random_levels(n_nets, states=40):
     return np.random.default_rng(n_nets).integers(0, 5, (n_nets, states), dtype=np.int8)
 
 
-def _assert_layout_matches_oracle(n):
-    """Each rank's group equals the one the oracle selects, keys included,
-    and the ranked solve gives the same levels, rows, row index, drive masks
-    and gate codes; returns whether the netlist has ranks.  Without ranks,
-    ``_all`` keys as the oracle's group of every CCC does."""
+def _assert_stack_of_ranks(stack, tables, g):
+    """The one ``_Rows`` of ``_all`` (``g``) a ranked solve returns is its
+    ranks' ``tables`` stacked: each rank's rows in slots 0 to R_r - 1 of its
+    run of local columns, devices and CCCs, masks of 0 and gates at
+    ``CODE_Z`` past them, and an index that never reaches those."""
+    assert stack.g is g and stack.masks.shape == (g.n_cols, max(t.masks.shape[1] for t in tables))
+    assert stack.gates.shape == (g.dev.size, stack.masks.shape[1])
+    c = d = k = 0  # each rank's first local column, device and CCC
+    for t in tables:
+        R = t.masks.shape[1]
+        masks, gates = stack.masks[c : c + t.g.n_cols], stack.gates[d : d + t.g.dev.size]
+        for got, ref, empty in ((masks, t.masks, 0), (gates, t.gates, CODE_Z)):
+            assert got.dtype == ref.dtype and np.array_equal(got[:, :R], ref)
+            assert (got[:, R:] == empty).all()
+        index = stack.index[k : k + t.g.n_ccc]
+        assert np.array_equal(index, t.index) and (index < R).all()
+        c, d, k = c + t.g.n_cols, d + t.g.dev.size, k + t.g.n_ccc
+    assert (c, d, k) == (g.n_cols, g.dev.size, g.n_ccc)
+
+
+def _assert_layout_matches_oracle(n, monkeypatch):
+    """Each rank's group equals the one the oracle selects, keys and the
+    kept nets it writes included, and the ranked solve gives the same
+    levels, rows, row index, drive masks and gate codes, stacked into one
+    table of ``_all``; returns whether the netlist has ranks.  Without
+    ranks, ``_all`` keys as the oracle's group of every CCC does."""
     cn = CompiledNetlist(n)
     want_groups = _oracle_rank_groups(cn)
     assert (want_groups is None) == (cn.ccc_rank is None)
@@ -906,7 +940,9 @@ def _assert_layout_matches_oracle(n):
     for f in kernel_mod._Step._fields:
         assert len({id(getattr(g.scatter, f).base) for g in cn._ranks}) == 1, f
     codes = _sweep_codes(n)
-    lv, tables = cn.solve_ranked(codes)
+    (lv, stack), (*tables, last) = _rows_made(monkeypatch, cn.solve_ranked, codes)
+    assert last is stack and [id(t.g) for t in tables] == list(map(id, cn._ranks))
+    _assert_stack_of_ranks(stack, tables, cn._all)
     want_lv, want = _oracle_solve_ranked(cn, codes)
     assert np.array_equal(lv, want_lv)
     for t, w in zip(tables, want):
@@ -924,21 +960,22 @@ def test_rank_layout_matches_per_rank_groups(monkeypatch, chunk):
     spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
                      carry_encoding=Encoding.FULL_VDD_HIGH)
     for n in [*_generated_cells(), gen_rca(3, spec), _too_wide(0), _too_wide(4)]:
-        assert _assert_layout_matches_oracle(n), n.title
+        assert _assert_layout_matches_oracle(n, monkeypatch), n.title
     # the random netlists of test_ranked_sweep_matches_jacobi_on_random_netlists
     rng = random.Random(606 + chunk)
     makers = (_random_netlist, _random_static_netlist, _random_gated_netlist,
               _random_feedback_netlist)
-    ranked = sum(_assert_layout_matches_oracle(makers[i % 4](rng)) for i in range(800))
+    ranked = sum(_assert_layout_matches_oracle(makers[i % 4](rng), monkeypatch) for i in range(800))
     assert 400 < ranked < 800
 
 
-def test_rows_per_rank_on_rca4_match_per_rank_groups():
+def test_rows_per_rank_on_rca4_match_per_rank_groups(monkeypatch):
     spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
                      carry_encoding=Encoding.FULL_VDD_HIGH)
     cn = CompiledNetlist(gen_rca(4, spec))
     codes = _sweep_codes(cn.netlist)
-    _, tables = cn.solve_ranked(codes)
+    (_, stack), (*tables, _) = _rows_made(monkeypatch, cn.solve_ranked, codes)
+    _assert_stack_of_ranks(stack, tables, cn._all)
     _, want = _oracle_solve_ranked(cn, codes)
     assert [t.masks.shape[1] for t in tables] == [w.masks.shape[1] for w in want]
 
@@ -1047,7 +1084,7 @@ def _key_nets(g, rails):
     return nets
 
 
-def test_one_input_ranks_keep_a_five_row_table():
+def test_one_input_ranks_keep_a_five_row_table(monkeypatch):
     # a rank whose CCCs each have at most one key net closes five rows, one
     # per level code of the key net, and indexes each state by that code
     spec = StyleSpec(Style.TERNARY_CMOS, Completeness.PARTIAL,
@@ -1057,10 +1094,10 @@ def test_one_input_ranks_keep_a_five_row_table():
         netlists += [cell, gen_testbench(cell)]
     kinds = set()
     for n in netlists:
-        swept = Sweep(n)
+        swept, (*ranks, _) = _rows_made(monkeypatch, Sweep, n)
         cn = swept.cn
         rails = set(cn._kept_col[[cn.gnd_idx, cn.vdd_idx]].tolist())
-        for t in swept.rows:
+        for t in ranks:
             keys = _key_nets(t.g, rails)
             assert t.table == all(len(k) <= 1 for k in keys), n.title
             kinds.add(t.table)
@@ -1070,7 +1107,8 @@ def test_one_input_ranks_keep_a_five_row_table():
                 assert np.array_equal(t.index, want)
     assert kinds == {True, False}
     # the 4-digit RCA: the a/b NTI and PTI rank and the three carry inverters
-    assert [t.table for t in Sweep(netlists[2]).rows] == [True, False] * 4
+    _, (*ranks, _) = _rows_made(monkeypatch, Sweep, netlists[2])
+    assert [t.table for t in ranks] == [True, False] * 4
 
 
 LATCH = parse(
@@ -1090,7 +1128,7 @@ def test_one_input_jacobi_rounds_match_the_dense_oracle(n):
     cn = CompiledNetlist(n)
     assert cn.ccc_rank is None and kernel_mod._Rows(cn._all, 1).table
     if n is LATCH:  # w has no key net: all five of its rows are pulled up
-        t = Sweep(cn).rows[0]
+        t = Sweep(cn).rows
         assert t.masks[cn._all.out_col[cn._all.out_net == cn.index["w"]]].tolist() == [[_BIT_V] * 5]
     codes = np.repeat(_sweep_codes(n), 40, axis=0)
     prev = np.random.default_rng(9).integers(0, 5, (len(codes), cn.n_nets)).astype(np.int8)
@@ -1414,7 +1452,7 @@ def test_rca5_sweep_is_exhaustive_in_bounded_memory():
         total = a + b + pt[10]
         assert val == tuple(total // 3 ** i % 3 for i in range(5)) + (total // 243,), pt
     held = [v for v in vars(swept).values() if isinstance(v, np.ndarray)]
-    held += [v for t in swept.rows for v in vars(t).values() if isinstance(v, np.ndarray)]
+    held += [v for v in vars(swept.rows).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in held) < 16 * 2 ** 20
 
 
@@ -1531,6 +1569,18 @@ def test_solver_layers_import_only_the_layers_below(module, allowed):
             absolute.update(alias.name for alias in node.names)
     assert relative and relative <= allowed
     assert not {name for name in absolute if name.split(".")[0] == "tritforge"}
+
+
+def test_only_the_sweep_constructor_names_the_ranks():
+    # a sweep's rows are one table in _all's layout whichever way they were
+    # solved: its views never reach back to the ranks or the ranked solve
+    tree = ast.parse(Path(solver_mod.__file__).read_text())
+    sweep = next(node for node in tree.body if getattr(node, "name", None) == "Sweep")
+    init = next(node for node in sweep.body if getattr(node, "name", None) == "__init__")
+    inside = set(map(id, ast.walk(init)))
+    named = [node for node in ast.walk(tree)
+             if {getattr(node, "id", None), getattr(node, "attr", None)} & {"_ranks", "solve_ranked"}]
+    assert named and all(id(node) in inside for node in named)
 
 
 def test_solver_takes_only_what_the_benchmark_reads_from_simulate():
